@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, counting
 from .distributions import CountDistribution, PoissonTarget, tv_distance
-from .errors import ConfigError, IsingMotifError, MotifFileError, ParseError, ValidationError
+from .errors import ConfigError, MotifFileError, ParseError, ValidationError
 from .exact import (
     FieldSchedule,
     ModelParams,
@@ -311,6 +311,11 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError("samples must be >= 1")
     if config.burn_in_sweeps < 0 or config.thinning_sweeps < 0:
         raise ValidationError("burn_in_sweeps and thinning_sweeps must be >= 0")
+    if config.engine in ("heat_bath", "metropolis") and config.thinning_sweeps < 1:
+        raise ValidationError(
+            f"thinning_sweeps must be >= 1 for {config.engine}: "
+            "0 records the same state repeatedly"
+        )
     if config.replicas is not None and config.replicas < 1:
         raise ValidationError("replicas must be >= 1")
     if config.jobs < 1:
@@ -512,12 +517,16 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
 
 
 def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[dict]:
-    """All rows of one (n, motif, b) slab; failures become per-target error rows."""
+    """All rows of one (n, motif, b) slab; failures become per-target error rows.
+
+    Any exception, arithmetic ones such as OverflowError included, is caught:
+    one failing target never stops the rest of the grid.
+    """
     rows = []
     try:
         cell = _CellData(config, n, motif, b)
         cell_error = None
-    except IsingMotifError as exc:
+    except Exception as exc:
         cell, cell_error = None, exc
     for target in config.targets:
         start = time.perf_counter()
@@ -526,7 +535,7 @@ def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[d
         else:
             try:
                 err_rows = _target_rows(cell, target)
-            except IsingMotifError as exc:
+            except Exception as exc:
                 err_rows = [_error_row(config, n, motif, b, target, exc)]
         elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
         for row in err_rows:

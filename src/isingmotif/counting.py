@@ -27,6 +27,9 @@ EXACT_MATCH = "exact_match"
 SUPERSET_MATCH = "superset_match"
 MODES = (EXACT_MATCH, SUPERSET_MATCH)
 
+#: Bytes of one (samples, sites) int8 gather in ``count_samples``.
+_SAMPLE_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class CountObservable:
@@ -117,17 +120,27 @@ def count(cfg: SpinConfig, motif: LocalConfig, mode: str) -> int:
 def count_samples(
     lattice: TorusLattice, spins: np.ndarray, motif: LocalConfig, mode: str
 ) -> np.ndarray:
-    """Counts for a whole (num_samples, n^d) matrix of configurations."""
+    """Counts for a whole (num_samples, n^d) matrix of configurations.
+
+    Works through the samples in chunks of about ``_SAMPLE_CHUNK_BYTES`` per
+    (samples, sites) gather, one motif offset at a time, so the working set
+    stays a few MB whatever the batch size.
+    """
     _check_mode(mode)
     _check_motif(lattice, motif)
     spins = np.asarray(spins, dtype=np.int8)
     plus_idx, rest_idx = _site_tables(lattice, motif)
+    columns = [(plus_idx[:, j], 1) for j in range(plus_idx.shape[1])]
+    if mode == EXACT_MATCH:
+        columns += [(rest_idx[:, j], -1) for j in range(rest_idx.shape[1])]
     totals = np.zeros(spins.shape[0], dtype=np.int64)
-    for x in range(lattice.num_sites):
-        match = (spins[:, plus_idx[x]] == 1).all(axis=1)
-        if mode == EXACT_MATCH and rest_idx.shape[1]:
-            match &= (spins[:, rest_idx[x]] == -1).all(axis=1)
-        totals += match
+    step = max(1, _SAMPLE_CHUNK_BYTES // lattice.num_sites)
+    for start in range(0, spins.shape[0], step):
+        block = spins[start:start + step]
+        match = np.ones(block.shape, dtype=bool)
+        for idx, want in columns:
+            match &= block[:, idx] == want
+        totals[start:start + step] = match.sum(axis=1)
     return totals
 
 

@@ -6,12 +6,20 @@ Reproducibility contract: every stream is derived from a 64-bit seed through
 seed together with the replica / draw index), so parallel replicas never share
 randomness and reruns are bit-identical.
 
-Both kernels perform systematic scans in site-index order; within a sweep each
-site update sees the freshly updated neighbors.  The heat-bath update at site
-x sets the spin to +1 with probability e^h / (e^h + e^-h), h = a + b * (sum of
-neighbor spins), comparing one shared uniform against that probability; for
-b >= 0 this rule is monotone in the configuration, which is what
-coupling-from-the-past requires.
+Both kernels perform systematic scans in colour-class order.  The neighbor
+graph is coloured greedily once per lattice (two classes on even tori with
+rho = 1, p = 1); a sweep updates the classes one after another, and all sites
+of a class, in all chains, in one vectorized step.  No two sites of a class
+are neighbors, so the block update equals a site-by-site scan in colour-major
+order: every update sees the freshly updated neighbors, and site x still
+consumes its own uniform.  A scan in any fixed order is a systematic-scan
+Gibbs (or Metropolis) sampler for the same measure (Gonzalez, Low, Gretton and
+Guestrin, AISTATS 2011).  The heat-bath update at site x sets the spin to +1
+with probability e^h / (e^h + e^-h), h = a + b * (sum of neighbor spins),
+comparing one shared uniform against that probability; for b >= 0 this rule
+is monotone in the configuration, which is what coupling-from-the-past
+requires (Propp and Wilson, 1996).  Both kernels read their probabilities
+from a table indexed by the integer neighbor sum.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ class SamplerSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.burn_in_sweeps < 0 or self.thinning_sweeps < 0:
             raise ValueError("burn_in_sweeps and thinning_sweeps must be >= 0")
+        if self.kind != "cftp" and self.thinning_sweeps < 1:
+            raise ValueError(f"thinning_sweeps must be >= 1 for {self.kind}")
 
 
 @dataclass
@@ -88,26 +98,79 @@ def _neighbor_index_matrix(lattice: TorusLattice) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+def _colour_classes(nbr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Greedy proper colouring of the neighbor graph given by ``nbr``.
+
+    Returns one (sites, neighbors) pair per colour class: the class's site
+    indices in increasing order and the (neighbor_count, class_size) matrix
+    of their neighbors.  Sites are coloured in index order with the smallest
+    colour unused by an already coloured neighbor.
+    """
+    nbr = np.asarray(nbr, dtype=np.intp)
+    return _colour_classes_of(nbr.shape, nbr.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _colour_classes_of(shape: tuple, data: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
+    nbr = np.frombuffer(data, dtype=np.intp).reshape(shape)
+    colour = [-1] * shape[0]
+    for x, row in enumerate(nbr.tolist()):
+        taken = {colour[y] for y in row}
+        colour[x] = next(c for c in range(len(row) + 1) if c not in taken)
+    colour = np.array(colour)
+    classes = []
+    for c in range(colour.max() + 1):
+        sites = np.flatnonzero(colour == c)
+        classes.append((_read_only(sites), _read_only(np.ascontiguousarray(nbr[sites].T))))
+    return classes
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller; forbid writes to them."""
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=256)
+def _heat_bath_table(a: float, b: float, degree: int) -> np.ndarray:
+    """p_plus for every neighbor sum -degree..degree, at index sum + degree."""
+    return _read_only(np.array([
+        1.0 / (1.0 + np.exp(-2.0 * (a + b * s))) for s in range(-degree, degree + 1)
+    ]))
+
+
+@lru_cache(maxsize=256)
+def _metropolis_table(a: float, b: float, degree: int) -> np.ndarray:
+    """Flip acceptance at index (sum + degree) + (2 degree + 1) * (spin == +1)."""
+    return _read_only(np.array([
+        np.exp(min(-2.0 * spin * (a + b * s), 0.0))
+        for spin in (-1, 1) for s in range(-degree, degree + 1)
+    ]))
+
+
 def _sweep_heat_bath(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
                      uniforms: np.ndarray) -> None:
     """One systematic heat-bath scan, in place, vectorized across chains.
 
     ``spins`` is (chains, sites) int8, ``uniforms`` (chains, sites) in [0, 1).
     """
-    for x in range(spins.shape[1]):
-        h = a + b * spins[:, nbr[x]].sum(axis=1, dtype=np.float64)
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * h))
-        spins[:, x] = np.where(uniforms[:, x] < p_plus, 1, -1).astype(np.int8)
+    degree = nbr.shape[1]
+    p_plus = _heat_bath_table(a, b, degree)
+    for sites, nbr_t in _colour_classes(nbr):
+        total = spins[:, nbr_t].sum(axis=1, dtype=np.intp)
+        spins[:, sites] = np.where(uniforms[:, sites] < p_plus[total + degree], 1, -1)
 
 
 def _sweep_metropolis(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
                       uniforms: np.ndarray) -> None:
     """One systematic single-flip Metropolis scan, in place."""
-    for x in range(spins.shape[1]):
-        s = spins[:, x].astype(np.float64)
-        delta = -2.0 * s * (a + b * spins[:, nbr[x]].sum(axis=1, dtype=np.float64))
-        accept = uniforms[:, x] < np.exp(np.minimum(delta, 0.0))
-        spins[:, x] = np.where(accept, -spins[:, x], spins[:, x])
+    degree = nbr.shape[1]
+    accept = _metropolis_table(a, b, degree)
+    for sites, nbr_t in _colour_classes(nbr):
+        old = spins[:, sites]
+        index = spins[:, nbr_t].sum(axis=1, dtype=np.intp) + degree
+        index += (old > 0) * (2 * degree + 1)
+        spins[:, sites] = np.where(uniforms[:, sites] < accept[index], -old, old)
 
 
 _SWEEPS = {"heat_bath": _sweep_heat_bath, "metropolis": _sweep_metropolis}
@@ -169,14 +232,16 @@ def metropolis_sweep(state: ChainState, params: ModelParams) -> ChainState:
 # -- coupling from the past -------------------------------------------------------
 
 
-def _cftp_slab(seed: int, draw: int, slab: int, sites: int) -> np.ndarray:
-    """(_CFTP_SLAB, sites) uniforms for one draw; row j drives time -(slab*S+j+1).
+def _cftp_slab(seed: int, draw: int, slab: int, sites: int, rows: int) -> np.ndarray:
+    """First ``rows`` rows of a (_CFTP_SLAB, sites) slab of uniforms for one
+    draw; row j drives time -(slab*S+j+1).
 
     Regenerating a slab always yields the same values, which is what reusing
-    the randomness of past epochs across doubling rounds requires.
+    the randomness of past epochs across doubling rounds requires.  Uniforms
+    are generated row-major, so a short slab is a prefix of the full one.
     """
     rng = np.random.default_rng([seed & _U64, draw & _U64, slab])
-    return rng.uniform(size=(_CFTP_SLAB, sites))
+    return rng.uniform(size=(rows, sites))
 
 
 def cftp_batch(
@@ -223,7 +288,10 @@ def cftp_batch(
             for t in range(horizon, 0, -1):
                 slab, row = divmod(t - 1, _CFTP_SLAB)
                 if slab != loaded_slab:
-                    block = np.stack([_cftp_slab(seed, int(i), slab, sites) for i in active])
+                    rows = min(horizon - slab * _CFTP_SLAB, _CFTP_SLAB)
+                    block = np.stack(
+                        [_cftp_slab(seed, int(i), slab, sites, rows) for i in active]
+                    )
                     loaded_slab = slab
                 uniforms = block[:, row, :]
                 _sweep_heat_bath(top, nbr, params.a, params.b, uniforms)
@@ -285,7 +353,7 @@ def _run_mcmc_batch(
     )
     samples = np.empty((replicas, quota_max, sites), dtype=np.int8)
 
-    buffer = None
+    buffer = np.empty((replicas, _BLOCK, sites))
     pos = _BLOCK
     done_sweeps = 0
     recorded = 0
@@ -296,7 +364,8 @@ def _run_mcmc_batch(
             n_sweeps = spec.thinning_sweeps
         for _ in range(n_sweeps):
             if pos == _BLOCK:
-                buffer = np.stack([rng.uniform(size=(_BLOCK, sites)) for rng in rngs])
+                for rng, rows in zip(rngs, buffer):
+                    rng.random(out=rows)  # the same values as rng.uniform(size=rows.shape)
                 pos = 0
             sweep(spins, nbr, params.a, params.b, buffer[:, pos, :])
             pos += 1

@@ -1,5 +1,6 @@
 import csv
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,55 @@ def test_cell_isolation_failing_motif(workdir):
     assert len(errors) == 2 and len(fine) == 2
     assert {r["k"] for r in errors} == {"0"}
     assert {r["k"] for r in fine} == {"1"}
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+def test_zero_thinning_rejected_for_mcmc(workdir, kind):
+    bad = MINIMAL.replace("kind = exact", f"kind = {kind}\nthinning_sweeps = 0")
+    with pytest.raises(ValidationError, match="thinning_sweeps"):
+        parse_config(bad, base_dir=workdir)
+    # coupling from the past ignores thinning
+    parse_config(MINIMAL.replace("kind = exact", "kind = cftp\nthinning_sweeps = 0"),
+                 base_dir=workdir)
+
+
+def test_cell_isolation_arithmetic_error(workdir):
+    # exp(-2 b gamma) overflows for b = -20 and gamma = 58: that cell's rows
+    # become error rows and the b = 0 cell still runs
+    text = """\
+[lattice]
+d = 2
+p = inf
+n_list = 9
+
+[motifs]
+files = blob_k10.motif
+
+[schedule]
+c = 1.0
+
+[model]
+b_list = 0.0 -20
+
+[engine]
+kind = heat_bath
+samples = 20
+burn_in_sweeps = 2
+
+[analysis]
+targets = expectation tv moments
+"""
+    blob = files("isingmotif") / "data" / "blob_k10.motif"
+    (workdir / "blob_k10.motif").write_text(blob.read_text(encoding="utf-8"))
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out", str(workdir / "out")]) == 1
+    rows = read_rows(workdir / "out" / "results.csv")
+    healthy = [r for r in rows if float(r["b"]) == 0.0]
+    broken = [r for r in rows if float(r["b"]) == -20.0]
+    assert len(healthy) == len(broken) == 3
+    assert all(r["error"] == "" for r in healthy)
+    assert all(r["error"].startswith("OverflowError") for r in broken)
 
 
 def test_sampler_engine_rows(workdir):

@@ -13,9 +13,12 @@ from isingmotif import (
     indicator,
     site_match_probabilities,
 )
+from isingmotif import counting
 from isingmotif.counting import CountObservable, count_all_masks, count_samples
 from isingmotif.errors import LatticeTooSmall, SignatureMismatch
+from isingmotif.lattice import INFINITY
 from isingmotif.motifs import (
+    LocalConfig,
     bundled_motif,
     enumerate_superset_family,
     null_config,
@@ -150,6 +153,31 @@ def test_count_samples_matches_scalar():
     batch_counts = count_samples(lat, spins, motif, EXACT_MATCH)
     for row in range(40):
         assert batch_counts[row] == count(SpinConfig(lat, spins[row]), motif, EXACT_MATCH)
+
+
+@pytest.mark.parametrize("lattice,motif", [
+    (TorusLattice(1, 9, 1, 1), bundled_motif("single_plus_d1.motif")),
+    (TorusLattice(2, 5, 1, 1), bundled_motif("single_plus_d2.motif")),
+    (TorusLattice(1, 11, 2, 1), LocalConfig(1, frozenset({(0,), (1,)}), (1, 2, 1))),
+    (TorusLattice(2, 7, 1, INFINITY), bundled_motif("blob_k10.motif")),
+])
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+def test_count_samples_matches_count_and_indicator(lattice, motif, mode, monkeypatch):
+    rng = np.random.default_rng(5)
+    spins = rng.choice((-1, 1), size=(60, lattice.num_sites)).astype(np.int8)
+    spins[0] = -1  # the motif planted once at the origin: an exact match
+    spins[0, [lattice.site_index(lattice.canon(off)) for off in motif.positives]] = 1
+    spins[1] = 1
+    whole = count_samples(lattice, spins, motif, mode)
+    # chunks of 7 rows: several full chunks and a partial one
+    monkeypatch.setattr(counting, "_SAMPLE_CHUNK_BYTES", 7 * lattice.num_sites)
+    got = count_samples(lattice, spins, motif, mode)
+    assert np.array_equal(got, whole)
+    for row, value in zip(spins, got):
+        cfg = SpinConfig(lattice, row)
+        assert value == count(cfg, motif, mode)
+        assert value == sum(indicator(cfg, x, motif, mode) for x in lattice.vertices())
+    assert got.any()
 
 
 def test_count_distribution_binomial_case():

@@ -29,8 +29,15 @@ from isingmotif import (
 )
 from isingmotif.counting import count_samples
 from isingmotif.errors import AntiferromagneticUnsupported, CoalescenceTimeout
+from isingmotif.lattice import INFINITY
 from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
+    _CFTP_SLAB,
+    _cftp_slab,
+    _colour_classes,
+    _neighbor_index_matrix,
+    _sweep_heat_bath,
+    _sweep_metropolis,
     heat_bath_plus_probability,
     metropolis_flip_probability,
 )
@@ -159,6 +166,73 @@ def test_monotone_coupling_preserves_order():
         assert np.all(low2.spins <= high2.spins)
 
 
+# -- colour-class sweeps --------------------------------------------------------------
+
+COLOUR_LATTICES = [
+    (TorusLattice(1, 4, 1, 1), 2),
+    (TorusLattice(1, 5, 1, 1), 3),
+    (TorusLattice(2, 3, 1, 1), 4),
+    (TorusLattice(2, 16, 1, 1), 2),
+    (TorusLattice(1, 13, 2, 1), None),
+    (TorusLattice(2, 5, 1, INFINITY), None),
+]
+
+
+@pytest.mark.parametrize("lat,expected", COLOUR_LATTICES)
+def test_colour_classes_proper_and_covering(lat, expected):
+    nbr = _neighbor_index_matrix(lat)
+    classes = _colour_classes(nbr)
+    sites = np.concatenate([cls for cls, _ in classes])
+    assert np.array_equal(np.sort(sites), np.arange(lat.num_sites))
+    for cls, nbr_t in classes:
+        assert np.array_equal(nbr_t, nbr[cls].T)
+        assert not np.isin(nbr[cls], cls).any()
+    if expected is not None:
+        assert len(classes) == expected
+
+
+def _scalar_colour_scan(lat, spins, params, uniforms, kind):
+    """Site-by-site scan in colour-major order with the scalar oracles."""
+    cfg = SpinConfig(lat, spins.copy())
+    for cls, _ in _colour_classes(_neighbor_index_matrix(lat)):
+        for x in cls:
+            v = lat.vertex_at(int(x))
+            if kind == "heat_bath":
+                p = heat_bath_plus_probability(cfg, v, params)
+                cfg.spins[x] = 1 if uniforms[x] < p else -1
+            elif uniforms[x] < metropolis_flip_probability(cfg, v, params):
+                cfg.spins[x] = -cfg.spins[x]
+    return cfg.spins
+
+
+@pytest.mark.parametrize("lat", [lat for lat, _ in COLOUR_LATTICES])
+@pytest.mark.parametrize("a,b", [(0.0, 0.5), (-0.6, 0.3), (0.2, -0.4), (-1.0, 0.0)])
+@pytest.mark.parametrize("kind,sweep", [
+    ("heat_bath", _sweep_heat_bath), ("metropolis", _sweep_metropolis),
+])
+def test_block_sweep_equals_scalar_colour_scan(lat, a, b, kind, sweep):
+    rng = np.random.default_rng(17)
+    params = ModelParams(a, b)
+    nbr = _neighbor_index_matrix(lat)
+    spins = rng.choice((-1, 1), size=(5, lat.num_sites)).astype(np.int8)
+    for _ in range(3):
+        uniforms = rng.random(spins.shape)
+        want = np.stack([
+            _scalar_colour_scan(lat, row, params, u, kind) for row, u in zip(spins, uniforms)
+        ])
+        sweep(spins, nbr, a, b, uniforms)
+        assert np.array_equal(spins, want)
+
+
+@pytest.mark.parametrize("sites", [1, 16, 64])
+def test_cftp_short_slab_is_prefix_of_full_slab(sites):
+    for seed, draw, slab in ((7, 0, 0), (7, 3, 1), (2026, 4095, 2)):
+        full = _cftp_slab(seed, draw, slab, sites, _CFTP_SLAB)
+        assert full.shape == (_CFTP_SLAB, sites)
+        for rows in (1, 2, 5, 32, 63, _CFTP_SLAB):
+            assert np.array_equal(_cftp_slab(seed, draw, slab, sites, rows), full[:rows])
+
+
 # -- stationary-law oracles ---------------------------------------------------------
 
 
@@ -248,11 +322,18 @@ def test_sample_batch_deterministic():
 def test_sample_batch_applies_schedule():
     lat = TorusLattice(2, 16, 1, 1)
     sched = FieldSchedule(c=1.0, k_target=1, d=2)
-    spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=1, thinning_sweeps=0, seed=1)
+    spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=1, thinning_sweeps=1, seed=1)
     batch = sample_batch(lat, sched, 0.1, spec, count=2)
     assert batch.params.a == pytest.approx(0.5 * math.log(1 / 256))
     assert len(batch) == 2
     assert isinstance(batch[0], SpinConfig)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+def test_zero_thinning_rejected_for_mcmc(kind):
+    with pytest.raises(ValueError, match="thinning_sweeps"):
+        SamplerSpec(kind=kind, thinning_sweeps=0)
+    assert SamplerSpec(kind="cftp", thinning_sweeps=0).thinning_sweeps == 0
 
 
 def test_sample_batch_replica_layout():
