@@ -62,7 +62,8 @@ def stein_chen_bound(measure: ExactMeasure, motif: LocalConfig) -> float:
     using translation invariance to collapse the sum of squared per-site
     expectations into lambda_n^2 / n^d.  Valid for a nonnegative pair
     potential, where the increasing per-site indicators are positively
-    related.
+    related.  A mean that underflows to 0 gives 0: the law is then the point
+    mass at 0, which is Poisson(0).
 
     Raises:
         FerromagneticOnly: if the measure's pair potential is negative.
@@ -71,6 +72,8 @@ def stein_chen_bound(measure: ExactMeasure, motif: LocalConfig) -> float:
         raise FerromagneticOnly("the Stein-Chen bound requires b >= 0")
     dist = count_distribution_exact(measure, motif, SUPERSET_MATCH)
     lam_n = dist.mean
+    if lam_n == 0.0:
+        return 0.0
     var = dist.variance
     sites = measure.lattice.num_sites
     prefactor = (1.0 - math.exp(-lam_n)) / lam_n

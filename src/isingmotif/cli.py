@@ -385,7 +385,7 @@ class _CellData:
         else:
             self.field = None  # k = 0 motifs have no schedule; needs explicit a
         self._measure = None
-        self._batch_counts: dict[str, np.ndarray] = {}
+        self._laws: dict[str, CountDistribution] = {}
         self._batch = None
 
     @property
@@ -416,14 +416,15 @@ class _CellData:
         return self._batch
 
     def distribution(self, motif: LocalConfig, mode: str) -> CountDistribution:
-        if self.config.engine == "exact":
-            return counting.count_distribution_exact(self.measure(), motif, mode)
         key = f"{motif.motif_hash}:{mode}"
-        if key not in self._batch_counts:
-            self._batch_counts[key] = counting.count_samples(
-                self.lattice, self.batch().spins, motif, mode
-            )
-        return CountDistribution.from_samples(self._batch_counts[key])
+        if key not in self._laws:
+            if self.config.engine == "exact":
+                law = counting.count_distribution_exact(self.measure(), motif, mode)
+            else:
+                counts = counting.count_samples(self.lattice, self.batch().spins, motif, mode)
+                law = CountDistribution.from_samples(counts)
+            self._laws[key] = law
+        return self._laws[key]
 
     def lambda_target(self) -> float | None:
         if self.config.a_override is not None or self.motif.k < 1:

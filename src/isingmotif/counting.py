@@ -145,29 +145,35 @@ def count_samples(
 
 
 def count_all_masks(
-    lattice: TorusLattice, motif: LocalConfig, mode: str, chunk: int = 1 << 18
+    lattice: TorusLattice, motif: LocalConfig, mode: str, chunk: int = 1 << 16
 ) -> np.ndarray:
-    """Counts for every configuration bitmask of the lattice (exact pipeline)."""
+    """Counts for every configuration bitmask of the lattice (exact pipeline).
+
+    The result is uint8: a count never exceeds the number of sites, far below
+    256 wherever the 2**sites masks can be enumerated.
+    """
     _check_mode(mode)
     _check_motif(lattice, motif)
     n_sites = lattice.num_sites
     plus_idx, rest_idx = _site_tables(lattice, motif)
-    plus_masks = [np.uint64(sum(1 << int(i) for i in plus_idx[x])) for x in range(n_sites)]
+    word = np.uint32 if n_sites <= 32 else np.uint64
+    plus_masks = [word(sum(1 << int(i) for i in plus_idx[x])) for x in range(n_sites)]
     ball_masks = [
-        np.uint64(int(plus_masks[x]) | sum(1 << int(i) for i in rest_idx[x]))
+        word(int(plus_masks[x]) | sum(1 << int(i) for i in rest_idx[x]))
         for x in range(n_sites)
     ]
     total = 1 << n_sites
-    counts = np.zeros(total, dtype=np.int32)
+    counts = np.zeros(total, dtype=np.uint8)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        acc = np.zeros(stop - start, dtype=np.int32)
+        masks = np.arange(start, stop, dtype=word)
+        acc = counts[start:stop]
+        selected = np.empty_like(masks)
+        hit = np.empty(stop - start, dtype=bool)
         for x in range(n_sites):
             want = plus_masks[x]
-            sel = ball_masks[x] if mode == EXACT_MATCH else want
-            acc += (masks & sel) == want
-        counts[start:stop] = acc
+            np.bitwise_and(masks, ball_masks[x] if mode == EXACT_MATCH else want, out=selected)
+            acc += np.equal(selected, want, out=hit)
     return counts
 
 
@@ -189,10 +195,18 @@ def site_match_probabilities(measure: ExactMeasure, motif: LocalConfig, mode: st
     return out
 
 
+@lru_cache(maxsize=16)
+def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
+    """Read-only ``count_all_masks``, shared by every measure on the lattice."""
+    counts = count_all_masks(lattice, motif, mode)
+    counts.flags.writeable = False
+    return counts
+
+
 def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
     """Exact law of the motif count under the measure, with cached moments."""
-    counts = count_all_masks(measure.lattice, motif, mode)
+    counts = _mask_counts(measure.lattice, motif, mode)
     pmf = np.bincount(counts, weights=measure.probabilities())
     return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)

@@ -1,10 +1,12 @@
 """Exact Gibbs measures by full enumeration, local energies, and conditional motif laws.
 
 The measure weights a configuration sigma by exp(a * sum_x sigma(x) +
-b * sum_edges sigma(x) sigma(y)).  On small lattices the whole table of
-2**(n^d) log-weights is materialized, giving an exact oracle for means,
-variances, conditionals and count distributions.  All weights stay in log
-domain; the field a can be strongly negative, which would underflow raw
+b * sum_edges sigma(x) sigma(y)).  Both sums are integers, so each small
+lattice is enumerated once into the (M, E) level of every configuration, and
+every (a, b) on it is a lookup in a table of a*M + b*E.  The probabilities of
+all 2**(n^d) configurations are materialized, giving an exact oracle for
+means, variances, conditionals and count distributions.  All weights stay in
+log domain; the field a can be strongly negative, which would underflow raw
 weights.
 
 Configurations are identified with bitmasks: bit i set means site i (row-major
@@ -16,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -172,53 +175,96 @@ def _spin_matrix(masks: np.ndarray, num_sites: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
-def _all_energies(lattice: TorusLattice, params: ModelParams, chunk: int = 1 << 16) -> np.ndarray:
+class _Levels(NamedTuple):
+    """One lattice's enumeration, shared by every (a, b) on it."""
+
+    index: np.ndarray  # level of every configuration, indexed by bitmask
+    count: np.ndarray  # multiplicity of every level
+    field: np.ndarray  # magnetisation M of every level
+    pair: np.ndarray  # pair sum E of every level
+
+
+@lru_cache(maxsize=4)
+def _energy_levels(lattice: TorusLattice) -> _Levels:
+    """Enumerate the lattice once: the (M, E) level of every configuration.
+
+    M = sum_x sigma(x) and E = sum_edges sigma(x) sigma(y) are integers, so
+    the level (M + N) * (2|E| + 1) + (E + |E|) is a dense index.  The index is
+    built by doubling: the masks with top bit k are the masks below 2**k with
+    site k turned from -1 to +1 (the sites above k still -1), which adds 2 to
+    M and twice the neighbours' spin sum to E.
+    """
     n_sites = lattice.num_sites
-    total = 1 << n_sites
     edges = lattice.edges()
-    ei = np.array([e[0] for e in edges], dtype=np.intp)
-    ej = np.array([e[1] for e in edges], dtype=np.intp)
-    out = np.empty(total, dtype=np.float64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        spins = _spin_matrix(masks, n_sites)
-        field = spins.sum(axis=1, dtype=np.int32)
-        if len(edges):
-            pair = (spins[:, ei] * spins[:, ej]).sum(axis=1, dtype=np.int32)
-        else:
-            pair = np.zeros(stop - start, dtype=np.int32)
-        out[start:stop] = params.a * field + params.b * pair
+    n_edges = len(edges)
+    width = 2 * n_edges + 1
+    size = (2 * n_sites + 1) * width
+    lower: list[list[int]] = [[] for _ in range(n_sites)]
+    degree = [0] * n_sites
+    for i, j in edges:  # i < j
+        lower[j].append(i)
+        degree[i] += 1
+        degree[j] += 1
+    index = np.empty(1 << n_sites, dtype=np.uint16 if size <= 1 << 16 else np.uint32)
+    index[0] = 2 * n_edges  # all minus: M = -N, E = |E|
+    for k in range(n_sites):
+        half = 1 << k
+        masks = np.arange(half)
+        step = np.full(half, 2 * width - 2 * degree[k], dtype=np.int64)
+        for j in lower[k]:
+            step += 4 * ((masks >> j) & 1)
+        index[half:2 * half] = index[:half] + step
+    levels = np.arange(size)
+    out = _Levels(
+        index,
+        np.bincount(index, minlength=size),
+        levels // width - n_sites,
+        levels % width - n_edges,
+    )
+    for array in out:
+        array.flags.writeable = False
     return out
 
 
 class ExactMeasure:
     """Gibbs measure tabulated over all 2**(n^d) configurations.
 
-    Immutable after construction; queries are concurrent-read-safe.
-    ``log_weights[m]`` is the energy exponent of the configuration with
-    bitmask m, and log_z its log-sum-exp.
+    Immutable after construction; queries are concurrent-read-safe.  The
+    energy exponent a*M + b*E is tabulated once per (M, E) level of the
+    lattice's cached enumeration; ``log_weights[m]`` is that value at the
+    level of bitmask m, and log_z its log-sum-exp over all configurations.
     """
 
-    def __init__(self, lattice: TorusLattice, params: ModelParams, log_weights: np.ndarray):
+    def __init__(self, lattice: TorusLattice, params: ModelParams):
         self.lattice = lattice
         self.params = params
-        self.log_weights = log_weights
-        self.log_z = float(logsumexp(log_weights))
+        levels = _energy_levels(lattice)
+        self._index = levels.index
+        table = params.a * levels.field + params.b * levels.pair
+        # empty levels are never looked up; -inf keeps exp from overflowing on them
+        self._table = np.where(levels.count > 0, table, -np.inf)
+        self.log_z = float(logsumexp(self._table, b=levels.count))
         self._probs: np.ndarray | None = None
 
     @property
     def num_configs(self) -> int:
-        return len(self.log_weights)
+        return len(self._index)
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """Energy exponent of every configuration, indexed by bitmask."""
+        return self._table[self._index]
 
     def probabilities(self) -> np.ndarray:
-        """Probability of every configuration, indexed by bitmask."""
+        """Probability of every configuration, indexed by bitmask (read-only)."""
         if self._probs is None:
-            self._probs = np.exp(self.log_weights - self.log_z)
+            probs = np.exp(self._table - self.log_z)[self._index]
+            probs.flags.writeable = False
+            self._probs = probs
         return self._probs
 
     def log_prob(self, cfg: SpinConfig) -> float:
-        return float(self.log_weights[cfg.to_mask()] - self.log_z)
+        return float(self._table[self._index[cfg.to_mask()]] - self.log_z)
 
     def prob(self, cfg: SpinConfig) -> float:
         return math.exp(self.log_prob(cfg))
@@ -271,11 +317,6 @@ class ExactMeasure:
         masks = np.arange(self.num_configs, dtype=np.uint64)
         return (masks & np.uint64(sites_mask)) == np.uint64(plus_mask)
 
-    def marginal_probability(self, assignment: Mapping[Vertex, int]) -> float:
-        """Probability that the configuration agrees with a partial assignment."""
-        sm, pm = self._assignment_masks(assignment)
-        return float(self.probabilities()[self._match(sm, pm)].sum())
-
     def conditional_probability(
         self, target: Mapping[Vertex, int], given: Mapping[Vertex, int]
     ) -> float:
@@ -306,7 +347,7 @@ def build_exact(
         raise TooLargeForExact(
             f"lattice has {lattice.num_sites} sites, enumeration cap is {cap}"
         )
-    return ExactMeasure(lattice, params, _all_energies(lattice, params))
+    return ExactMeasure(lattice, params)
 
 
 # -- local energies -------------------------------------------------------------

@@ -196,6 +196,15 @@ def test_stein_chen_dominates_exact_tv():
         assert 0.0 < (1 - math.exp(-lam_n)) / lam_n < 1.0
 
 
+def test_stein_chen_underflowed_mean_is_zero():
+    # at a = -400 every configuration but all-minus has probability 0.0: the
+    # superset count is the point mass at 0, which is Poisson(0)
+    measure = build_exact(TorusLattice(1, 8, 1, 1), ModelParams(-400.0, 0.0))
+    motif = bundled_motif("single_plus_d1.motif")
+    assert count_distribution_exact(measure, motif, SUPERSET_MATCH).mean == 0.0
+    assert stein_chen_bound(measure, motif) == 0.0
+
+
 def test_stein_chen_requires_ferromagnet():
     lat = TorusLattice(1, 8, 1, 1)
     measure = build_exact(lat, ModelParams(-0.5, -0.2))

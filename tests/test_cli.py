@@ -1,12 +1,15 @@
 import csv
 import json
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from isingmotif.cli import main, parse_config, run
+from isingmotif import counting
+from isingmotif.cli import TARGETS, main, parse_config, run
 from isingmotif.errors import ParseError, ValidationError
+from isingmotif.exact import _energy_levels
 
 MINIMAL = """\
 [lattice]
@@ -130,10 +133,22 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
 
 
 def test_jobs_do_not_change_output(workdir):
-    text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10") + "\n[analysis]\ntargets = tv moments\n"
+    # the exact engine's enumerations and count arrays are shared across threads
+    text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
+        "b_list = 0.0", "b_list = 0.0 0.3"
+    )
+    text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
     config = parse_config(text, base_dir=workdir)
-    run(config, jobs=1, out_dir=workdir / "j1")
-    run(config, jobs=4, out_dir=workdir / "j4")
+    assert run(config, jobs=1, out_dir=workdir / "j1") == 0
+    # the threads below fill the caches themselves
+    _energy_levels.cache_clear()
+    counting._mask_counts.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run(config, jobs=4, out_dir=workdir / "j4") == 0
+    finally:
+        sys.setswitchinterval(interval)
 
     def stripped(path):
         rows = read_rows(path)
@@ -141,7 +156,20 @@ def test_jobs_do_not_change_output(workdir):
             row.pop("wall_time_ms")
         return rows
 
-    assert stripped(workdir / "j1" / "results.csv") == stripped(workdir / "j4" / "results.csv")
+    rows = stripped(workdir / "j1" / "results.csv")
+    assert len(rows) == 3 * 2 * (len(TARGETS) + 1)
+    assert rows == stripped(workdir / "j4" / "results.csv")
+
+
+def test_stein_chen_underflowed_mean_run(workdir):
+    text = MINIMAL.replace("n_list = 6 8", "n_list = 8").replace("c = 1.0", "c = 1.0\na = -400")
+    text += "\n[analysis]\ntargets = expectation stein_chen\n"
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out", str(workdir / "out")]) == 0
+    rows = read_rows(workdir / "out" / "results.csv")
+    assert [row["error"] for row in rows] == ["", ""]
+    assert float(rows[1]["stein_chen_bound"]) == 0.0
 
 
 def test_too_large_for_exact_is_error_row(workdir):

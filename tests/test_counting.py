@@ -143,6 +143,29 @@ def test_count_all_masks_matches_per_config_count():
         table = count_all_masks(lat, motif, mode)
         for mask in (0, 1, 37, 255, 100, 170):
             assert table[mask] == count(SpinConfig.from_mask(lat, mask), motif, mode)
+    # every mask, across chunk boundaries (chunks of 100 masks)
+    lat = TorusLattice(2, 3, 1, INFINITY)
+    motif = LocalConfig(1, frozenset({(0, 0), (1, 1)}), (2, 1, INFINITY))
+    for mode in (EXACT_MATCH, SUPERSET_MATCH):
+        table = count_all_masks(lat, motif, mode, chunk=100)
+        for mask in range(1 << lat.num_sites):
+            assert table[mask] == count(SpinConfig.from_mask(lat, mask), motif, mode)
+
+
+def test_cached_count_arrays_are_read_only_and_shared():
+    lat = TorusLattice(1, 8, 1, 1)
+    motif = bundled_motif("single_plus_d1.motif")
+    for params in (ModelParams(-0.7, 0.3), ModelParams(0.4, -0.2)):
+        measure = build_exact(lat, params)
+        dist = count_distribution_exact(measure, motif, SUPERSET_MATCH)
+        direct = np.bincount(
+            count_all_masks(lat, motif, SUPERSET_MATCH), weights=measure.probabilities()
+        )
+        assert [dist.pmf(k) for k in range(len(direct))] == list(direct)
+    cached = counting._mask_counts(lat, motif, SUPERSET_MATCH)
+    assert cached.dtype == np.uint8
+    with pytest.raises(ValueError):
+        cached[0] = 1
 
 
 def test_count_samples_matches_scalar():

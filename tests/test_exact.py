@@ -24,6 +24,7 @@ from isingmotif.errors import (
     TooLargeForExact,
 )
 from isingmotif.exact import _BallEnergyTable
+from isingmotif.lattice import INFINITY
 from isingmotif.motifs import (
     LocalConfig,
     bundled_motif,
@@ -85,8 +86,35 @@ def test_build_exact_cap():
     lat = TorusLattice(2, 6, rho=1, p=1)  # 36 sites
     with pytest.raises(TooLargeForExact):
         build_exact(lat, ModelParams(0.0, 0.0))
+    build_exact(TorusLattice(1, 10, 1, 1), ModelParams(0.0, 0.0))  # its levels are now cached
     with pytest.raises(TooLargeForExact):
         build_exact(TorusLattice(1, 10, 1, 1), ModelParams(0.0, 0.0), site_cap=8)
+
+
+@pytest.mark.parametrize("lat", [
+    TorusLattice(1, 6, 1, 1),
+    TorusLattice(2, 3, 1, 1),
+    TorusLattice(1, 7, 2, 1),
+    TorusLattice(2, 3, 1, INFINITY),
+])
+def test_cached_levels_match_hamiltonian(lat):
+    # two (a, b) back to back on one cached enumeration, checked after both
+    # exist, so that any aliasing between their tables shows
+    first = build_exact(lat, ModelParams(0.45, -0.3))
+    second = build_exact(lat, ModelParams(-1.1, 0.7))
+    for measure in (first, second):
+        weights = measure.log_weights
+        for mask in range(measure.num_configs):
+            cfg = SpinConfig.from_mask(lat, mask)
+            assert weights[mask] == pytest.approx(hamiltonian(cfg, measure.params), abs=1e-12)
+            assert measure.log_prob(cfg) == weights[mask] - measure.log_z
+        assert measure.log_z == pytest.approx(naive_log_z(lat, measure.params), rel=1e-12)
+
+
+def test_probabilities_are_read_only():
+    measure = build_exact(TorusLattice(1, 5, 1, 1), ModelParams(0.2, 0.1))
+    with pytest.raises(ValueError):
+        measure.probabilities()[0] = 0.5
 
 
 def test_normalization_every_build():
