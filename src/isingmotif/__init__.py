@@ -17,7 +17,6 @@ from .analysis import (
 from .counting import (
     EXACT_MATCH,
     SUPERSET_MATCH,
-    CountObservable,
     count,
     count_all_masks,
     count_distribution_exact,

@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import SUPERSET_MATCH, count_distribution_exact
 from .distributions import (  # noqa: F401  (re-exported surface)
     CountDistribution,
     PoissonTarget,
@@ -24,7 +23,7 @@ from .distributions import (  # noqa: F401  (re-exported surface)
     tv_distance,
 )
 from .errors import DegenerateFit, FerromagneticOnly, MotifScheduleMismatch
-from .exact import ExactMeasure, FieldSchedule
+from .exact import FieldSchedule
 from .motifs import LocalConfig
 
 
@@ -51,33 +50,31 @@ def poisson_target(schedule: FieldSchedule, b: float, motif: LocalConfig) -> Poi
     return PoissonTarget(poisson_limit(schedule.c, b, motif))
 
 
-def stein_chen_bound(measure: ExactMeasure, motif: LocalConfig) -> float:
+def stein_chen_bound(superset_law: CountDistribution, num_sites: int, b: float) -> float:
     """Upper bound on d_TV(law of superset count, Poisson(its mean)).
 
-    With lambda_n the exact mean and Var the exact variance of the superset
-    count, the bound is
+    With lambda_n the mean and Var the variance of the exact superset-count
+    law on a torus of ``num_sites`` sites, the bound (Barbour, Holst and
+    Janson, *Poisson Approximation*, 1992) is
 
         (1 - exp(-lambda_n)) / lambda_n * (Var - lambda_n + 2 lambda_n^2 / n^d),
 
     using translation invariance to collapse the sum of squared per-site
     expectations into lambda_n^2 / n^d.  Valid for a nonnegative pair
-    potential, where the increasing per-site indicators are positively
+    potential b, where the increasing per-site indicators are positively
     related.  A mean that underflows to 0 gives 0: the law is then the point
     mass at 0, which is Poisson(0).
 
     Raises:
-        FerromagneticOnly: if the measure's pair potential is negative.
+        FerromagneticOnly: if the pair potential b is negative.
     """
-    if measure.params.b < 0:
+    if b < 0:
         raise FerromagneticOnly("the Stein-Chen bound requires b >= 0")
-    dist = count_distribution_exact(measure, motif, SUPERSET_MATCH)
-    lam_n = dist.mean
+    lam_n = superset_law.mean
     if lam_n == 0.0:
         return 0.0
-    var = dist.variance
-    sites = measure.lattice.num_sites
     prefactor = (1.0 - math.exp(-lam_n)) / lam_n
-    return prefactor * (var - lam_n + 2.0 * lam_n**2 / sites)
+    return prefactor * (superset_law.variance - lam_n + 2.0 * lam_n**2 / num_sites)
 
 
 class RateFit(NamedTuple):
@@ -124,7 +121,6 @@ class RingCheckReport:
     schedule.
     """
 
-    n: int
     tv: float
     mean_difference: float
     base_mean: float
@@ -132,16 +128,12 @@ class RingCheckReport:
 
 
 def ring_equivalence_check(
-    measure: ExactMeasure, motif: LocalConfig, mode: str = "exact_match"
+    base_law: CountDistribution, ring_law: CountDistribution
 ) -> RingCheckReport:
-    """Exact TV and mean gap between the counts of a motif and its ring."""
-    ringed = motif.ring()
-    base = count_distribution_exact(measure, motif, mode)
-    ring = count_distribution_exact(measure, ringed, mode)
+    """Exact TV and mean gap between the count laws of a motif and its ring."""
     return RingCheckReport(
-        n=measure.lattice.n,
-        tv=tv_distance(base, ring),
-        mean_difference=abs(base.mean - ring.mean),
-        base_mean=base.mean,
-        ring_mean=ring.mean,
+        tv=tv_distance(base_law, ring_law),
+        mean_difference=abs(base_law.mean - ring_law.mean),
+        base_mean=base_law.mean,
+        ring_mean=ring_law.mean,
     )

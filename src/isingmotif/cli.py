@@ -32,6 +32,7 @@ from . import analysis, counting
 from .distributions import CountDistribution, PoissonTarget, tv_distance
 from .errors import ConfigError, MotifFileError, ParseError, ValidationError
 from .exact import (
+    ExactMeasure,
     FieldSchedule,
     ModelParams,
     build_exact,
@@ -369,6 +370,27 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float) -> dict:
     }
 
 
+def _source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
+    """What count laws are read from: the exact measure, or a batch of samples."""
+    if config.engine == "exact":
+        return build_exact(lattice, params, site_cap=config.site_cap)
+    spec = SamplerSpec(
+        kind=config.engine,
+        burn_in_sweeps=config.burn_in_sweeps,
+        thinning_sweeps=config.thinning_sweeps,
+        seed=seed,
+    )
+    return sample_with_params(lattice, params, spec, config.samples, replicas=config.replicas)
+
+
+def _count_law(source, motif: LocalConfig, mode: str) -> CountDistribution:
+    """The motif's count law under a ``_source``: exact, or empirical."""
+    if isinstance(source, ExactMeasure):
+        return counting.count_distribution_exact(source, motif, mode)
+    counts = counting.count_samples(source.lattice, source.spins, motif, mode)
+    return CountDistribution.from_samples(counts)
+
+
 class _CellData:
     """Lazily computed shared state for one (n, motif, b) grid cell."""
 
@@ -384,9 +406,8 @@ class _CellData:
             self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
         else:
             self.field = None  # k = 0 motifs have no schedule; needs explicit a
-        self._measure = None
+        self._source = None
         self._laws: dict[str, CountDistribution] = {}
-        self._batch = None
 
     @property
     def params(self) -> ModelParams:
@@ -396,34 +417,14 @@ class _CellData:
             )
         return ModelParams(self.field, self.b)
 
-    def measure(self):
-        if self._measure is None:
-            self._measure = build_exact(self.lattice, self.params, site_cap=self.config.site_cap)
-        return self._measure
-
-    def batch(self):
-        if self._batch is None:
-            spec = SamplerSpec(
-                kind=self.config.engine,
-                burn_in_sweeps=self.config.burn_in_sweeps,
-                thinning_sweeps=self.config.thinning_sweeps,
-                seed=_derived_seed(self.config, self.n, self.motif, self.b),
-            )
-            self._batch = sample_with_params(
-                self.lattice, self.params, spec, self.config.samples,
-                replicas=self.config.replicas,
-            )
-        return self._batch
-
     def distribution(self, motif: LocalConfig, mode: str) -> CountDistribution:
+        """The cell's count law of (motif, mode), computed once."""
         key = f"{motif.motif_hash}:{mode}"
         if key not in self._laws:
-            if self.config.engine == "exact":
-                law = counting.count_distribution_exact(self.measure(), motif, mode)
-            else:
-                counts = counting.count_samples(self.lattice, self.batch().spins, motif, mode)
-                law = CountDistribution.from_samples(counts)
-            self._laws[key] = law
+            if self._source is None:
+                seed = _derived_seed(self.config, self.n, self.motif, self.b)
+                self._source = _source(self.config, self.lattice, self.params, seed)
+            self._laws[key] = _count_law(self._source, motif, mode)
         return self._laws[key]
 
     def lambda_target(self) -> float | None:
@@ -476,13 +477,16 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
         row["mode"] = counting.SUPERSET_MATCH
         dist = cell.distribution(cell.motif, counting.SUPERSET_MATCH)
         row["mean"], row["var"] = dist.mean, dist.variance
-        row["stein_chen_bound"] = analysis.stein_chen_bound(cell.measure(), cell.motif)
+        row["stein_chen_bound"] = analysis.stein_chen_bound(dist, cell.lattice.num_sites, cell.b)
         rows.append(row)
     elif target == "ring_check":
         if config.engine != "exact":
             raise ValidationError("ring_check target requires the exact engine")
         row = new_row()
-        report = analysis.ring_equivalence_check(cell.measure(), cell.motif, config.mode)
+        report = analysis.ring_equivalence_check(
+            cell.distribution(cell.motif, config.mode),
+            cell.distribution(cell.motif.ring(), config.mode),
+        )
         row["mean"] = report.mean_difference
         row["tv_exact_or_empirical"] = report.tv
         row["tv_error_budget"] = 0.0
@@ -493,23 +497,11 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
             row["lambda_target"] = None
             field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
             row["a"] = field
-            params = ModelParams(field, cell.b)
-            if config.engine == "exact":
-                measure = build_exact(cell.lattice, params, site_cap=config.site_cap)
-                dist = counting.count_distribution_exact(measure, cell.motif, config.mode)
-            else:
-                spec = SamplerSpec(
-                    kind=config.engine,
-                    burn_in_sweeps=config.burn_in_sweeps,
-                    thinning_sweeps=config.thinning_sweeps,
-                    seed=_derived_seed(config, cell.n, cell.motif, cell.b)
-                    ^ (0xD1F if super_side else 0x5AB),
-                )
-                batch = sample_with_params(
-                    cell.lattice, params, spec, config.samples, replicas=config.replicas
-                )
-                counts = counting.count_samples(cell.lattice, batch.spins, cell.motif, config.mode)
-                dist = CountDistribution.from_samples(counts)
+            salt = 0xD1F if super_side else 0x5AB
+            seed = _derived_seed(config, cell.n, cell.motif, cell.b) ^ salt
+            source = _source(config, cell.lattice, ModelParams(field, cell.b), seed)
+            dist = _count_law(source, cell.motif, config.mode)
+            del source  # a side's measure or batch is not kept past its law
             row["mean"], row["var"] = dist.mean, dist.variance
             rows.append(row)
     else:  # pragma: no cover - guarded by validation

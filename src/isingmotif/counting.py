@@ -12,7 +12,6 @@ Two matching modes exist for a motif eta at a site x:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,17 +28,6 @@ MODES = (EXACT_MATCH, SUPERSET_MATCH)
 
 #: Bytes of one (samples, sites) int8 gather in ``count_samples``.
 _SAMPLE_CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class CountObservable:
-    """A motif together with the matching mode used to count it."""
-
-    motif: LocalConfig
-    mode: str
-
-    def __post_init__(self):
-        _check_mode(self.mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -60,28 +48,53 @@ def _check_motif(lattice: TorusLattice, motif: LocalConfig) -> None:
 
 
 @lru_cache(maxsize=None)
-def _site_tables(lattice: TorusLattice, motif: LocalConfig):
-    """Per-site index arrays for the motif's positives and negative ball rest.
+def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
+    """The sites each site's match inspects, and the spin each must carry.
 
-    Returns (plus_idx, rest_idx) with shapes (N, k) and (N, beta - k), where
-    row x lists the site indices of x + positives and of the remaining ball
-    sites around x.
+    Returns (idx, want) with shapes (N, m) and (m,): row x of ``idx`` lists the
+    site indices of x + positives, then, in exact mode only, those of the rest
+    of the ball around x; ``want`` holds the matching +1 / -1 spins.  Every
+    counter reads this table.
+
+    Raises:
+        ValueError: unknown mode.
+        SignatureMismatch, LatticeTooSmall: motif and lattice do not fit.
     """
+    _check_mode(mode)
+    _check_motif(lattice, motif)
+    plus = sorted(motif.positives)
+    rest = sorted(set(motif.ball_sites) - motif.positives) if mode == EXACT_MATCH else []
     n, d = lattice.n, lattice.d
     sites = np.array([lattice.vertex_at(i) for i in range(lattice.num_sites)], dtype=np.int64)
-    plus = np.array(sorted(motif.positives), dtype=np.int64).reshape(motif.k, d)
-    rest = np.array(
-        sorted(set(motif.ball_sites) - motif.positives), dtype=np.int64
-    ).reshape(motif.size - motif.k, d)
+    offsets = np.array(plus + rest, dtype=np.int64).reshape(-1, d)
+    coords = (sites[:, None, :] + offsets[None, :, :]) % n
+    idx = np.zeros(coords.shape[:2], dtype=np.int64)
+    for axis in range(d):
+        idx = idx * n + coords[:, :, axis]
+    return idx, np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
 
-    def to_indices(offsets: np.ndarray) -> np.ndarray:
-        coords = (sites[:, None, :] + offsets[None, :, :]) % n
-        idx = np.zeros(coords.shape[:2], dtype=np.int64)
-        for axis in range(d):
-            idx = idx * n + coords[:, :, axis]
-        return idx
 
-    return to_indices(plus), to_indices(rest)
+@lru_cache(maxsize=None)
+def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
+    """``_site_tables`` as bitmask words: a mask matches at x iff mask & care[x] == plus[x]."""
+    idx, want = _site_tables(lattice, motif, mode)
+    word = np.uint32 if lattice.num_sites <= 32 else np.uint64
+    bits = np.left_shift(word(1), idx.astype(word))
+    return np.bitwise_or.reduce(bits, axis=1), np.bitwise_or.reduce(bits[:, want == 1], axis=1)
+
+
+def _mask_hits(lattice: TorusLattice, motif: LocalConfig, mode: str, start: int, stop: int):
+    """Yield, site by site, whether each bitmask in range(start, stop) matches there.
+
+    The yielded boolean array is one buffer, overwritten at the next site.
+    """
+    care, plus = _site_words(lattice, motif, mode)
+    masks = np.arange(start, stop, dtype=care.dtype)
+    selected = np.empty_like(masks)
+    hit = np.empty(len(masks), dtype=bool)
+    for care_x, plus_x in zip(care, plus):
+        np.bitwise_and(masks, care_x, out=selected)
+        yield np.equal(selected, plus_x, out=hit)
 
 
 def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
@@ -107,14 +120,7 @@ def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
 
 def count(cfg: SpinConfig, motif: LocalConfig, mode: str) -> int:
     """Number of sites at which the motif occurs (between 0 and n^d)."""
-    _check_mode(mode)
-    lattice = cfg.lattice
-    _check_motif(lattice, motif)
-    plus_idx, rest_idx = _site_tables(lattice, motif)
-    matches = (cfg.spins[plus_idx] == 1).all(axis=1)
-    if mode == EXACT_MATCH and rest_idx.shape[1]:
-        matches &= (cfg.spins[rest_idx] == -1).all(axis=1)
-    return int(matches.sum())
+    return int(count_samples(cfg.lattice, cfg.spins[None, :], motif, mode)[0])
 
 
 def count_samples(
@@ -123,23 +129,18 @@ def count_samples(
     """Counts for a whole (num_samples, n^d) matrix of configurations.
 
     Works through the samples in chunks of about ``_SAMPLE_CHUNK_BYTES`` per
-    (samples, sites) gather, one motif offset at a time, so the working set
-    stays a few MB whatever the batch size.
+    (samples, sites) gather, one column of the site table at a time, so the
+    working set stays a few MB whatever the batch size.
     """
-    _check_mode(mode)
-    _check_motif(lattice, motif)
+    idx, want = _site_tables(lattice, motif, mode)
     spins = np.asarray(spins, dtype=np.int8)
-    plus_idx, rest_idx = _site_tables(lattice, motif)
-    columns = [(plus_idx[:, j], 1) for j in range(plus_idx.shape[1])]
-    if mode == EXACT_MATCH:
-        columns += [(rest_idx[:, j], -1) for j in range(rest_idx.shape[1])]
     totals = np.zeros(spins.shape[0], dtype=np.int64)
     step = max(1, _SAMPLE_CHUNK_BYTES // lattice.num_sites)
     for start in range(0, spins.shape[0], step):
         block = spins[start:start + step]
         match = np.ones(block.shape, dtype=bool)
-        for idx, want in columns:
-            match &= block[:, idx] == want
+        for j in range(idx.shape[1]):
+            match &= block[:, idx[:, j]] == want[j]
         totals[start:start + step] = match.sum(axis=1)
     return totals
 
@@ -152,47 +153,20 @@ def count_all_masks(
     The result is uint8: a count never exceeds the number of sites, far below
     256 wherever the 2**sites masks can be enumerated.
     """
-    _check_mode(mode)
-    _check_motif(lattice, motif)
-    n_sites = lattice.num_sites
-    plus_idx, rest_idx = _site_tables(lattice, motif)
-    word = np.uint32 if n_sites <= 32 else np.uint64
-    plus_masks = [word(sum(1 << int(i) for i in plus_idx[x])) for x in range(n_sites)]
-    ball_masks = [
-        word(int(plus_masks[x]) | sum(1 << int(i) for i in rest_idx[x]))
-        for x in range(n_sites)
-    ]
-    total = 1 << n_sites
+    total = 1 << lattice.num_sites
     counts = np.zeros(total, dtype=np.uint8)
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=word)
-        acc = counts[start:stop]
-        selected = np.empty_like(masks)
-        hit = np.empty(stop - start, dtype=bool)
-        for x in range(n_sites):
-            want = plus_masks[x]
-            np.bitwise_and(masks, ball_masks[x] if mode == EXACT_MATCH else want, out=selected)
-            acc += np.equal(selected, want, out=hit)
+        acc = counts[start:start + chunk]
+        for hit in _mask_hits(lattice, motif, mode, start, start + len(acc)):
+            acc += hit
     return counts
 
 
 def site_match_probabilities(measure: ExactMeasure, motif: LocalConfig, mode: str) -> np.ndarray:
     """Exact occurrence probability of the motif at every site."""
-    _check_mode(mode)
-    lattice = measure.lattice
-    _check_motif(lattice, motif)
-    plus_idx, rest_idx = _site_tables(lattice, motif)
     probs = measure.probabilities()
-    masks = np.arange(measure.num_configs, dtype=np.uint64)
-    out = np.empty(lattice.num_sites, dtype=np.float64)
-    for x in range(lattice.num_sites):
-        want = np.uint64(sum(1 << int(i) for i in plus_idx[x]))
-        sel = want
-        if mode == EXACT_MATCH:
-            sel = np.uint64(int(want) | sum(1 << int(i) for i in rest_idx[x]))
-        out[x] = probs[(masks & sel) == want].sum()
-    return out
+    hits = _mask_hits(measure.lattice, motif, mode, 0, measure.num_configs)
+    return np.array([probs[hit].sum() for hit in hits])
 
 
 @lru_cache(maxsize=16)

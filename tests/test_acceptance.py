@@ -214,7 +214,7 @@ def exact_pipeline():
                 "tv": tv_distance(law, PoissonTarget(lam)),
                 "lambda_n": bar.mean,
                 "tv_bar": tv_distance(bar, PoissonTarget(bar.mean)),
-                "bound": stein_chen_bound(measure, motif) if b >= 0 else None,
+                "bound": stein_chen_bound(bar, lattice.num_sites, b) if b >= 0 else None,
             }
             per_n.append(entry)
         out[b] = {"lambda": lam, "rows": per_n}
@@ -419,7 +419,10 @@ def test_criterion_8_ring_equivalence():
         for n in range(8, 19):
             lattice = TorusLattice(1, n, 1, 1)
             measure = build_exact(lattice, schedule.params(n, b))
-            report = ring_equivalence_check(measure, motif)
+            report = ring_equivalence_check(
+                count_distribution_exact(measure, motif, EXACT_MATCH),
+                count_distribution_exact(measure, motif.ring(), EXACT_MATCH),
+            )
             tvs.append(report.tv)
             gaps.append(report.mean_difference)
         crit.check(

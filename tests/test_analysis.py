@@ -179,7 +179,8 @@ def test_stein_chen_binomial_closed_form():
     n_sites = lat.num_sites
     lam = n_sites * p_site
     expected = (1 - math.exp(-lam)) / lam * (n_sites * p_site**2)
-    assert stein_chen_bound(measure, motif) == pytest.approx(expected, rel=1e-9)
+    law = count_distribution_exact(measure, motif, SUPERSET_MATCH)
+    assert stein_chen_bound(law, n_sites, 0.0) == pytest.approx(expected, rel=1e-9)
 
 
 def test_stein_chen_dominates_exact_tv():
@@ -189,7 +190,7 @@ def test_stein_chen_dominates_exact_tv():
         lat = TorusLattice(1, n, 1, 1)
         measure = build_exact(lat, sched.params(n, b))
         dist = count_distribution_exact(measure, motif, SUPERSET_MATCH)
-        bound = stein_chen_bound(measure, motif)
+        bound = stein_chen_bound(dist, lat.num_sites, b)
         tv = tv_distance(dist, PoissonTarget(dist.mean))
         assert bound >= tv >= 0.0
         lam_n = dist.mean
@@ -201,15 +202,17 @@ def test_stein_chen_underflowed_mean_is_zero():
     # superset count is the point mass at 0, which is Poisson(0)
     measure = build_exact(TorusLattice(1, 8, 1, 1), ModelParams(-400.0, 0.0))
     motif = bundled_motif("single_plus_d1.motif")
-    assert count_distribution_exact(measure, motif, SUPERSET_MATCH).mean == 0.0
-    assert stein_chen_bound(measure, motif) == 0.0
+    law = count_distribution_exact(measure, motif, SUPERSET_MATCH)
+    assert law.mean == 0.0
+    assert stein_chen_bound(law, 8, 0.0) == 0.0
 
 
 def test_stein_chen_requires_ferromagnet():
     lat = TorusLattice(1, 8, 1, 1)
     measure = build_exact(lat, ModelParams(-0.5, -0.2))
+    law = count_distribution_exact(measure, bundled_motif("single_plus_d1.motif"), SUPERSET_MATCH)
     with pytest.raises(FerromagneticOnly):
-        stein_chen_bound(measure, bundled_motif("single_plus_d1.motif"))
+        stein_chen_bound(law, lat.num_sites, -0.2)
 
 
 def test_rate_fit_exact_power():
@@ -275,7 +278,10 @@ def test_ring_equivalence_shrinks():
         for n in (8, 12, 16):
             lat = TorusLattice(1, n, 1, 1)
             measure = build_exact(lat, sched.params(n, b))
-            report = ring_equivalence_check(measure, motif)
+            report = ring_equivalence_check(
+                count_distribution_exact(measure, motif, EXACT_MATCH),
+                count_distribution_exact(measure, motif.ring(), EXACT_MATCH),
+            )
             assert report.ring_mean <= report.base_mean + 1e-12
             tvs.append(report.tv)
             gaps.append(report.mean_difference)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from isingmotif import counting
+from isingmotif import counting, exact
 from isingmotif.cli import TARGETS, main, parse_config, run
 from isingmotif.errors import ParseError, ValidationError
 from isingmotif.exact import _energy_levels
@@ -159,6 +159,29 @@ def test_jobs_do_not_change_output(workdir):
     rows = stripped(workdir / "j1" / "results.csv")
     assert len(rows) == 3 * 2 * (len(TARGETS) + 1)
     assert rows == stripped(workdir / "j4" / "results.csv")
+
+
+def test_each_law_computed_once_per_cell(workdir, monkeypatch):
+    # stein_chen and ring_check read the laws the cell already holds: one law
+    # per (motif, mode) of the cell, plus one measure and one law per
+    # threshold_sweep side
+    calls = {"count_distribution_exact": 0, "build_exact": 0}
+    for module, name in ((counting, "count_distribution_exact"), (exact, "build_exact")):
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module of the package that looks the function up by name
+        for module_name, holder in list(sys.modules.items()):
+            if module_name.startswith("isingmotif") and vars(holder).get(name) is original:
+                monkeypatch.setattr(holder, name, wrapper)
+    text = MINIMAL.replace("b_list = 0.0", "b_list = 0.0 0.3")
+    text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
+    assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
+    cells = 2 * 2
+    assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
 
 
 def test_stein_chen_underflowed_mean_run(workdir):
