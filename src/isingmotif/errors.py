@@ -37,6 +37,10 @@ class NotNormalized(IsingMotifError):
     """A count distribution's masses do not sum to one."""
 
 
+class NonFiniteLimit(IsingMotifError):
+    """The Poisson limit parameter c**k * exp(-2 b gamma) is not a finite float."""
+
+
 class DegenerateFit(IsingMotifError):
     """Not enough usable points for a log-log rate fit."""
 

@@ -1,10 +1,21 @@
 """Samplers for the Gibbs measure: heat-bath and Metropolis kernels, plus
 coupling-from-the-past perfect sampling for the ferromagnetic case.
 
-Reproducibility contract: every stream is derived from a 64-bit seed through
-``numpy.random.default_rng([seed, index, ...])`` (SeedSequence hashing of the
-seed together with the replica / draw index), so parallel replicas never share
-randomness and reruns are bit-identical.
+Reproducibility contract: reruns with the same seed are bit-identical, and
+no two replicas or draws share randomness.  MCMC replica i reads the stream
+``numpy.random.default_rng([seed, i])`` (SeedSequence hashing of the seed
+together with the replica index).  Coupling-from-the-past uses a
+counter-based stream instead (Salmon, Moraes, Dror and Shaw, "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): the uniform that drives draw i at
+time -t, site x of an S-site lattice is the pure function
+
+    key_i = mix(mix((seed + 1) * G) ^ mix((i + 1) * G))
+    u     = (mix(key_i + (t * S + x) * G) >> 11) * 2**-53
+
+in uint64 arithmetic, where mix is the SplitMix64 finaliser (Steele, Lea and
+Flood, OOPSLA 2014) and G = 0x9E3779B97F4A7C15.  So a draw does not depend on
+how draws are batched, and each doubling round re-reads the randomness of the
+times it shares with the previous round.
 
 Both kernels perform systematic scans in colour-class order.  The neighbor
 graph is coloured greedily once per lattice (two classes on even tori with
@@ -40,8 +51,8 @@ _U64 = (1 << 64) - 1
 #: Sweeps of uniforms drawn from each replica stream in one block.
 _BLOCK = 128
 
-#: Time steps per derived stream in the coupling-from-the-past schedule.
-_CFTP_SLAB = 64
+#: Bytes of one time step's (draws, sites) float64 uniforms in ``cftp_batch``.
+_CFTP_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,13 +163,15 @@ def _sweep_heat_bath(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
                      uniforms: np.ndarray) -> None:
     """One systematic heat-bath scan, in place, vectorized across chains.
 
-    ``spins`` is (chains, sites) int8, ``uniforms`` (chains, sites) in [0, 1).
+    ``spins`` is (..., sites) int8 and ``uniforms`` in [0, 1) broadcasts
+    against it: (chains, sites) for (chains, sites) spins, or (m, sites)
+    shared by the (2, m, sites) stack of coupled top and bottom chains.
     """
     degree = nbr.shape[1]
     p_plus = _heat_bath_table(a, b, degree)
     for sites, nbr_t in _colour_classes(nbr):
-        total = spins[:, nbr_t].sum(axis=1, dtype=np.intp)
-        spins[:, sites] = np.where(uniforms[:, sites] < p_plus[total + degree], 1, -1)
+        total = spins[..., nbr_t].sum(axis=-2, dtype=np.intp)
+        spins[..., sites] = np.where(uniforms[..., sites] < p_plus[total + degree], 1, -1)
 
 
 def _sweep_metropolis(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
@@ -231,17 +244,64 @@ def metropolis_sweep(state: ChainState, params: ModelParams) -> ChainState:
 
 # -- coupling from the past -------------------------------------------------------
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
-def _cftp_slab(seed: int, draw: int, slab: int, sites: int, rows: int) -> np.ndarray:
-    """First ``rows`` rows of a (_CFTP_SLAB, sites) slab of uniforms for one
-    draw; row j drives time -(slab*S+j+1).
 
-    Regenerating a slab always yields the same values, which is what reusing
-    the randomness of past epochs across doubling rounds requires.  Uniforms
-    are generated row-major, so a short slab is a prefix of the full one.
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of the uint64 array ``z``, in place.
+
+    ``tmp`` is scratch of the same shape.  Array arithmetic wraps modulo 2**64.
     """
-    rng = np.random.default_rng([seed & _U64, draw & _U64, slab])
-    return rng.uniform(size=(rows, sites))
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _MIX_1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _MIX_2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+def _cftp_keys(seed: int, draws: np.ndarray) -> np.ndarray:
+    """key_i = mix(mix((seed + 1) G) ^ mix((i + 1) G)) for each draw index i."""
+    seed_key = np.array([(seed + 1) & _U64], dtype=np.uint64)
+    seed_key *= _GAMMA
+    keys = np.asarray(draws, dtype=np.uint64) + np.uint64(1)
+    keys *= _GAMMA
+    tmp = np.empty_like(keys)
+    _mix(keys, tmp)
+    keys ^= _mix(seed_key, np.empty_like(seed_key))
+    return _mix(keys, tmp)
+
+
+class _CftpStream:
+    """The counter-based uniforms of up to ``rows`` draws on ``sites`` sites.
+
+    ``uniforms(keys, t)`` returns the (len(keys), sites) uniforms that drive
+    time -t, computed in preallocated buffers; the result is overwritten by
+    the next call.
+    """
+
+    def __init__(self, sites: int, rows: int):
+        self.sites = sites
+        self.site_gamma = np.arange(sites, dtype=np.uint64) * _GAMMA
+        self.counter = np.empty(sites, dtype=np.uint64)
+        self.work = np.empty((rows, sites), dtype=np.uint64)
+        self.tmp = np.empty((rows, sites), dtype=np.uint64)
+        self.out = np.empty((rows, sites), dtype=np.float64)
+
+    def uniforms(self, keys: np.ndarray, t: int) -> np.ndarray:
+        m = keys.size
+        work, tmp, out = self.work[:m], self.tmp[:m], self.out[:m]
+        # (t S + x) G = t S G + x G modulo 2**64
+        np.add(self.site_gamma, np.uint64(t * self.sites * int(_GAMMA) & _U64), out=self.counter)
+        np.add(keys[:, None], self.counter, out=work)
+        _mix(work, tmp)
+        work >>= np.uint64(11)
+        return np.multiply(work, 2.0**-53, out=out)
 
 
 def cftp_batch(
@@ -250,15 +310,18 @@ def cftp_batch(
     seed: int,
     count: int,
     epoch_limit: int = 1 << 20,
-    draw_chunk: int = 4096,
+    draw_chunk: int | None = None,
 ) -> np.ndarray:
     """Exact draws from the Gibbs measure, as a (count, num_sites) spin matrix.
 
     Runs monotone coupling-from-the-past per draw: coupled heat-bath chains
     from the all-plus and all-minus states share per-time uniforms over epochs
     -1, -2, -4, ... and the common value at time 0 is returned once they
-    coalesce.  Draw i consumes only streams derived from (seed, i), so results
-    do not depend on batching or chunk size.
+    coalesce.  The uniform at (draw i, time -t, site x) is a pure function of
+    (seed, i, t, x), the counter-based stream of the module docstring, so
+    results do not depend on batching or chunk size.  Draws run in chunks of
+    ``draw_chunk`` (default: about ``_CFTP_CHUNK_BYTES`` of uniforms per time
+    step), each chunk's top and bottom chains swept as one (2, m, sites) stack.
 
     Raises:
         AntiferromagneticUnsupported: if b < 0 (the kernel is not monotone).
@@ -270,35 +333,28 @@ def cftp_batch(
     if count < 1:
         raise ValueError("count must be >= 1")
     sites = lattice.num_sites
+    if draw_chunk is None:
+        draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     nbr = _neighbor_index_matrix(lattice)
+    stream = _CftpStream(sites, min(draw_chunk, count))
     out = np.empty((count, sites), dtype=np.int8)
     for start in range(0, count, draw_chunk):
         active = np.arange(start, min(start + draw_chunk, count))
+        keys = _cftp_keys(seed, active)
         horizon = 1
         while active.size:
             if horizon > epoch_limit:
                 raise CoalescenceTimeout(
                     f"{active.size} draws not coalesced after {epoch_limit} sweeps back"
                 )
-            top = np.ones((active.size, sites), dtype=np.int8)
-            bot = np.full((active.size, sites), -1, dtype=np.int8)
-            # times -horizon .. -1; time -t lives in slab (t-1)//S, row (t-1)%S
-            block = None
-            loaded_slab = -1
+            chains = np.empty((2, active.size, sites), dtype=np.int8)
+            chains[0] = 1
+            chains[1] = -1
             for t in range(horizon, 0, -1):
-                slab, row = divmod(t - 1, _CFTP_SLAB)
-                if slab != loaded_slab:
-                    rows = min(horizon - slab * _CFTP_SLAB, _CFTP_SLAB)
-                    block = np.stack(
-                        [_cftp_slab(seed, int(i), slab, sites, rows) for i in active]
-                    )
-                    loaded_slab = slab
-                uniforms = block[:, row, :]
-                _sweep_heat_bath(top, nbr, params.a, params.b, uniforms)
-                _sweep_heat_bath(bot, nbr, params.a, params.b, uniforms)
-            done = (top == bot).all(axis=1)
-            out[active[done]] = top[done]
-            active = active[~done]
+                _sweep_heat_bath(chains, nbr, params.a, params.b, stream.uniforms(keys, t))
+            done = (chains[0] == chains[1]).all(axis=1)
+            out[active[done]] = chains[0, done]
+            active, keys = active[~done], keys[~done]
             horizon *= 2
     return out
 

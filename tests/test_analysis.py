@@ -15,6 +15,7 @@ from isingmotif import (
     build_exact,
     count_distribution_exact,
     factorial_moments,
+    poisson_limit,
     poisson_target,
     rate_fit,
     ring_equivalence_check,
@@ -25,6 +26,7 @@ from isingmotif.errors import (
     DegenerateFit,
     FerromagneticOnly,
     MotifScheduleMismatch,
+    NonFiniteLimit,
     NotNormalized,
 )
 from isingmotif.motifs import LocalConfig, bundled_motif, single_positive
@@ -160,6 +162,24 @@ def test_poisson_target_values():
     domino = LocalConfig(2, frozenset({(0, 0), (1, 0)}), D2)
     target2 = poisson_target(FieldSchedule(2.0, 2, 2), 0.1, domino)
     assert target2.lam == pytest.approx(4 * math.exp(-1.2))
+
+
+def test_poisson_limit_overflow_is_typed():
+    blob = bundled_motif("blob_k10.motif")
+    with pytest.raises(NonFiniteLimit):
+        poisson_limit(1.0, -20.0, blob)  # exp(40 gamma), gamma = 58
+
+
+def test_poisson_limit_large_c_in_log_domain():
+    # c**k alone overflows a float; the limit itself does not
+    blob = bundled_motif("blob_k10.motif")
+    c, b = 1e40, 5.0
+    with pytest.raises(OverflowError):
+        c**blob.k
+    lam = poisson_limit(c, b, blob)
+    assert math.isfinite(lam)
+    assert math.log(lam) == pytest.approx(blob.k * math.log(c) - 2 * b * blob.perimeter,
+                                          rel=1e-14)
 
 
 def test_poisson_target_mismatch():

@@ -267,7 +267,7 @@ targets = expectation tv moments
     broken = [r for r in rows if float(r["b"]) == -20.0]
     assert len(healthy) == len(broken) == 3
     assert all(r["error"] == "" for r in healthy)
-    assert all(r["error"].startswith("OverflowError") for r in broken)
+    assert all(r["error"].startswith("NonFiniteLimit") for r in broken)
 
 
 def test_sampler_engine_rows(workdir):

@@ -32,8 +32,8 @@ from isingmotif.errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
-    _CFTP_SLAB,
-    _cftp_slab,
+    _cftp_keys,
+    _CftpStream,
     _colour_classes,
     _neighbor_index_matrix,
     _sweep_heat_bath,
@@ -224,13 +224,95 @@ def test_block_sweep_equals_scalar_colour_scan(lat, a, b, kind, sweep):
         assert np.array_equal(spins, want)
 
 
-@pytest.mark.parametrize("sites", [1, 16, 64])
-def test_cftp_short_slab_is_prefix_of_full_slab(sites):
-    for seed, draw, slab in ((7, 0, 0), (7, 3, 1), (2026, 4095, 2)):
-        full = _cftp_slab(seed, draw, slab, sites, _CFTP_SLAB)
-        assert full.shape == (_CFTP_SLAB, sites)
-        for rows in (1, 2, 5, 32, 63, _CFTP_SLAB):
-            assert np.array_equal(_cftp_slab(seed, draw, slab, sites, rows), full[:rows])
+@pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 4, 1, 1)])
+def test_stacked_sweep_equals_separate_sweeps(lat):
+    rng = np.random.default_rng(23)
+    nbr = _neighbor_index_matrix(lat)
+    stack = rng.choice((-1, 1), size=(2, 7, lat.num_sites)).astype(np.int8)
+    top, bot = stack[0].copy(), stack[1].copy()
+    for _ in range(3):
+        uniforms = rng.random((7, lat.num_sites))
+        _sweep_heat_bath(stack, nbr, -0.3, 0.4, uniforms)
+        _sweep_heat_bath(top, nbr, -0.3, 0.4, uniforms)
+        _sweep_heat_bath(bot, nbr, -0.3, 0.4, uniforms)
+        assert np.array_equal(stack[0], top) and np.array_equal(stack[1], bot)
+
+
+# -- the counter-based CFTP stream ---------------------------------------------------
+
+_M64 = (1 << 64) - 1
+_G = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z):
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _M64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def reference_uniform(seed, draw, t, x, sites):
+    """The documented stream in Python integers: the uniform of (draw, time -t, site x)."""
+    key = _splitmix64(_splitmix64((seed + 1) * _G & _M64) ^ _splitmix64((draw + 1) * _G & _M64))
+    return (_splitmix64((key + (t * sites + x) * _G) & _M64) >> 11) * 2.0**-53
+
+
+def stream_block(seed, draws, times, sites):
+    """(len(draws), len(times), sites) uniforms from the sampler's stream."""
+    draws = np.asarray(draws)
+    stream = _CftpStream(sites, draws.size)
+    keys = _cftp_keys(seed, draws)
+    return np.stack([stream.uniforms(keys, t).copy() for t in times], axis=1)
+
+
+def test_cftp_stream_matches_reference_formula():
+    for seed in (0, 7, -3, 2**64 - 1):
+        got = stream_block(seed, [0, 1, 4095, 2**40], [1, 2, 1000], 5)
+        want = [[[reference_uniform(seed, i, t, x, 5) for x in range(5)]
+                 for t in (1, 2, 1000)] for i in (0, 1, 4095, 2**40)]
+        assert np.array_equal(got, np.array(want))
+
+
+def test_cftp_stream_independent_of_active_set():
+    seed, sites = 11, 9
+    full = stream_block(seed, np.arange(12), range(1, 9), sites)
+    for active in ([3], [7, 3], [11, 0, 5], list(range(2, 12))):
+        part = stream_block(seed, active, range(1, 9), sites)
+        assert np.array_equal(part, full[active])
+    # a larger buffer and a later start leave the values unchanged too
+    stream = _CftpStream(sites, 64)
+    keys = _cftp_keys(seed, np.arange(12))
+    for t in (8, 3, 1):
+        assert np.array_equal(stream.uniforms(keys[4:], t), full[4:, t - 1])
+
+
+def assert_cells_uniform(cells):
+    """Chi-square at 1% that the integer cells 0..63 are equally likely."""
+    observed = np.bincount(cells.ravel(), minlength=64)
+    expected = cells.size / 64
+    assert float(((observed - expected) ** 2).sum() / expected) < stats.chi2.ppf(0.99, 63)
+
+
+@pytest.fixture(scope="module")
+def stream_values():
+    """10^6 uniforms: 1000 draws x 10 times x 100 sites."""
+    return stream_block(2020, np.arange(1000), range(1, 11), 100)
+
+
+def test_cftp_stream_in_unit_interval_and_uniform(stream_values):
+    u = stream_values.ravel()
+    assert u.size == 10**6
+    assert u.min() >= 0.0 and u.max() < 1.0
+    assert_cells_uniform((u * 64).astype(np.intp))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["draws", "times", "sites"])
+def test_cftp_stream_serial_pairs(stream_values, axis):
+    # disjoint pairs of neighbours along one axis, binned on an 8 x 8 grid
+    first = np.take(stream_values, np.arange(0, stream_values.shape[axis], 2), axis=axis)
+    second = np.take(stream_values, np.arange(1, stream_values.shape[axis], 2), axis=axis)
+    assert_cells_uniform((first * 8).astype(np.intp) * 8 + (second * 8).astype(np.intp))
 
 
 # -- stationary-law oracles ---------------------------------------------------------
@@ -291,14 +373,37 @@ def test_cftp_timeout():
         cftp_batch(lat, ModelParams(0.0, 3.0), seed=1, count=4, epoch_limit=2)
 
 
+def reference_cftp(lat, params, seed, draw):
+    """One draw of monotone CFTP, chain by chain, from ``reference_uniform``.
+
+    Returns the draw and the horizon at which its chains coalesced.
+    """
+    sites = lat.num_sites
+    horizon = 1
+    while True:
+        top, bot = SpinConfig.all_plus(lat), SpinConfig.all_minus(lat)
+        for t in range(horizon, 0, -1):
+            u = np.array([reference_uniform(seed, draw, t, x, sites) for x in range(sites)])
+            top = heat_bath_sweep_with_uniforms(top, params, u)
+            bot = heat_bath_sweep_with_uniforms(bot, params, u)
+        if np.array_equal(top.spins, bot.spins):
+            return top.spins, horizon
+        horizon *= 2
+
+
 def test_cftp_draw_independent_of_batching():
     lat = TorusLattice(1, 6, 1, 1)
     params = ModelParams(-0.5, 0.4)
+    want = [reference_cftp(lat, params, 21, i) for i in range(6)]
+    # the chunks {0, 1, 2} and {3, 4, 5} of draw_chunk=3 coalesce at different horizons
+    horizons = [h for _, h in want]
+    assert max(horizons[:3]) != max(horizons[3:])
+    want_spins = np.stack([spins for spins, _ in want])
     alone = cftp_batch(lat, params, seed=21, count=1)
-    batched = cftp_batch(lat, params, seed=21, count=5)
-    assert np.array_equal(alone[0], batched[0])
-    chunked = cftp_batch(lat, params, seed=21, count=5, draw_chunk=2)
-    assert np.array_equal(batched, chunked)
+    assert np.array_equal(alone, want_spins[:1])
+    for draw_chunk in (None, 1, 2, 3):
+        got = cftp_batch(lat, params, seed=21, count=6, draw_chunk=draw_chunk)
+        assert np.array_equal(got, want_spins), draw_chunk
 
 
 # -- batch contract -----------------------------------------------------------------
