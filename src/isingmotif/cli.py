@@ -23,8 +23,10 @@ import struct
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,121 +77,138 @@ COLUMNS = (
     "error",
 )
 
-_KNOWN_KEYS = {
-    "lattice": {"d", "rho", "p", "n_list"},
-    "motifs": {"files"},
-    "schedule": {"c", "a"},
-    "model": {"b_list"},
-    "engine": {"kind", "samples", "burn_in_sweeps", "thinning_sweeps", "replicas", "site_cap"},
-    "analysis": {"targets", "epsilon", "mode"},
-    "output": {"dir"},
-    "run": {"seed", "jobs"},
-}
 
-_REQUIRED_KEYS = {
-    "lattice": {"d", "n_list"},
-    "motifs": {"files"},
-    "schedule": {"c"},
-    "model": {"b_list"},
-    "engine": {"kind"},
-}
+class _Type(NamedTuple):
+    """How one key's value is read, echoed and bounded."""
+
+    expected: str  # what a malformed value is reported as expected to be
+    parse: Callable[[str], object]
+    show: Callable[[object], str] = str
+    many: bool = False  # a whitespace-separated list of at least one value
+    strict: bool = False  # the value must exceed the lower bound, not just reach it
 
 
-@dataclass
-class RunConfig:
-    """A fully validated grid description with all defaults materialized."""
-
-    d: int
-    rho: int
-    p: object
-    n_list: list[int]
-    motif_paths: list[str]
-    motifs: list[LocalConfig]
-    n_hints: list[int]
-    c: float
-    a_override: float | None
-    b_list: list[float]
-    engine: str
-    samples: int
-    burn_in_sweeps: int
-    thinning_sweeps: int
-    replicas: int | None
-    site_cap: int | None
-    targets: list[str]
-    epsilon: float
-    mode: str
-    out_dir: str
-    seed: int
-    jobs: int
-
-    def resolved_text(self) -> str:
-        """Canonical echo of the configuration, defaults included."""
-        p_txt = "inf" if self.p == INFINITY else str(self.p)
-        lines = [
-            "[lattice]",
-            f"d = {self.d}",
-            f"rho = {self.rho}",
-            f"p = {p_txt}",
-            f"n_list = {' '.join(str(n) for n in self.n_list)}",
-            "",
-            "[motifs]",
-            f"files = {' '.join(self.motif_paths)}",
-            "",
-            "[schedule]",
-            f"c = {self.c!r}",
-        ]
-        if self.a_override is not None:
-            lines.append(f"a = {self.a_override!r}")
-        lines += [
-            "",
-            "[model]",
-            f"b_list = {' '.join(repr(b) for b in self.b_list)}",
-            "",
-            "[engine]",
-            f"kind = {self.engine}",
-        ]
-        if self.engine != "exact":
-            lines += [
-                f"samples = {self.samples}",
-                f"burn_in_sweeps = {self.burn_in_sweeps}",
-                f"thinning_sweeps = {self.thinning_sweeps}",
-            ]
-            if self.replicas is not None:
-                lines.append(f"replicas = {self.replicas}")
-        if self.site_cap is not None:
-            lines.append(f"site_cap = {self.site_cap}")
-        lines += [
-            "",
-            "[analysis]",
-            f"targets = {' '.join(self.targets)}",
-            f"epsilon = {self.epsilon!r}",
-            f"mode = {self.mode}",
-            "",
-            "[output]",
-            f"dir = {self.out_dir}",
-            "",
-            "[run]",
-            f"seed = {self.seed}",
-            f"jobs = {self.jobs}",
-        ]
-        return "\n".join(lines) + "\n"
+def _norm_text(p) -> str:
+    return "inf" if p == INFINITY else str(p)
 
 
-def _parse_scalar(section: str, key: str, raw: str, kind, name: str):
-    try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"[{section}] {key}: expected {name}, got {raw!r}") from exc
+def _finite_real(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+_INT = _Type("an integer", int)
+_INTS = _Type("integers", int, many=True)
+_REAL = _Type("a finite real", _finite_real, repr, strict=True)
+_REALS = _Type("finite reals", _finite_real, repr, many=True, strict=True)
+_TEXT = _Type("text", str)
+_WORDS = _Type("words", str, many=True)
+_NORM = _Type("an integer >= 1 or 'inf'", normalize_norm_selector, _norm_text)
+
+
+class _Key(NamedTuple):
+    """One configuration key: where it lives, what it holds, when it is echoed."""
+
+    section: str
+    key: str
+    field: str  # the RunConfig attribute
+    type: _Type
+    default: str | None = None  # raw text; None leaves an optional key unset
+    required: bool = False
+    engines: tuple[str, ...] = ENGINE_KINDS  # the engines it is echoed for
+    lower: float | None = None
+
+
+_SAMPLERS = ("heat_bath", "metropolis", "cftp")
+
+#: Every run-configuration key, in canonical order.
+_KEYS = (
+    _Key("lattice", "d", "d", _INT, required=True, lower=1),
+    _Key("lattice", "rho", "rho", _INT, "1", lower=1),
+    _Key("lattice", "p", "p", _NORM, "1"),
+    _Key("lattice", "n_list", "n_list", _INTS, required=True, lower=1),
+    _Key("motifs", "files", "motif_paths", _WORDS, required=True),
+    _Key("schedule", "c", "c", _REAL, required=True, lower=0),
+    _Key("schedule", "a", "a_override", _REAL),
+    _Key("model", "b_list", "b_list", _REALS, required=True),
+    _Key("engine", "kind", "engine", _TEXT, required=True),
+    _Key("engine", "samples", "samples", _INT, "10000", engines=_SAMPLERS, lower=1),
+    _Key("engine", "burn_in_sweeps", "burn_in_sweeps", _INT, "100", engines=_SAMPLERS, lower=0),
+    _Key("engine", "thinning_sweeps", "thinning_sweeps", _INT, "1", engines=_SAMPLERS, lower=0),
+    _Key("engine", "replicas", "replicas", _INT, engines=_SAMPLERS, lower=1),
+    _Key("engine", "site_cap", "site_cap", _INT, lower=1),
+    _Key("analysis", "targets", "targets", _WORDS, "expectation"),
+    _Key("analysis", "epsilon", "epsilon", _REAL, "0.5", lower=0),
+    _Key("analysis", "mode", "mode", _TEXT, counting.EXACT_MATCH),
+    _Key("output", "dir", "out_dir", _TEXT, "results"),
+    _Key("run", "seed", "seed", _INT, "0"),
+    _Key("run", "jobs", "jobs", _INT, "1", lower=1),
+)
+_BY_NAME = {(spec.section, spec.key): spec for spec in _KEYS}
+
+
+def _resolved_text(config) -> str:
+    """Canonical echo: every key that is set and applies to the engine."""
+    lines, section = [], None
+    for spec in _KEYS:
+        value = getattr(config, spec.field)
+        if value is None or config.engine not in spec.engines:
+            continue
+        if spec.section != section:
+            lines += ["", f"[{spec.section}]"]
+            section = spec.section
+        shown = map(spec.type.show, value) if spec.type.many else [spec.type.show(value)]
+        lines.append(f"{spec.key} = {' '.join(shown)}")
+    return "\n".join(lines[1:]) + "\n"
+
+
+#: A validated grid: one attribute per key's field, defaults included, plus
+#: the motif and n_hint read from each motif file.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(spec.field, object) for spec in _KEYS] + [("motifs", list), ("n_hints", list)],
+    namespace={"__module__": __name__, "resolved_text": _resolved_text},
+)
+
+
+def _bounded(spec: _Key, value):
+    """``value``, unless it is below the key's lower bound."""
+    strict, low = spec.type.strict, spec.lower
+    if low is not None and (value <= low if strict else value < low):
+        raise ValidationError(
+            f"[{spec.section}] {spec.key}: must be {'>' if strict else '>='} {low}, "
+            f"got {spec.type.show(value)}"
+        )
+    return value
+
+
+def _value(spec: _Key, raw: str):
+    """The key's raw text read as its type and checked against its lower bound."""
+    tokens = raw.split() if spec.type.many else [raw]
+    if not tokens:
+        raise ParseError(f"[{spec.section}] {spec.key}: need at least one value")
+    values = []
+    for token in tokens:
+        try:
+            value = spec.type.parse(token)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"[{spec.section}] {spec.key}: expected {spec.type.expected}, got {token!r}"
+            ) from exc
+        values.append(_bounded(spec, value))
+    return values if spec.type.many else values[0]
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """Parse and validate a run configuration.
 
     Raises:
-        ParseError: unknown section or key, bad value syntax, unreadable
+        ParseError: unknown section or key, missing key, bad value, unreadable
             motif file.
-        ValidationError: a violated invariant (ordering, ball overlap,
-            signature or hint mismatch, unknown target...).
+        ValidationError: a value below its key's bound, or a violated invariant
+            (ordering, ball overlap, signature or hint mismatch, unknown target).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -198,103 +217,38 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         raise ParseError(f"bad configuration syntax: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in {spec.section for spec in _KEYS}:
             raise ParseError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if (section, key) not in _BY_NAME:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
-    for section, keys in _REQUIRED_KEYS.items():
-        if section not in parser:
-            raise ParseError(f"missing required section [{section}]")
-        for key in keys:
-            if key not in parser[section]:
-                raise ParseError(f"missing required key {key!r} in section [{section}]")
 
-    lat = parser["lattice"]
-    d = _parse_scalar("lattice", "d", lat["d"], int, "an integer")
-    rho = _parse_scalar("lattice", "rho", lat.get("rho", "1"), int, "an integer")
-    try:
-        p = normalize_norm_selector(lat.get("p", "1"))
-    except ValueError as exc:
-        raise ParseError(f"[lattice] p: {exc}") from exc
-    n_list = [
-        _parse_scalar("lattice", "n_list", tok, int, "integers")
-        for tok in lat["n_list"].split()
-    ]
-
-    motif_paths = parser["motifs"]["files"].split()
-    if not motif_paths:
-        raise ParseError("[motifs] files: need at least one motif file")
+    values = {}
+    for spec in _KEYS:
+        raw = parser.get(spec.section, spec.key, fallback=spec.default)
+        if raw is None and spec.required:
+            if not parser.has_section(spec.section):
+                raise ParseError(f"missing required section [{spec.section}]")
+            raise ParseError(f"missing required key {spec.key!r} in section [{spec.section}]")
+        values[spec.field] = None if raw is None else _value(spec, raw)
     motifs, hints = [], []
-    for path in motif_paths:
-        full = Path(base_dir) / path
+    for path in values["motif_paths"]:
         try:
-            cfg, hint = load_motif(full)
+            motif, hint = load_motif(Path(base_dir) / path)
         except OSError as exc:
             raise ParseError(f"cannot read motif file {path!r}: {exc}") from exc
         except MotifFileError as exc:
             raise ParseError(f"bad motif file {path!r}: {exc}") from exc
-        motifs.append(cfg)
+        motifs.append(motif)
         hints.append(hint)
 
-    sched = parser["schedule"]
-    c = _parse_scalar("schedule", "c", sched["c"], float, "a real")
-    a_override = None
-    if "a" in sched:
-        a_override = _parse_scalar("schedule", "a", sched["a"], float, "a real")
-
-    b_list = [
-        _parse_scalar("model", "b_list", tok, float, "reals")
-        for tok in parser["model"]["b_list"].split()
-    ]
-
-    eng = parser["engine"]
-    kind = eng["kind"].strip()
-    samples = _parse_scalar("engine", "samples", eng.get("samples", "10000"), int, "an integer")
-    burn_in = _parse_scalar(
-        "engine", "burn_in_sweeps", eng.get("burn_in_sweeps", "100"), int, "an integer"
-    )
-    thinning = _parse_scalar(
-        "engine", "thinning_sweeps", eng.get("thinning_sweeps", "1"), int, "an integer"
-    )
-    replicas = None
-    if "replicas" in eng:
-        replicas = _parse_scalar("engine", "replicas", eng["replicas"], int, "an integer")
-    site_cap = None
-    if "site_cap" in eng:
-        site_cap = _parse_scalar("engine", "site_cap", eng["site_cap"], int, "an integer")
-
-    ana = parser["analysis"] if "analysis" in parser else {}
-    targets = ana.get("targets", "expectation").split() if ana else ["expectation"]
-    epsilon = _parse_scalar("analysis", "epsilon", ana.get("epsilon", "0.5") if ana else "0.5",
-                            float, "a real")
-    mode = (ana.get("mode", counting.EXACT_MATCH) if ana else counting.EXACT_MATCH).strip()
-
-    out_dir = parser["output"]["dir"] if "output" in parser and "dir" in parser["output"] else "results"
-    run_sec = parser["run"] if "run" in parser else {}
-    seed = _parse_scalar("run", "seed", run_sec.get("seed", "0") if run_sec else "0",
-                         int, "an integer")
-    jobs = _parse_scalar("run", "jobs", run_sec.get("jobs", "1") if run_sec else "1",
-                         int, "an integer")
-
-    config = RunConfig(
-        d=d, rho=rho, p=p, n_list=n_list,
-        motif_paths=motif_paths, motifs=motifs, n_hints=hints,
-        c=c, a_override=a_override, b_list=b_list,
-        engine=kind, samples=samples, burn_in_sweeps=burn_in,
-        thinning_sweeps=thinning, replicas=replicas, site_cap=site_cap,
-        targets=targets, epsilon=epsilon, mode=mode,
-        out_dir=out_dir, seed=seed, jobs=jobs,
-    )
+    config = RunConfig(**values, motifs=motifs, n_hints=hints)
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
-    if config.d < 1 or config.rho < 1:
-        raise ValidationError("d and rho must be >= 1")
-    if any(n < 1 for n in config.n_list):
-        raise ValidationError("n_list entries must be >= 1")
+    """The rules that involve more than one key, and the named choices."""
     if any(a >= z for a, z in zip(config.n_list, config.n_list[1:])):
         raise ValidationError("n_list must be strictly increasing")
     if config.engine not in ENGINE_KINDS:
@@ -304,23 +258,11 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(f"unknown analysis target {target!r} (known: {TARGETS})")
     if config.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if not (config.c > 0 and math.isfinite(config.c)):
-        raise ValidationError("schedule constant c must be a positive finite real")
-    if config.epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    if config.samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if config.burn_in_sweeps < 0 or config.thinning_sweeps < 0:
-        raise ValidationError("burn_in_sweeps and thinning_sweeps must be >= 0")
     if config.engine in ("heat_bath", "metropolis") and config.thinning_sweeps < 1:
         raise ValidationError(
             f"thinning_sweeps must be >= 1 for {config.engine}: "
             "0 records the same state repeatedly"
         )
-    if config.replicas is not None and config.replicas < 1:
-        raise ValidationError("replicas must be >= 1")
-    if config.jobs < 1:
-        raise ValidationError("jobs must be >= 1")
     signature = (config.d, config.rho, config.p)
     for path, motif, hint in zip(config.motif_paths, config.motifs, config.n_hints):
         if motif.signature != signature:
@@ -352,9 +294,10 @@ def _derived_seed(config: RunConfig, n: int, motif: LocalConfig, b: float) -> in
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float) -> dict:
+def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name: str) -> dict:
     p_txt = "inf" if config.p == INFINITY else config.p
     return {
+        "run_id": f"{run_name}/{motif.motif_hash[:6]}/n{n}/b{b!r}",
         "d": config.d,
         "n": n,
         "rho": config.rho,
@@ -365,6 +308,7 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float) -> dict:
         "c": config.c,
         "b": b,
         "mode": config.mode,
+        "sample_size": 0 if config.engine == "exact" else config.samples,
         "seed": config.seed,
         "error": "",
     }
@@ -435,29 +379,23 @@ class _CellData:
 
 def _target_rows(cell: _CellData, target: str) -> list[dict]:
     config = cell.config
-    sample_size = 0 if config.engine == "exact" else config.samples
     rows = []
 
     def new_row(run_suffix: str = "") -> dict:
-        row = _base_row(config, cell.n, cell.motif, cell.b)
+        row = _base_row(config, cell.n, cell.motif, cell.b, target + run_suffix)
         row["a"] = cell.field
-        row["sample_size"] = sample_size
-        motif_tag = cell.motif.motif_hash[:6]
-        row["run_id"] = f"{target}{run_suffix}/{motif_tag}/n{cell.n}/b{cell.b!r}"
         row["lambda_target"] = cell.lambda_target()
         return row
 
-    if target == "expectation":
+    if target in ("stein_chen", "ring_check") and config.engine != "exact":
+        raise ValidationError(f"{target} target requires the exact engine")
+    if target in ("expectation", "moments"):
         row = new_row()
         dist = cell.distribution(cell.motif, config.mode)
         row["mean"], row["var"] = dist.mean, dist.variance
-        rows.append(row)
-    elif target == "moments":
-        row = new_row()
-        dist = cell.distribution(cell.motif, config.mode)
-        row["mean"], row["var"] = dist.mean, dist.variance
-        row["M2"] = dist.factorial_moment(2)
-        row["M3"] = dist.factorial_moment(3)
+        if target == "moments":
+            row["M2"] = dist.factorial_moment(2)
+            row["M3"] = dist.factorial_moment(3)
         rows.append(row)
     elif target == "tv":
         row = new_row()
@@ -471,8 +409,6 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
         row["tv_error_budget"] = budget
         rows.append(row)
     elif target == "stein_chen":
-        if config.engine != "exact":
-            raise ValidationError("stein_chen target requires the exact engine")
         row = new_row()
         row["mode"] = counting.SUPERSET_MATCH
         dist = cell.distribution(cell.motif, counting.SUPERSET_MATCH)
@@ -480,8 +416,6 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
         row["stein_chen_bound"] = analysis.stein_chen_bound(dist, cell.lattice.num_sites, cell.b)
         rows.append(row)
     elif target == "ring_check":
-        if config.engine != "exact":
-            raise ValidationError("ring_check target requires the exact engine")
         row = new_row()
         report = analysis.ring_equivalence_check(
             cell.distribution(cell.motif, config.mode),
@@ -538,10 +472,8 @@ def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[d
 
 
 def _error_row(config, n, motif, b, target, exc) -> dict:
-    row = _base_row(config, n, motif, b)
-    row["run_id"] = f"{target}/{motif.motif_hash[:6]}/n{n}/b{b!r}"
+    row = _base_row(config, n, motif, b, target)
     row["a"] = config.a_override
-    row["sample_size"] = 0 if config.engine == "exact" else config.samples
     row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -558,32 +490,24 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
     """Execute the grid and write results.csv / results.json.
 
     Returns 0 when every cell succeeded, 1 when any cell recorded an error.
+    Raises ValidationError for a ``jobs`` below 1, as ``[run] jobs`` would.
     """
-    jobs = jobs if jobs is not None else config.jobs
+    jobs = config.jobs if jobs is None else _bounded(_BY_NAME["run", "jobs"], jobs)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (ni, mi, bi)
-        for ni in range(len(config.n_list))
-        for mi in range(len(config.motifs))
-        for bi in range(len(config.b_list))
-    ]
+    # cells in canonical (n, motif, b) order; map keeps that order at any jobs
+    cells = list(product(config.n_list, config.motifs, config.b_list))
 
-    def work(idx):
-        ni, mi, bi = idx
-        return idx, _run_cell(config, config.n_list[ni], config.motifs[mi], config.b_list[bi])
+    def work(cell):
+        return _run_cell(config, *cell)
 
-    results: dict[tuple, list[dict]] = {}
     if jobs == 1:
-        for idx in cells:
-            results[idx] = work(idx)[1]
+        slabs = list(map(work, cells))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for idx, rows in pool.map(work, cells):
-                results[idx] = rows
-
-    all_rows = [row for idx in sorted(results) for row in results[idx]]
+            slabs = list(pool.map(work, cells))
+    all_rows = [row for slab in slabs for row in slab]
 
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -611,24 +535,16 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
 # -- entry points -------------------------------------------------------------------
 
 
+def _load(path: str) -> RunConfig:
+    return parse_config(Path(path).read_text(encoding="utf-8"), base_dir=Path(path).parent)
+
+
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    try:
-        config = parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    return run(config, jobs=args.jobs, out_dir=args.out)
+    return run(_load(args.config), jobs=args.jobs, out_dir=args.out)
 
 
 def _cmd_validate(args) -> int:
-    path = Path(args.config)
-    try:
-        config = parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    print(config.resolved_text(), end="")
+    print(_load(args.config).resolved_text(), end="")
     return 0
 
 
@@ -639,10 +555,9 @@ def _cmd_motif_info(args) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     d, rho, p = motif.signature
-    p_txt = "inf" if p == INFINITY else p
     print(f"d = {d}")
     print(f"rho = {rho}")
-    print(f"p = {p_txt}")
+    print(f"p = {_norm_text(p)}")
     print(f"r = {motif.radius}")
     print(f"n_hint = {hint}")
     print(f"k = {motif.k}")
@@ -673,7 +588,11 @@ def main(argv=None) -> int:
     info_p.set_defaults(func=_cmd_motif_info)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,6 @@ lexicographic index) carries spin +1.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
@@ -38,16 +37,6 @@ from .motifs import DEFAULT_FAMILY_CAP, LocalConfig
 
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
-
-#: Environment variable overriding the enumeration cap.
-SITE_CAP_ENV = "ISINGMOTIF_EXACT_SITE_CAP"
-
-
-def resolve_site_cap(site_cap: int | None = None) -> int:
-    """Explicit cap, else the environment override, else the default."""
-    if site_cap is not None:
-        return int(site_cap)
-    return int(os.environ.get(SITE_CAP_ENV, DEFAULT_SITE_CAP))
 
 
 @dataclass(frozen=True)
@@ -339,10 +328,9 @@ def build_exact(
     """Tabulate the Gibbs measure over all configurations of a small lattice.
 
     Raises:
-        TooLargeForExact: if n^d exceeds the site cap (default 24, overridable
-            via the ISINGMOTIF_EXACT_SITE_CAP environment variable).
+        TooLargeForExact: if n^d exceeds ``site_cap`` (None: DEFAULT_SITE_CAP).
     """
-    cap = resolve_site_cap(site_cap)
+    cap = DEFAULT_SITE_CAP if site_cap is None else site_cap
     if lattice.num_sites > cap:
         raise TooLargeForExact(
             f"lattice has {lattice.num_sites} sites, enumeration cap is {cap}"

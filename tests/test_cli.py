@@ -1,14 +1,19 @@
+import configparser
 import csv
 import json
+import os
+import re
+import subprocess
 import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import isingmotif
 from isingmotif import counting, exact
-from isingmotif.cli import TARGETS, main, parse_config, run
-from isingmotif.errors import ParseError, ValidationError
+from isingmotif.cli import _KEYS, ENGINE_KINDS, TARGETS, main, parse_config, run
+from isingmotif.errors import ConfigError, ParseError, ValidationError
 from isingmotif.exact import _energy_levels
 
 MINIMAL = """\
@@ -368,3 +373,100 @@ def test_golden_file_pinned_run(workdir):
             if g == w:
                 continue
             assert float(g) == pytest.approx(float(w), rel=1e-12), (header[i], g, w)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("n_list = 6 8", "n_list =", "[lattice] n_list"),
+    ("b_list = 0.0", "b_list =", "[model] b_list"),
+    ("kind = exact", "kind = exact\n[analysis]\ntargets =", "[analysis] targets"),
+    ("b_list = 0.0", "b_list = nan inf", "[model] b_list"),
+    ("c = 1.0", "c = 1.0\na = nan", "[schedule] a"),
+    ("kind = exact", "kind = exact\n[analysis]\nepsilon = nan", "[analysis] epsilon"),
+    ("kind = exact", "kind = exact\n[analysis]\nepsilon = inf", "[analysis] epsilon"),
+    ("kind = exact", "kind = exact\nsite_cap = 0", "[engine] site_cap"),
+])
+def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
+    # each of these used to validate, then ran no cell or only error rows
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_config(MINIMAL.replace(old, new), base_dir=workdir)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(workdir, capsys, jobs):
+    config = parse_config(MINIMAL, base_dir=workdir)
+    with pytest.raises(ValidationError, match=re.escape("[run] jobs")):
+        run(config, jobs=jobs, out_dir=workdir / "out")
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(MINIMAL + f"\n[run]\njobs = {jobs}\n")
+    assert main(["validate", str(cfg_path)]) == 2
+    from_file = capsys.readouterr().err
+    cfg_path.write_text(MINIMAL)
+    assert main(["run", str(cfg_path), "--jobs", str(jobs), "--out", str(workdir / "out")]) == 2
+    assert capsys.readouterr().err == from_file
+    assert not (workdir / "out").exists()
+
+
+def test_missing_key_report_does_not_depend_on_hash_seed(workdir):
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(MINIMAL.replace("d = 1\n", "").replace("n_list = 6 8\n", ""))
+    src = str(Path(isingmotif.__file__).parents[1])
+    script = "import sys; from isingmotif.cli import main; sys.exit(main(sys.argv[1:]))"
+    reports = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "validate", str(cfg_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        reports.add(proc.stderr)
+    assert reports == {"ParseError: missing required key 'd' in section [lattice]\n"}
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def every_key_config(kind):
+    """MINIMAL with every optional key of the table set."""
+    sampler = "samples = 50\nburn_in_sweeps = 5\nthinning_sweeps = 2\nreplicas = 3\nsite_cap = 20"
+    return MINIMAL.replace("c = 1.0", "c = 1.0\na = -0.5").replace(
+        "kind = exact", f"kind = {kind}\n{sampler}"
+    ) + (
+        "\n[analysis]\ntargets = expectation moments\nepsilon = 0.25\nmode = superset_match\n"
+        "\n[output]\ndir = out\n\n[run]\nseed = 9\njobs = 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted(CONFIGS.glob("*.ini"))] + list(ENGINE_KINDS)
+)
+def test_echo_is_a_fixed_point(workdir, name):
+    if name.endswith(".ini"):
+        text, base, every_key = (CONFIGS / name).read_text(), CONFIGS, False
+    else:
+        text, base, every_key = every_key_config(name), workdir, True
+    config = parse_config(text, base_dir=base)
+    echo = config.resolved_text()
+    assert parse_config(echo, base_dir=base).resolved_text() == echo
+    echoed = configparser.ConfigParser(interpolation=None)
+    echoed.read_string(echo)
+    shown = {(section, key) for section in echoed.sections() for key in echoed[section]}
+    assert shown == {
+        (spec.section, spec.key)
+        for spec in _KEYS
+        if config.engine in spec.engines
+        and (every_key or getattr(config, spec.field) is not None)
+    }
+
+
+def test_readme_config_block_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    named, section = set(), None
+    for line in block.splitlines():
+        if match := re.match(r"\[(\w+)\]", line):
+            section = match[1]
+        elif match := re.match(r"(?:# )?(\w+) = ", line):
+            named.add((section, match[1]))
+    assert named == {(spec.section, spec.key) for spec in _KEYS}
