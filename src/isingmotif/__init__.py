@@ -51,16 +51,10 @@ from .motifs import (
     single_positive,
 )
 from .sampler import (
-    ChainState,
     SampleBatch,
     SamplerSpec,
     cftp_batch,
-    cftp_sample,
-    heat_bath_sweep,
-    heat_bath_sweep_with_uniforms,
     load_spin_config,
-    metropolis_sweep,
-    sample_batch,
     sample_with_params,
     save_spin_config,
 )

@@ -34,6 +34,7 @@ from . import analysis, counting
 from .distributions import CountDistribution, PoissonTarget, tv_distance
 from .errors import ConfigError, MotifFileError, ParseError, ValidationError
 from .exact import (
+    DEFAULT_SITE_CAP,
     ExactMeasure,
     FieldSchedule,
     ModelParams,
@@ -207,8 +208,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     Raises:
         ParseError: unknown section or key, missing key, bad value, unreadable
             motif file.
-        ValidationError: a value below its key's bound, or a violated invariant
-            (ordering, ball overlap, signature or hint mismatch, unknown target).
+        ValidationError: a value below its key's bound, a violated invariant
+            (ordering, ball overlap, signature or hint mismatch, unknown target),
+            or a grid that could only give error rows.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -262,6 +264,22 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError(
             f"thinning_sweeps must be >= 1 for {config.engine}: "
             "0 records the same state repeatedly"
+        )
+    cap = DEFAULT_SITE_CAP if config.site_cap is None else config.site_cap
+    largest = config.n_list[-1]
+    if config.engine == "exact" and largest**config.d > cap:
+        raise ValidationError(
+            f"[engine] site_cap: the exact engine enumerates at most {cap} sites, "
+            f"but n_list contains {largest} ({largest**config.d} sites)"
+        )
+    for target in ("stein_chen", "ring_check"):
+        if target in config.targets and config.engine != "exact":
+            raise ValidationError(
+                f"[analysis] targets: {target} requires the exact engine, got {config.engine}"
+            )
+    if "tv" in config.targets and config.a_override is not None:
+        raise ValidationError(
+            "[analysis] targets: tv needs the scheduled Poisson limit, which [schedule] a overrides"
         )
     signature = (config.d, config.rho, config.p)
     for path, motif, hint in zip(config.motif_paths, config.motifs, config.n_hints):
@@ -387,8 +405,6 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
         row["lambda_target"] = cell.lambda_target()
         return row
 
-    if target in ("stein_chen", "ring_check") and config.engine != "exact":
-        raise ValidationError(f"{target} target requires the exact engine")
     if target in ("expectation", "moments"):
         row = new_row()
         dist = cell.distribution(cell.motif, config.mode)
@@ -536,7 +552,11 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
 
 
 def _load(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), base_dir=Path(path).parent)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read configuration {path!r}: {exc}") from exc
+    return parse_config(text, base_dir=Path(path).parent)
 
 
 def _cmd_run(args) -> int:

@@ -1,6 +1,11 @@
 """Samplers for the Gibbs measure: heat-bath and Metropolis kernels, plus
 coupling-from-the-past perfect sampling for the ferromagnetic case.
 
+There are two ways to draw: ``sample_with_params`` returns a ``SampleBatch``
+from any kernel (replica chains for heat-bath and Metropolis, exact draws for
+kind="cftp"), and ``cftp_batch`` returns a (count, sites) matrix of exact
+draws.
+
 Reproducibility contract: reruns with the same seed are bit-identical, and
 no two replicas or draws share randomness.  MCMC replica i reads the stream
 ``numpy.random.default_rng([seed, i])`` (SeedSequence hashing of the seed
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AntiferromagneticUnsupported, CoalescenceTimeout
-from .exact import FieldSchedule, ModelParams, SpinConfig
+from .exact import ModelParams, SpinConfig
 from .lattice import INFINITY, TorusLattice, normalize_norm_selector
 
 KINDS = ("heat_bath", "metropolis", "cftp")
@@ -77,63 +82,25 @@ class SamplerSpec:
             raise ValueError(f"thinning_sweeps must be >= 1 for {self.kind}")
 
 
-@dataclass
-class ChainState:
-    """A single Markov chain: configuration, generator state, sweep counter."""
-
-    config: SpinConfig
-    rng: np.random.Generator
-    sweep_count: int = 0
-
-    @classmethod
-    def start(cls, lattice: TorusLattice, seed: int, init: str = "minus") -> "ChainState":
-        rng = np.random.default_rng([seed & _U64, 0])
-        if init == "minus":
-            cfg = SpinConfig.all_minus(lattice)
-        elif init == "plus":
-            cfg = SpinConfig.all_plus(lattice)
-        elif init == "random":
-            spins = (2 * rng.integers(0, 2, size=lattice.num_sites) - 1).astype(np.int8)
-            cfg = SpinConfig(lattice, spins)
-        else:
-            raise ValueError(f"init must be minus/plus/random, got {init!r}")
-        return cls(config=cfg, rng=rng, sweep_count=0)
-
-
 @lru_cache(maxsize=None)
-def _neighbor_index_matrix(lattice: TorusLattice) -> np.ndarray:
-    """(num_sites, neighbor_count) site indices of each vertex's neighbors."""
-    rows = []
-    for v in lattice.vertices():
-        rows.append([lattice.site_index(w) for w in lattice.neighbors(v)])
-    return np.array(rows, dtype=np.intp)
-
-
-def _colour_classes(nbr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Greedy proper colouring of the neighbor graph given by ``nbr``.
+def _colour_classes(lattice: TorusLattice) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Greedy proper colouring of the lattice's neighbor graph, cached per lattice.
 
     Returns one (sites, neighbors) pair per colour class: the class's site
     indices in increasing order and the (neighbor_count, class_size) matrix
     of their neighbors.  Sites are coloured in index order with the smallest
     colour unused by an already coloured neighbor.
     """
-    nbr = np.asarray(nbr, dtype=np.intp)
-    return _colour_classes_of(nbr.shape, nbr.tobytes())
-
-
-@lru_cache(maxsize=64)
-def _colour_classes_of(shape: tuple, data: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
-    nbr = np.frombuffer(data, dtype=np.intp).reshape(shape)
-    colour = [-1] * shape[0]
-    for x, row in enumerate(nbr.tolist()):
+    rows = [[lattice.site_index(w) for w in lattice.neighbors(v)] for v in lattice.vertices()]
+    colour = [-1] * len(rows)
+    for x, row in enumerate(rows):
         taken = {colour[y] for y in row}
         colour[x] = next(c for c in range(len(row) + 1) if c not in taken)
-    colour = np.array(colour)
-    classes = []
-    for c in range(colour.max() + 1):
-        sites = np.flatnonzero(colour == c)
-        classes.append((_read_only(sites), _read_only(np.ascontiguousarray(nbr[sites].T))))
-    return classes
+    nbr, colour = np.array(rows, dtype=np.intp), np.array(colour)
+    return tuple(
+        (_read_only(sites), _read_only(np.ascontiguousarray(nbr[sites].T)))
+        for sites in (np.flatnonzero(colour == c) for c in range(colour.max() + 1))
+    )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -159,7 +126,7 @@ def _metropolis_table(a: float, b: float, degree: int) -> np.ndarray:
     ]))
 
 
-def _sweep_heat_bath(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
+def _sweep_heat_bath(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
                      uniforms: np.ndarray) -> None:
     """One systematic heat-bath scan, in place, vectorized across chains.
 
@@ -167,19 +134,21 @@ def _sweep_heat_bath(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
     against it: (chains, sites) for (chains, sites) spins, or (m, sites)
     shared by the (2, m, sites) stack of coupled top and bottom chains.
     """
-    degree = nbr.shape[1]
+    classes = _colour_classes(lattice)
+    degree = classes[0][1].shape[0]
     p_plus = _heat_bath_table(a, b, degree)
-    for sites, nbr_t in _colour_classes(nbr):
+    for sites, nbr_t in classes:
         total = spins[..., nbr_t].sum(axis=-2, dtype=np.intp)
         spins[..., sites] = np.where(uniforms[..., sites] < p_plus[total + degree], 1, -1)
 
 
-def _sweep_metropolis(spins: np.ndarray, nbr: np.ndarray, a: float, b: float,
+def _sweep_metropolis(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
                       uniforms: np.ndarray) -> None:
     """One systematic single-flip Metropolis scan, in place."""
-    degree = nbr.shape[1]
+    classes = _colour_classes(lattice)
+    degree = classes[0][1].shape[0]
     accept = _metropolis_table(a, b, degree)
-    for sites, nbr_t in _colour_classes(nbr):
+    for sites, nbr_t in classes:
         old = spins[:, sites]
         index = spins[:, nbr_t].sum(axis=1, dtype=np.intp) + degree
         index += (old > 0) * (2 * degree + 1)
@@ -204,42 +173,6 @@ def metropolis_flip_probability(cfg: SpinConfig, x, params: ModelParams) -> floa
     total = sum(cfg.spin(w) for w in lattice.neighbors(x))
     delta = -2.0 * cfg.spin(x) * (params.a + params.b * total)
     return float(min(1.0, np.exp(min(delta, 0.0))))
-
-
-def heat_bath_sweep_with_uniforms(
-    cfg: SpinConfig, params: ModelParams, uniforms: np.ndarray
-) -> SpinConfig:
-    """Deterministic heat-bath sweep driven by explicit per-site uniforms.
-
-    With b >= 0 and the same uniforms, this map preserves the componentwise
-    partial order between configurations.
-    """
-    uniforms = np.asarray(uniforms, dtype=np.float64).reshape(1, -1)
-    if uniforms.shape[1] != cfg.lattice.num_sites:
-        raise ValueError("need one uniform per site")
-    spins = cfg.spins.copy().reshape(1, -1)
-    _sweep_heat_bath(spins, _neighbor_index_matrix(cfg.lattice), params.a, params.b, uniforms)
-    return SpinConfig(cfg.lattice, spins[0])
-
-
-def _scalar_sweep(state: ChainState, params: ModelParams, kind: str) -> ChainState:
-    lattice = state.config.lattice
-    uniforms = state.rng.uniform(size=(1, lattice.num_sites))
-    spins = state.config.spins.copy().reshape(1, -1)
-    _SWEEPS[kind](spins, _neighbor_index_matrix(lattice), params.a, params.b, uniforms)
-    return ChainState(
-        config=SpinConfig(lattice, spins[0]), rng=state.rng, sweep_count=state.sweep_count + 1
-    )
-
-
-def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
-    """One systematic heat-bath scan over all sites."""
-    return _scalar_sweep(state, params, "heat_bath")
-
-
-def metropolis_sweep(state: ChainState, params: ModelParams) -> ChainState:
-    """One systematic Metropolis scan (flip proposals, accept with min(1, e^dH))."""
-    return _scalar_sweep(state, params, "metropolis")
 
 
 # -- coupling from the past -------------------------------------------------------
@@ -335,7 +268,6 @@ def cftp_batch(
     sites = lattice.num_sites
     if draw_chunk is None:
         draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
-    nbr = _neighbor_index_matrix(lattice)
     stream = _CftpStream(sites, min(draw_chunk, count))
     out = np.empty((count, sites), dtype=np.int8)
     for start in range(0, count, draw_chunk):
@@ -351,20 +283,12 @@ def cftp_batch(
             chains[0] = 1
             chains[1] = -1
             for t in range(horizon, 0, -1):
-                _sweep_heat_bath(chains, nbr, params.a, params.b, stream.uniforms(keys, t))
+                _sweep_heat_bath(chains, lattice, params.a, params.b, stream.uniforms(keys, t))
             done = (chains[0] == chains[1]).all(axis=1)
             out[active[done]] = chains[0, done]
             active, keys = active[~done], keys[~done]
             horizon *= 2
     return out
-
-
-def cftp_sample(
-    lattice: TorusLattice, params: ModelParams, seed: int, epoch_limit: int = 1 << 20
-) -> SpinConfig:
-    """One exact draw from the Gibbs measure (see ``cftp_batch``)."""
-    spins = cftp_batch(lattice, params, seed, count=1, epoch_limit=epoch_limit)
-    return SpinConfig(lattice, spins[0])
 
 
 # -- batch generation -------------------------------------------------------------
@@ -398,7 +322,6 @@ def _run_mcmc_batch(
     replicas: int,
 ) -> np.ndarray:
     sites = lattice.num_sites
-    nbr = _neighbor_index_matrix(lattice)
     sweep = _SWEEPS[spec.kind]
     quotas = [count // replicas + (1 if i < count % replicas else 0) for i in range(replicas)]
     quota_max = max(quotas)
@@ -423,7 +346,7 @@ def _run_mcmc_batch(
                 for rng, rows in zip(rngs, buffer):
                     rng.random(out=rows)  # the same values as rng.uniform(size=rows.shape)
                 pos = 0
-            sweep(spins, nbr, params.a, params.b, buffer[:, pos, :])
+            sweep(spins, lattice, params.a, params.b, buffer[:, pos, :])
             pos += 1
             done_sweeps += 1
         if done_sweeps >= spec.burn_in_sweeps:
@@ -447,7 +370,8 @@ def sample_with_params(
     every chain burns in, then records a sample every ``thinning_sweeps``.
     Rows are ordered replica-major, so a rerun with the same seed reproduces
     the batch bit for bit.  For kind="cftp" every row is an independent exact
-    draw (burn-in and thinning are ignored).
+    draw (burn-in and thinning are ignored).  For the field of a
+    ``FieldSchedule``, pass ``schedule.params(lattice.n, b)``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -460,25 +384,6 @@ def sample_with_params(
             raise ValueError("replicas must be >= 1")
         spins = _run_mcmc_batch(lattice, params, spec, count, used)
     return SampleBatch(lattice=lattice, params=params, spec=spec, spins=spins, replicas=used)
-
-
-def sample_batch(
-    lattice: TorusLattice,
-    schedule: FieldSchedule,
-    b: float,
-    spec: SamplerSpec,
-    count: int,
-    replicas: int | None = None,
-) -> SampleBatch:
-    """Draw ``count`` configurations with the field set by the schedule.
-
-    The magnetic field is a(n) = 0.5 * log(c * n**(-d/k_target)) for the
-    lattice's side length; see ``sample_with_params`` for the batch layout and
-    reproducibility contract.
-    """
-    if schedule.d != lattice.d:
-        raise ValueError(f"schedule dimension {schedule.d} != lattice dimension {lattice.d}")
-    return sample_with_params(lattice, schedule.params(lattice.n, b), spec, count, replicas)
 
 
 # -- configuration snapshots -------------------------------------------------------

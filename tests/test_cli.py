@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isingmotif
-from isingmotif import counting, exact
+from isingmotif import counting, exact, sampler
 from isingmotif.cli import _KEYS, ENGINE_KINDS, TARGETS, main, parse_config, run
 from isingmotif.errors import ConfigError, ParseError, ValidationError
 from isingmotif.exact import _energy_levels
@@ -137,17 +137,21 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
     )
 
 
-def test_jobs_do_not_change_output(workdir):
-    # the exact engine's enumerations and count arrays are shared across threads
+@pytest.mark.parametrize("kind", ["exact", "heat_bath", "cftp"])
+def test_jobs_do_not_change_output(workdir, kind):
+    # the exact engine's enumerations and count arrays, and the samplers'
+    # colour classes, are shared across threads
+    targets = TARGETS if kind == "exact" else ("expectation", "tv", "moments", "threshold_sweep")
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
-    )
-    text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
+    ).replace("kind = exact", f"kind = {kind}\nsamples = 300\nburn_in_sweeps = 20")
+    text += "\n[analysis]\ntargets = " + " ".join(targets) + "\n"
     config = parse_config(text, base_dir=workdir)
     assert run(config, jobs=1, out_dir=workdir / "j1") == 0
     # the threads below fill the caches themselves
     _energy_levels.cache_clear()
     counting._mask_counts.cache_clear()
+    sampler._colour_classes.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -162,7 +166,7 @@ def test_jobs_do_not_change_output(workdir):
         return rows
 
     rows = stripped(workdir / "j1" / "results.csv")
-    assert len(rows) == 3 * 2 * (len(TARGETS) + 1)
+    assert len(rows) == 3 * 2 * (len(targets) + 1)
     assert rows == stripped(workdir / "j4" / "results.csv")
 
 
@@ -200,14 +204,16 @@ def test_stein_chen_underflowed_mean_run(workdir):
     assert float(rows[1]["stein_chen_bound"]) == 0.0
 
 
-def test_too_large_for_exact_is_error_row(workdir):
-    text = MINIMAL.replace("n_list = 6 8", "n_list = 30")
-    config = parse_config(text, base_dir=workdir)
-    code = run(config, out_dir=workdir / "out")
-    assert code == 1
-    rows = read_rows(workdir / "out" / "results.csv")
-    assert len(rows) == 1
-    assert rows[0]["error"].startswith("TooLargeForExact")
+def test_too_large_for_exact_rejected(workdir):
+    # such a grid could only write TooLargeForExact rows
+    text = MINIMAL.replace("n_list = 6 8", "n_list = 6 30")
+    with pytest.raises(ValidationError, match=re.escape("[engine] site_cap")):
+        parse_config(text, base_dir=workdir)
+    raised = parse_config(text.replace("kind = exact", "kind = exact\nsite_cap = 30"),
+                          base_dir=workdir)
+    assert raised.site_cap == 30
+    # the samplers have no site cap
+    parse_config(text.replace("kind = exact", "kind = heat_bath"), base_dir=workdir)
 
 
 def test_cell_isolation_failing_motif(workdir):
@@ -287,14 +293,13 @@ def test_sampler_engine_rows(workdir):
     assert all(float(r["tv_error_budget"]) > 0 for r in tv_rows)
 
 
-def test_stein_chen_requires_exact_engine(workdir):
-    text = MINIMAL.replace("kind = exact", "kind = heat_bath\nsamples = 100")
-    text += "\n[analysis]\ntargets = stein_chen\n"
-    config = parse_config(text, base_dir=workdir)
-    code = run(config, out_dir=workdir / "out")
-    assert code == 1
-    rows = read_rows(workdir / "out" / "results.csv")
-    assert all("exact engine" in row["error"] for row in rows)
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
+@pytest.mark.parametrize("target", ["stein_chen", "ring_check"])
+def test_stein_chen_requires_exact_engine(workdir, kind, target):
+    text = MINIMAL.replace("kind = exact", f"kind = {kind}\nsamples = 100")
+    text += f"\n[analysis]\ntargets = expectation {target}\n"
+    with pytest.raises(ValidationError, match=f"{target} requires the exact engine"):
+        parse_config(text, base_dir=workdir)
 
 
 def test_threshold_sweep_rows(workdir):
@@ -341,8 +346,24 @@ def test_main_run_exit_codes(workdir):
     cfg_path = workdir / "run.ini"
     cfg_path.write_text(MINIMAL)
     assert main(["run", str(cfg_path), "--out", str(workdir / "ok")]) == 0
-    cfg_path.write_text(MINIMAL.replace("n_list = 6 8", "n_list = 30"))
+    # stein_chen is for ferromagnets: a b < 0 cell fails at run time
+    cfg_path.write_text(MINIMAL.replace("b_list = 0.0", "b_list = -0.1")
+                        + "\n[analysis]\ntargets = stein_chen\n")
     assert main(["run", str(cfg_path), "--out", str(workdir / "bad")]) == 1
+    rows = read_rows(workdir / "bad" / "results.csv")
+    assert all(row["error"].startswith("FerromagneticOnly") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unreadable_config_is_a_parse_error(workdir, capsys, command):
+    (workdir / "latin1.ini").write_bytes(MINIMAL.replace("d = 1", "d = 1 # \xe9").encode("latin-1"))
+    for name, cause in (("missing.ini", "No such file"), ("latin1.ini", "can't decode")):
+        path = str(workdir / name)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ParseError: cannot read configuration {path!r}: ")
+        assert cause in captured.err and captured.err.count("\n") == 1
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_results.csv"
@@ -384,6 +405,8 @@ def test_golden_file_pinned_run(workdir):
     ("kind = exact", "kind = exact\n[analysis]\nepsilon = nan", "[analysis] epsilon"),
     ("kind = exact", "kind = exact\n[analysis]\nepsilon = inf", "[analysis] epsilon"),
     ("kind = exact", "kind = exact\nsite_cap = 0", "[engine] site_cap"),
+    ("kind = exact", "kind = exact\nsite_cap = 7", "[engine] site_cap"),
+    ("c = 1.0", "c = 1.0\na = -0.5\n[analysis]\ntargets = tv", "[analysis] targets"),
 ])
 def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
     # each of these used to validate, then ran no cell or only error rows

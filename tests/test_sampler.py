@@ -6,7 +6,6 @@ from scipy import stats
 
 from isingmotif import (
     EXACT_MATCH,
-    ChainState,
     CountDistribution,
     FieldSchedule,
     ModelParams,
@@ -15,14 +14,9 @@ from isingmotif import (
     TorusLattice,
     build_exact,
     cftp_batch,
-    cftp_sample,
     count_distribution_exact,
     hamiltonian,
-    heat_bath_sweep,
-    heat_bath_sweep_with_uniforms,
     load_spin_config,
-    metropolis_sweep,
-    sample_batch,
     sample_with_params,
     save_spin_config,
     tv_distance,
@@ -35,7 +29,6 @@ from isingmotif.sampler import (
     _cftp_keys,
     _CftpStream,
     _colour_classes,
-    _neighbor_index_matrix,
     _sweep_heat_bath,
     _sweep_metropolis,
     heat_bath_plus_probability,
@@ -119,30 +112,27 @@ def test_metropolis_delta_matches_hamiltonian():
 def test_metropolis_always_accepts_at_zero_params():
     # delta H = 0 so every proposal is accepted: one sweep flips everything
     lat = TorusLattice(1, 6, 1, 1)
-    state = ChainState.start(lat, seed=1, init="minus")
-    state = metropolis_sweep(state, ModelParams(0.0, 0.0))
-    assert np.all(state.config.spins == 1)
-    assert state.sweep_count == 1
+    spins = np.full((1, lat.num_sites), -1, dtype=np.int8)
+    _sweep_metropolis(spins, lat, 0.0, 0.0, np.random.default_rng(1).random(spins.shape))
+    assert np.all(spins == 1)
 
 
 def test_heat_bath_strong_negative_field():
     lat = TorusLattice(2, 4, 1, 1)
-    state = ChainState.start(lat, seed=3, init="random")
-    state = heat_bath_sweep(state, ModelParams(-30.0, 0.2))
-    assert np.all(state.config.spins == -1)
+    rng = np.random.default_rng(3)
+    spins = rng.choice((-1, 1), size=(4, lat.num_sites)).astype(np.int8)
+    _sweep_heat_bath(spins, lat, -30.0, 0.2, rng.random(spins.shape))
+    assert np.all(spins == -1)
 
 
 def test_heat_bath_product_frequency():
     # b = 0: stationary per-site law is +1 with probability e^a/(e^a+e^-a)
     lat = TorusLattice(1, 8, 1, 1)
     a = -0.35
-    state = ChainState.start(lat, seed=11, init="random")
-    params = ModelParams(a, 0.0)
     sweeps = 20_000
-    plus = 0
-    for _ in range(sweeps):
-        state = heat_bath_sweep(state, params)
-        plus += int((state.config.spins == 1).sum())
+    spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=0, thinning_sweeps=1, seed=11)
+    batch = sample_with_params(lat, ModelParams(a, 0.0), spec, count=sweeps, replicas=1)
+    plus = int((batch.spins == 1).sum())
     total = sweeps * lat.num_sites
     p_hat = plus / total
     p = math.exp(a) / (math.exp(a) + math.exp(-a))
@@ -155,15 +145,12 @@ def test_monotone_coupling_preserves_order():
     lat = TorusLattice(2, 4, 1, 1)
     params = ModelParams(-0.2, 0.6)
     for _ in range(50):
-        low_spins = rng.choice((-1, 1), size=lat.num_sites).astype(np.int8)
-        bump = rng.random(lat.num_sites) < 0.4
-        high_spins = np.where(bump, 1, low_spins).astype(np.int8)
-        low = SpinConfig(lat, low_spins)
-        high = SpinConfig(lat, high_spins)
-        uniforms = rng.random(lat.num_sites)
-        low2 = heat_bath_sweep_with_uniforms(low, params, uniforms)
-        high2 = heat_bath_sweep_with_uniforms(high, params, uniforms)
-        assert np.all(low2.spins <= high2.spins)
+        low = rng.choice((-1, 1), size=(1, lat.num_sites)).astype(np.int8)
+        high = np.where(rng.random(low.shape) < 0.4, 1, low).astype(np.int8)
+        uniforms = rng.random(low.shape)
+        _sweep_heat_bath(low, lat, params.a, params.b, uniforms)
+        _sweep_heat_bath(high, lat, params.a, params.b, uniforms)
+        assert np.all(low <= high)
 
 
 # -- colour-class sweeps --------------------------------------------------------------
@@ -180,8 +167,10 @@ COLOUR_LATTICES = [
 
 @pytest.mark.parametrize("lat,expected", COLOUR_LATTICES)
 def test_colour_classes_proper_and_covering(lat, expected):
-    nbr = _neighbor_index_matrix(lat)
-    classes = _colour_classes(nbr)
+    # the neighbor table comes from the lattice's own neighbor query
+    nbr = np.array([[lat.site_index(w) for w in lat.neighbors(lat.vertex_at(x))]
+                    for x in range(lat.num_sites)])
+    classes = _colour_classes(lat)
     sites = np.concatenate([cls for cls, _ in classes])
     assert np.array_equal(np.sort(sites), np.arange(lat.num_sites))
     for cls, nbr_t in classes:
@@ -194,7 +183,7 @@ def test_colour_classes_proper_and_covering(lat, expected):
 def _scalar_colour_scan(lat, spins, params, uniforms, kind):
     """Site-by-site scan in colour-major order with the scalar oracles."""
     cfg = SpinConfig(lat, spins.copy())
-    for cls, _ in _colour_classes(_neighbor_index_matrix(lat)):
+    for cls, _ in _colour_classes(lat):
         for x in cls:
             v = lat.vertex_at(int(x))
             if kind == "heat_bath":
@@ -213,28 +202,26 @@ def _scalar_colour_scan(lat, spins, params, uniforms, kind):
 def test_block_sweep_equals_scalar_colour_scan(lat, a, b, kind, sweep):
     rng = np.random.default_rng(17)
     params = ModelParams(a, b)
-    nbr = _neighbor_index_matrix(lat)
     spins = rng.choice((-1, 1), size=(5, lat.num_sites)).astype(np.int8)
     for _ in range(3):
         uniforms = rng.random(spins.shape)
         want = np.stack([
             _scalar_colour_scan(lat, row, params, u, kind) for row, u in zip(spins, uniforms)
         ])
-        sweep(spins, nbr, a, b, uniforms)
+        sweep(spins, lat, a, b, uniforms)
         assert np.array_equal(spins, want)
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 4, 1, 1)])
 def test_stacked_sweep_equals_separate_sweeps(lat):
     rng = np.random.default_rng(23)
-    nbr = _neighbor_index_matrix(lat)
     stack = rng.choice((-1, 1), size=(2, 7, lat.num_sites)).astype(np.int8)
     top, bot = stack[0].copy(), stack[1].copy()
     for _ in range(3):
         uniforms = rng.random((7, lat.num_sites))
-        _sweep_heat_bath(stack, nbr, -0.3, 0.4, uniforms)
-        _sweep_heat_bath(top, nbr, -0.3, 0.4, uniforms)
-        _sweep_heat_bath(bot, nbr, -0.3, 0.4, uniforms)
+        _sweep_heat_bath(stack, lat, -0.3, 0.4, uniforms)
+        _sweep_heat_bath(top, lat, -0.3, 0.4, uniforms)
+        _sweep_heat_bath(bot, lat, -0.3, 0.4, uniforms)
         assert np.array_equal(stack[0], top) and np.array_equal(stack[1], bot)
 
 
@@ -364,7 +351,7 @@ def test_cftp_product_law_chi_square():
 def test_cftp_rejects_antiferromagnet():
     lat = TorusLattice(1, 4, 1, 1)
     with pytest.raises(AntiferromagneticUnsupported):
-        cftp_sample(lat, ModelParams(0.0, -0.1), seed=1)
+        cftp_batch(lat, ModelParams(0.0, -0.1), seed=1, count=1)
 
 
 def test_cftp_timeout():
@@ -374,20 +361,21 @@ def test_cftp_timeout():
 
 
 def reference_cftp(lat, params, seed, draw):
-    """One draw of monotone CFTP, chain by chain, from ``reference_uniform``.
+    """One draw of monotone CFTP, chain by chain and site by site with the
+    scalar oracle, from ``reference_uniform``.
 
     Returns the draw and the horizon at which its chains coalesced.
     """
     sites = lat.num_sites
     horizon = 1
     while True:
-        top, bot = SpinConfig.all_plus(lat), SpinConfig.all_minus(lat)
+        top, bot = np.ones(sites, dtype=np.int8), -np.ones(sites, dtype=np.int8)
         for t in range(horizon, 0, -1):
             u = np.array([reference_uniform(seed, draw, t, x, sites) for x in range(sites)])
-            top = heat_bath_sweep_with_uniforms(top, params, u)
-            bot = heat_bath_sweep_with_uniforms(bot, params, u)
-        if np.array_equal(top.spins, bot.spins):
-            return top.spins, horizon
+            top = _scalar_colour_scan(lat, top, params, u, "heat_bath")
+            bot = _scalar_colour_scan(lat, bot, params, u, "heat_bath")
+        if np.array_equal(top, bot):
+            return top, horizon
         horizon *= 2
 
 
@@ -411,27 +399,28 @@ def test_cftp_draw_independent_of_batching():
 
 def test_sample_batch_deterministic():
     lat = TorusLattice(2, 8, 1, 1)
-    sched = FieldSchedule(c=1.0, k_target=1, d=2)
+    params = FieldSchedule(c=1.0, k_target=1, d=2).params(lat.n, 0.2)
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=20, thinning_sweeps=1, seed=99)
-    one = sample_batch(lat, sched, 0.2, spec, count=100)
-    two = sample_batch(lat, sched, 0.2, spec, count=100)
+    one = sample_with_params(lat, params, spec, count=100)
+    two = sample_with_params(lat, params, spec, count=100)
     assert np.array_equal(one.spins, two.spins)
-    other = sample_batch(
-        lat, sched, 0.2,
+    other = sample_with_params(
+        lat, params,
         SamplerSpec(kind="heat_bath", burn_in_sweeps=20, thinning_sweeps=1, seed=100),
         count=100,
     )
     assert not np.array_equal(one.spins, other.spins)
 
 
-def test_sample_batch_applies_schedule():
+def test_sample_batch_rows_are_configs():
     lat = TorusLattice(2, 16, 1, 1)
-    sched = FieldSchedule(c=1.0, k_target=1, d=2)
+    params = FieldSchedule(c=1.0, k_target=1, d=2).params(lat.n, 0.1)
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=1, thinning_sweeps=1, seed=1)
-    batch = sample_batch(lat, sched, 0.1, spec, count=2)
+    batch = sample_with_params(lat, params, spec, count=2)
     assert batch.params.a == pytest.approx(0.5 * math.log(1 / 256))
     assert len(batch) == 2
     assert isinstance(batch[0], SpinConfig)
+    assert [cfg.spins.tolist() for cfg in batch] == batch.spins.tolist()
 
 
 @pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
@@ -443,21 +432,21 @@ def test_zero_thinning_rejected_for_mcmc(kind):
 
 def test_sample_batch_replica_layout():
     lat = TorusLattice(1, 6, 1, 1)
-    sched = FieldSchedule(c=1.0, k_target=1, d=1)
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=1, seed=3)
-    batch = sample_batch(lat, sched, 0.0, spec, count=10, replicas=3)
+    batch = sample_with_params(lat, ModelParams(-0.5, 0.0), spec, count=10, replicas=3)
     assert batch.replicas == 3
     assert batch.spins.shape == (10, 6)
 
 
 def test_cftp_sample_batch_kind():
+    # kind="cftp" batches are cftp_batch's draws
     lat = TorusLattice(1, 4, 1, 1)
-    sched = FieldSchedule(c=1.0, k_target=1, d=1)
+    params = FieldSchedule(c=1.0, k_target=1, d=1).params(lat.n, 0.3)
     spec = SamplerSpec(kind="cftp", seed=17)
-    batch = sample_batch(lat, sched, 0.3, spec, count=50)
+    batch = sample_with_params(lat, params, spec, count=50)
     assert batch.spins.shape == (50, 4)
-    again = sample_batch(lat, sched, 0.3, spec, count=50)
-    assert np.array_equal(batch.spins, again.spins)
+    assert batch.replicas == 50
+    assert np.array_equal(batch.spins, cftp_batch(lat, params, seed=17, count=50))
 
 
 def test_empirical_count_law_close_to_exact():
