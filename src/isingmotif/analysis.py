@@ -20,27 +20,12 @@ from .distributions import (  # noqa: F401  (re-exported surface)
     CountDistribution,
     PoissonTarget,
     factorial_moments,
+    poisson_limit,
     tv_distance,
 )
-from .errors import DegenerateFit, FerromagneticOnly, MotifScheduleMismatch, NonFiniteLimit
+from .errors import DegenerateFit, FerromagneticOnly, MotifScheduleMismatch
 from .exact import FieldSchedule
 from .motifs import LocalConfig
-
-
-def poisson_limit(c: float, b: float, motif: LocalConfig) -> float:
-    """The limit parameter c**k * exp(-2 b gamma), as exp(k log c - 2 b gamma).
-
-    Raises:
-        NonFiniteLimit: if the parameter is not a finite float.
-    """
-    log_lam = motif.k * math.log(c) - 2.0 * b * motif.perimeter
-    try:
-        lam = math.exp(log_lam)
-    except OverflowError:
-        lam = math.inf
-    if not math.isfinite(lam):
-        raise NonFiniteLimit(f"lambda = exp({log_lam!r}) is not a finite float")
-    return lam
 
 
 def poisson_target(schedule: FieldSchedule, b: float, motif: LocalConfig) -> PoissonTarget:

@@ -287,6 +287,14 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(
                 f"motif {path!r} has signature {motif.signature}, lattice is {signature}"
             )
+        if motif.k == 0 and config.a_override is None:
+            raise ValidationError(
+                f"[schedule] a: motif {path!r} has k = 0, so the schedule gives it no field"
+            )
+        if motif.k == 0 and "threshold_sweep" in config.targets:
+            raise ValidationError(
+                f"[analysis] targets: threshold_sweep needs k >= 1, but motif {path!r} has k = 0"
+            )
         needed = 2 * config.rho * (motif.radius + 1)
         for n in config.n_list:
             if n <= needed:
@@ -364,19 +372,13 @@ class _CellData:
         self.lattice = TorusLattice(config.d, n, config.rho, config.p)
         if config.a_override is not None:
             self.field = config.a_override
-        elif motif.k >= 1:
-            self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
         else:
-            self.field = None  # k = 0 motifs have no schedule; needs explicit a
+            self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
         self._source = None
         self._laws: dict[str, CountDistribution] = {}
 
     @property
     def params(self) -> ModelParams:
-        if self.field is None:
-            raise ValidationError(
-                "schedule-derived field needs a motif with k >= 1 (set an explicit a)"
-            )
         return ModelParams(self.field, self.b)
 
     def distribution(self, motif: LocalConfig, mode: str) -> CountDistribution:
@@ -390,7 +392,7 @@ class _CellData:
         return self._laws[key]
 
     def lambda_target(self) -> float | None:
-        if self.config.a_override is not None or self.motif.k < 1:
+        if self.config.a_override is not None:
             return None
         return analysis.poisson_limit(self.config.c, self.b, self.motif)
 
@@ -415,12 +417,9 @@ def _target_rows(cell: _CellData, target: str) -> list[dict]:
         rows.append(row)
     elif target == "tv":
         row = new_row()
-        lam = cell.lambda_target()
-        if lam is None:
-            raise ValidationError("tv target requires a schedule-derived field and k >= 1")
         dist = cell.distribution(cell.motif, config.mode)
         row["mean"], row["var"] = dist.mean, dist.variance
-        tv, budget = tv_distance(dist, PoissonTarget(lam), with_budget=True)
+        tv, budget = tv_distance(dist, PoissonTarget(row["lambda_target"]), with_budget=True)
         row["tv_exact_or_empirical"] = tv
         row["tv_error_budget"] = budget
         rows.append(row)

@@ -1,4 +1,4 @@
-"""Integer count distributions, Poisson targets, and total variation distance."""
+"""Integer count distributions, Poisson targets and limits, and total variation distance."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized
+from .errors import NonFiniteLimit, NotNormalized
+from .motifs import LocalConfig
 
 #: Poisson tails are truncated once this much cumulative mass is reached.
 POISSON_TAIL = 1e-12
@@ -138,6 +139,23 @@ class PoissonTarget:
             k += 1
             log_p += math.log(self.lam) - math.log(k)
         return np.array(masses), max(1.0 - cum, 0.0)
+
+
+def poisson_limit(c: float, b: float, motif: LocalConfig) -> float:
+    """The limit parameter c**k * exp(-2 b gamma) of a motif with k positives
+    and perimeter gamma, as exp(k log c - 2 b gamma).
+
+    Raises:
+        NonFiniteLimit: if the parameter is not a finite float.
+    """
+    log_lam = motif.k * math.log(c) - 2.0 * b * motif.perimeter
+    try:
+        lam = math.exp(log_lam)
+    except OverflowError:
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise NonFiniteLimit(f"lambda = exp({log_lam!r}) is not a finite float")
+    return lam
 
 
 def tv_distance(p: CountDistribution, q, with_budget: bool = False):

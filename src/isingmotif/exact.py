@@ -23,6 +23,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
+from .distributions import poisson_limit
 from .errors import (
     FamilyTooLarge,
     LatticeTooSmall,
@@ -509,6 +510,7 @@ def check_conditional_sandwich(
         NotClean: the motif has positives on its outer shell.
         MotifScheduleMismatch: k(motif) differs from the schedule's target.
         LatticeTooSmall: n <= 2 * rho * (r + 1).
+        NonFiniteLimit: the limit value c^k * exp(-2 b gamma) is not a finite float.
     """
     if motif.signature != lattice.signature:
         raise SignatureMismatch(
@@ -526,7 +528,7 @@ def check_conditional_sandwich(
             f"need n > {2 * lattice.rho * (motif.radius + 1)} for the closure, got {n}"
         )
     params = schedule.params(n, b)
-    lam = schedule.c**motif.k * math.exp(-2.0 * b * motif.perimeter)
+    lam = poisson_limit(schedule.c, b, motif)
 
     origin = (0,) * lattice.d
     table = _BallEnergyTable(lattice, origin, motif.radius, family_cap)

@@ -6,21 +6,23 @@ from any kernel (replica chains for heat-bath and Metropolis, exact draws for
 kind="cftp"), and ``cftp_batch`` returns a (count, sites) matrix of exact
 draws.
 
-Reproducibility contract: reruns with the same seed are bit-identical, and
-no two replicas or draws share randomness.  MCMC replica i reads the stream
-``numpy.random.default_rng([seed, i])`` (SeedSequence hashing of the seed
-together with the replica index).  Coupling-from-the-past uses a
-counter-based stream instead (Salmon, Moraes, Dror and Shaw, "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011): the uniform that drives draw i at
-time -t, site x of an S-site lattice is the pure function
+Reproducibility contract: every uniform any sampler reads is a pure function
+of (seed, chain, time, site), so reruns with the same seed are bit-identical,
+no two chains share randomness, and a chain does not depend on how chains are
+batched.  Chain i is MCMC replica i or CFTP draw i.  The stream is
+counter-based (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011): the uniform of chain i at time t, site x of an
+S-site lattice is
 
     key_i = mix(mix((seed + 1) * G) ^ mix((i + 1) * G))
     u     = (mix(key_i + (t * S + x) * G) >> 11) * 2**-53
 
 in uint64 arithmetic, where mix is the SplitMix64 finaliser (Steele, Lea and
-Flood, OOPSLA 2014) and G = 0x9E3779B97F4A7C15.  So a draw does not depend on
-how draws are batched, and each doubling round re-reads the randomness of the
-times it shares with the previous round.
+Flood, OOPSLA 2014) and G = 0x9E3779B97F4A7C15.  An MCMC replica starts with
+spin +1 at x iff its t = 0 uniform is below 1/2 and reads time t in sweep t.
+Coupling-from-the-past reads time t >= 1 for the sweep at time -t, so each
+doubling round re-reads the randomness of the times it shares with the
+previous round.
 
 Both kernels perform systematic scans in colour-class order.  The neighbor
 graph is coloured greedily once per lattice (two classes on even tori with
@@ -52,9 +54,6 @@ from .lattice import INFINITY, TorusLattice, normalize_norm_selector
 KINDS = ("heat_bath", "metropolis", "cftp")
 
 _U64 = (1 << 64) - 1
-
-#: Sweeps of uniforms drawn from each replica stream in one block.
-_BLOCK = 128
 
 #: Bytes of one time step's (draws, sites) float64 uniforms in ``cftp_batch``.
 _CFTP_CHUNK_BYTES = 1 << 20
@@ -175,7 +174,7 @@ def metropolis_flip_probability(cfg: SpinConfig, x, params: ModelParams) -> floa
     return float(min(1.0, np.exp(min(delta, 0.0))))
 
 
-# -- coupling from the past -------------------------------------------------------
+# -- the random stream --------------------------------------------------------------
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -198,11 +197,11 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def _cftp_keys(seed: int, draws: np.ndarray) -> np.ndarray:
-    """key_i = mix(mix((seed + 1) G) ^ mix((i + 1) G)) for each draw index i."""
+def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
+    """key_i = mix(mix((seed + 1) G) ^ mix((i + 1) G)) for each chain index i."""
     seed_key = np.array([(seed + 1) & _U64], dtype=np.uint64)
     seed_key *= _GAMMA
-    keys = np.asarray(draws, dtype=np.uint64) + np.uint64(1)
+    keys = np.asarray(chains, dtype=np.uint64) + np.uint64(1)
     keys *= _GAMMA
     tmp = np.empty_like(keys)
     _mix(keys, tmp)
@@ -210,12 +209,12 @@ def _cftp_keys(seed: int, draws: np.ndarray) -> np.ndarray:
     return _mix(keys, tmp)
 
 
-class _CftpStream:
-    """The counter-based uniforms of up to ``rows`` draws on ``sites`` sites.
+class _Stream:
+    """The counter-based uniforms of up to ``rows`` chains on ``sites`` sites.
 
-    ``uniforms(keys, t)`` returns the (len(keys), sites) uniforms that drive
-    time -t, computed in preallocated buffers; the result is overwritten by
-    the next call.
+    ``uniforms(keys, t)`` returns the (len(keys), sites) uniforms of time t,
+    computed in preallocated buffers; the result is overwritten by the next
+    call.
     """
 
     def __init__(self, sites: int, rows: int):
@@ -235,6 +234,9 @@ class _CftpStream:
         _mix(work, tmp)
         work >>= np.uint64(11)
         return np.multiply(work, 2.0**-53, out=out)
+
+
+# -- coupling from the past -------------------------------------------------------
 
 
 def cftp_batch(
@@ -268,11 +270,11 @@ def cftp_batch(
     sites = lattice.num_sites
     if draw_chunk is None:
         draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
-    stream = _CftpStream(sites, min(draw_chunk, count))
+    stream = _Stream(sites, min(draw_chunk, count))
     out = np.empty((count, sites), dtype=np.int8)
     for start in range(0, count, draw_chunk):
         active = np.arange(start, min(start + draw_chunk, count))
-        keys = _cftp_keys(seed, active)
+        keys = _chain_keys(seed, active)
         horizon = 1
         while active.size:
             if horizon > epoch_limit:
@@ -321,38 +323,22 @@ def _run_mcmc_batch(
     count: int,
     replicas: int,
 ) -> np.ndarray:
-    sites = lattice.num_sites
     sweep = _SWEEPS[spec.kind]
-    quotas = [count // replicas + (1 if i < count % replicas else 0) for i in range(replicas)]
-    quota_max = max(quotas)
-
-    rngs = [np.random.default_rng([spec.seed & _U64, i]) for i in range(replicas)]
-    spins = np.stack(
-        [(2 * rng.integers(0, 2, size=sites) - 1).astype(np.int8) for rng in rngs]
-    )
-    samples = np.empty((replicas, quota_max, sites), dtype=np.int8)
-
-    buffer = np.empty((replicas, _BLOCK, sites))
-    pos = _BLOCK
-    done_sweeps = 0
-    recorded = 0
-    while recorded < quota_max:
-        if done_sweeps < spec.burn_in_sweeps:
-            n_sweeps = spec.burn_in_sweeps - done_sweeps
-        else:
-            n_sweeps = spec.thinning_sweeps
-        for _ in range(n_sweeps):
-            if pos == _BLOCK:
-                for rng, rows in zip(rngs, buffer):
-                    rng.random(out=rows)  # the same values as rng.uniform(size=rows.shape)
-                pos = 0
-            sweep(spins, lattice, params.a, params.b, buffer[:, pos, :])
-            pos += 1
-            done_sweeps += 1
-        if done_sweeps >= spec.burn_in_sweeps:
-            samples[:, recorded, :] = spins
-            recorded += 1
-    return np.concatenate([samples[i, : quotas[i]] for i in range(replicas)], axis=0)
+    quota = -(-count // replicas)
+    # sample j is the state after sweep first + j * thinning
+    first = spec.burn_in_sweeps or spec.thinning_sweeps
+    keys = _chain_keys(spec.seed, np.arange(replicas))
+    stream = _Stream(lattice.num_sites, replicas)
+    spins = np.where(stream.uniforms(keys, 0) < 0.5, 1, -1).astype(np.int8)
+    samples = np.empty((replicas, quota, lattice.num_sites), dtype=np.int8)
+    for t in range(1, first + spec.thinning_sweeps * (quota - 1) + 1):
+        sweep(spins, lattice, params.a, params.b, stream.uniforms(keys, t))
+        j, offset = divmod(t - first, spec.thinning_sweeps)
+        if j >= 0 and offset == 0:
+            samples[:, j] = spins
+    # replica i keeps its first ceil((count - i) / replicas) samples, replica-major
+    keep = np.arange(quota) * replicas + np.arange(replicas)[:, None] < count
+    return samples[keep]
 
 
 def sample_with_params(
@@ -365,8 +351,8 @@ def sample_with_params(
     """Draw ``count`` configurations at explicitly given model parameters.
 
     For the approximate kernels the batch is produced by ``replicas``
-    (default min(count, 64)) independent chains with derived streams
-    (seed, replica), each started from its stream's random configuration;
+    (default min(count, 64)) independent chains, replica i reading chain i of
+    the module's stream and starting from its time-0 random configuration;
     every chain burns in, then records a sample every ``thinning_sweeps``.
     Rows are ordered replica-major, so a rerun with the same seed reproduces
     the batch bit for bit.  For kind="cftp" every row is an independent exact

@@ -36,10 +36,14 @@ kind = exact
 
 SINGLE_MOTIF = "1 0 1 1 1\n0\n"
 
+#: The all-negative radius-1 motif: k = 0, so the schedule gives it no field.
+NULL_MOTIF = "1 0 1 1 1\n"
+
 
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "single.motif").write_text(SINGLE_MOTIF)
+    (tmp_path / "null.motif").write_text(NULL_MOTIF)
     return tmp_path
 
 
@@ -217,10 +221,12 @@ def test_too_large_for_exact_rejected(workdir):
 
 
 def test_cell_isolation_failing_motif(workdir):
-    # the all-negative motif has no schedule-derived field: its cells must
-    # error while the other motif's cells still run
-    (workdir / "null.motif").write_text("1 0 1 1 1\n")
-    text = MINIMAL.replace("files = single.motif", "files = single.motif null.motif")
+    # at c = 1e40 the Poisson limit c^10 of a k = 10 motif overflows: its rows
+    # must be error rows while single_plus (limit 1e40) still runs
+    (workdir / "line10.motif").write_text("1 0 1 1 6\n" + "".join(f"{x}\n" for x in range(-5, 5)))
+    text = MINIMAL.replace("n_list = 6 8", "n_list = 16").replace("c = 1.0", "c = 1e40")
+    text = text.replace("files = single.motif", "files = single.motif line10.motif")
+    text = text.replace("b_list = 0.0", "b_list = 0.0 0.1")
     config = parse_config(text, base_dir=workdir)
     code = run(config, out_dir=workdir / "out")
     rows = read_rows(workdir / "out" / "results.csv")
@@ -228,7 +234,8 @@ def test_cell_isolation_failing_motif(workdir):
     fine = [r for r in rows if not r["error"]]
     assert code == 1
     assert len(errors) == 2 and len(fine) == 2
-    assert {r["k"] for r in errors} == {"0"}
+    assert {r["k"] for r in errors} == {"10"}
+    assert all(r["error"].startswith("NonFiniteLimit") for r in errors)
     assert {r["k"] for r in fine} == {"1"}
 
 
@@ -407,6 +414,10 @@ def test_golden_file_pinned_run(workdir):
     ("kind = exact", "kind = exact\nsite_cap = 0", "[engine] site_cap"),
     ("kind = exact", "kind = exact\nsite_cap = 7", "[engine] site_cap"),
     ("c = 1.0", "c = 1.0\na = -0.5\n[analysis]\ntargets = tv", "[analysis] targets"),
+    ("files = single.motif", "files = single.motif null.motif", "[schedule] a"),
+    ("files = single.motif\n\n[schedule]\nc = 1.0",
+     "files = null.motif\n\n[schedule]\nc = 1.0\na = -0.5\n[analysis]\ntargets = threshold_sweep",
+     "[analysis] targets"),
 ])
 def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
     # each of these used to validate, then ran no cell or only error rows

@@ -20,6 +20,7 @@ from isingmotif.errors import (
     LatticeTooSmall,
     MissingSpin,
     MotifScheduleMismatch,
+    NonFiniteLimit,
     NotClean,
     TooLargeForExact,
 )
@@ -272,6 +273,16 @@ def test_sandwich_rejections():
     with pytest.raises(LatticeTooSmall):
         check_conditional_sandwich(
             TorusLattice(1, 4, 1, 1), single_positive(1, D1), schedule, 0.0
+        )
+
+
+def test_sandwich_limit_overflow_is_typed():
+    # c^k = 1e400 is not a float: the same error as poisson_limit, not OverflowError
+    pair = LocalConfig(2, frozenset({(0,), (1,)}), D1)
+    assert pair.clean
+    with pytest.raises(NonFiniteLimit):
+        check_conditional_sandwich(
+            TorusLattice(1, 8, 1, 1), pair, FieldSchedule(c=1e200, k_target=2, d=1), 0.0
         )
 
 

@@ -26,9 +26,9 @@ from isingmotif.errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
-    _cftp_keys,
-    _CftpStream,
+    _chain_keys,
     _colour_classes,
+    _Stream,
     _sweep_heat_bath,
     _sweep_metropolis,
     heat_bath_plus_probability,
@@ -225,7 +225,7 @@ def test_stacked_sweep_equals_separate_sweeps(lat):
         assert np.array_equal(stack[0], top) and np.array_equal(stack[1], bot)
 
 
-# -- the counter-based CFTP stream ---------------------------------------------------
+# -- the counter-based stream -------------------------------------------------------
 
 _M64 = (1 << 64) - 1
 _G = 0x9E3779B97F4A7C15
@@ -239,25 +239,25 @@ def _splitmix64(z):
     return z ^ (z >> 31)
 
 
-def reference_uniform(seed, draw, t, x, sites):
-    """The documented stream in Python integers: the uniform of (draw, time -t, site x)."""
-    key = _splitmix64(_splitmix64((seed + 1) * _G & _M64) ^ _splitmix64((draw + 1) * _G & _M64))
+def reference_uniform(seed, chain, t, x, sites):
+    """The documented stream in Python integers: the uniform of (chain, time t, site x)."""
+    key = _splitmix64(_splitmix64((seed + 1) * _G & _M64) ^ _splitmix64((chain + 1) * _G & _M64))
     return (_splitmix64((key + (t * sites + x) * _G) & _M64) >> 11) * 2.0**-53
 
 
 def stream_block(seed, draws, times, sites):
     """(len(draws), len(times), sites) uniforms from the sampler's stream."""
     draws = np.asarray(draws)
-    stream = _CftpStream(sites, draws.size)
-    keys = _cftp_keys(seed, draws)
+    stream = _Stream(sites, draws.size)
+    keys = _chain_keys(seed, draws)
     return np.stack([stream.uniforms(keys, t).copy() for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
     for seed in (0, 7, -3, 2**64 - 1):
-        got = stream_block(seed, [0, 1, 4095, 2**40], [1, 2, 1000], 5)
+        got = stream_block(seed, [0, 1, 4095, 2**40], [0, 1, 2, 1000], 5)
         want = [[[reference_uniform(seed, i, t, x, 5) for x in range(5)]
-                 for t in (1, 2, 1000)] for i in (0, 1, 4095, 2**40)]
+                 for t in (0, 1, 2, 1000)] for i in (0, 1, 4095, 2**40)]
         assert np.array_equal(got, np.array(want))
 
 
@@ -268,8 +268,8 @@ def test_cftp_stream_independent_of_active_set():
         part = stream_block(seed, active, range(1, 9), sites)
         assert np.array_equal(part, full[active])
     # a larger buffer and a later start leave the values unchanged too
-    stream = _CftpStream(sites, 64)
-    keys = _cftp_keys(seed, np.arange(12))
+    stream = _Stream(sites, 64)
+    keys = _chain_keys(seed, np.arange(12))
     for t in (8, 3, 1):
         assert np.array_equal(stream.uniforms(keys[4:], t), full[4:, t - 1])
 
@@ -447,6 +447,66 @@ def test_cftp_sample_batch_kind():
     assert batch.spins.shape == (50, 4)
     assert batch.replicas == 50
     assert np.array_equal(batch.spins, cftp_batch(lat, params, seed=17, count=50))
+
+
+def reference_mcmc(lat, params, spec, count, replicas):
+    """An MCMC batch chain by chain and site by site with the scalar oracles,
+    from ``reference_uniform``: replica i starts at +1 where its time-0 uniform
+    is below 1/2, sweep t reads time t, and sample j is the state after sweep
+    B + j T (or (j + 1) T when B = 0)."""
+    sites = lat.num_sites
+    first = spec.burn_in_sweeps if spec.burn_in_sweeps > 0 else spec.thinning_sweeps
+    rows = []
+    for i in range(replicas):
+        quota = len(range(i, count, replicas))
+        uniforms = [
+            np.array([reference_uniform(spec.seed, i, t, x, sites) for x in range(sites)])
+            for t in range(first + spec.thinning_sweeps * (quota - 1) + 1)
+        ]
+        spins = np.where(uniforms[0] < 0.5, 1, -1).astype(np.int8)
+        for t, u in enumerate(uniforms[1:], start=1):
+            spins = _scalar_colour_scan(lat, spins, params, u, spec.kind)
+            if t >= first and (t - first) % spec.thinning_sweeps == 0:
+                rows.append(spins.copy())
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+@pytest.mark.parametrize("burn_in,thinning", [(3, 2), (0, 2)])
+@pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 3, 1, 1)])
+def test_mcmc_batch_equals_reference_stream(kind, burn_in, thinning, lat):
+    params = ModelParams(-0.3, -0.4)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=burn_in, thinning_sweeps=thinning, seed=41)
+    batch = sample_with_params(lat, params, spec, count=7, replicas=3)
+    assert np.array_equal(batch.spins, reference_mcmc(lat, params, spec, 7, 3))
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+def test_mcmc_replica_independent_of_replica_count(kind):
+    lat = TorusLattice(2, 4, 1, 1)
+    params = ModelParams(0.1, -0.2)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=4, thinning_sweeps=3, seed=5)
+    quota = 6
+    by_replicas = {
+        r: sample_with_params(lat, params, spec, count=r * quota, replicas=r).spins
+        for r in (1, 3, 8)
+    }
+    for r, spins in by_replicas.items():
+        for i in range(r):
+            rows = spins[i * quota:(i + 1) * quota]
+            assert np.array_equal(rows, by_replicas[8][i * quota:(i + 1) * quota]), (r, i)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
+def test_samplers_do_not_use_numpy_generators(kind, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("samplers read only the counter-based stream")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    lat = TorusLattice(1, 6, 1, 1)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=2, thinning_sweeps=1, seed=3)
+    batch = sample_with_params(lat, ModelParams(-0.2, 0.3), spec, count=5)
+    assert batch.spins.shape == (5, 6)
 
 
 def test_empirical_count_law_close_to_exact():
