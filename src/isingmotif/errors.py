@@ -38,7 +38,7 @@ class NotNormalized(IsingMotifError):
 
 
 class NonFiniteLimit(IsingMotifError):
-    """The Poisson limit parameter c**k * exp(-2 b gamma) is not a finite float."""
+    """The Poisson limit c**k * exp(-2 b gamma) is not a finite float, or is 0.0 as a divisor."""
 
 
 class DegenerateFit(IsingMotifError):

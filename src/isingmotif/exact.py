@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import poisson_limit
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     LatticeTooSmall,
     MissingSpin,
     MotifScheduleMismatch,
+    NonFiniteLimit,
     NotClean,
     SignatureMismatch,
     TooLargeForExact,
@@ -38,6 +38,10 @@ from .motifs import DEFAULT_FAMILY_CAP, LocalConfig
 
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
+
+# bytes of one (patterns, boundaries) float64 energy block of the sandwich check;
+# unblocked, a cap-sized ball and boundary would need hundreds of MB per temporary
+_SANDWICH_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,20 @@ def _spin_matrix(masks: np.ndarray, num_sites: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
+def _logsumexp(x: np.ndarray, weights=None, axis: int | None = None) -> np.ndarray:
+    """log(sum(weights * exp(x))) along ``axis``; zero-weight entries must be -inf.
+
+    Shifted by the maximum, whose terms are summed apart and added through log1p
+    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41(4), 2021), as in scipy.
+    """
+    top = np.max(x, axis=axis, keepdims=True)
+    at_top = x == top
+    w = 1.0 if weights is None else weights
+    m = np.sum(w * at_top, axis=axis, keepdims=True)
+    rest = np.sum(w * np.exp(np.where(at_top, -np.inf, x) - top), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
+
+
 class _Levels(NamedTuple):
     """One lattice's enumeration, shared by every (a, b) on it."""
 
@@ -233,7 +251,7 @@ class ExactMeasure:
         table = params.a * levels.field + params.b * levels.pair
         # empty levels are never looked up; -inf keeps exp from overflowing on them
         self._table = np.where(levels.count > 0, table, -np.inf)
-        self.log_z = float(logsumexp(self._table, b=levels.count))
+        self.log_z = float(_logsumexp(self._table, levels.count))
         self._probs: np.ndarray | None = None
 
     @property
@@ -383,69 +401,47 @@ def local_energy(
     return params.a * field + params.b * pair
 
 
-class _BallEnergyTable:
-    """Vectorized local energies of every motif on one ball against boundaries.
+class _BallTable(NamedTuple):
+    """Local energy terms of every pattern on the ball B(x, r) of a motif.
 
-    Row m of the table corresponds to the motif whose positive set is encoded
-    by bitmask m over the sorted ball members.
+    Row m is the pattern with +1 on members[i] iff bit i of m is set; ``target``
+    is the motif's row.  The energy of row m against boundary spins tau is
+    a * field[m] + b * (internal[m] + cross[m] @ tau).
     """
 
-    def __init__(self, lattice: TorusLattice, x: Vertex, radius: int, cap: int):
-        ball = lattice.ball(lattice.canon(x), radius)
-        if 1 << len(ball.members) > cap:
-            raise FamilyTooLarge(
-                f"ball has {len(ball.members)} sites, 2^{len(ball.members)} > cap {cap}"
-            )
-        self.lattice = lattice
-        self.ball = ball
-        self.boundary = lattice.boundary(ball)
-        members = list(ball.members)
-        index = {v: i for i, v in enumerate(members)}
-        b_index = {v: i for i, v in enumerate(self.boundary)}
+    target: int
+    members: tuple  # sorted ball vertices
+    boundary: tuple  # vertex boundary of the ball, in the order of cross's columns
+    field: np.ndarray  # (patterns,) sum of the ball spins
+    internal: np.ndarray  # (patterns,) pair sum over the edges inside the ball
+    cross: np.ndarray  # (patterns, |boundary|) float64 coefficient of each boundary spin
 
-        masks = np.arange(1 << len(members), dtype=np.uint64)
-        self.spin_rows = _spin_matrix(masks, len(members))  # (2^beta, beta)
+    def energies(self, taus: np.ndarray, params: ModelParams) -> np.ndarray:
+        """(patterns, columns) energies against the +/-1 boundary columns of ``taus``."""
+        pair = self.internal[:, None] + self.cross @ taus  # small integers: exact in float64
+        return params.a * self.field[:, None] + params.b * pair
 
-        internal = []
-        cross = np.zeros((len(members), len(self.boundary)), dtype=np.int64)
-        for y in members:
-            for z in lattice.neighbors(y):
-                if z in index:
-                    if y < z:
-                        internal.append((index[y], index[z]))
-                else:
-                    cross[index[y], b_index[z]] += 1
-        rows = self.spin_rows.astype(np.int64)
-        if internal:
-            ii = np.array([e[0] for e in internal], dtype=np.intp)
-            jj = np.array([e[1] for e in internal], dtype=np.intp)
-            self.internal_pair = (rows[:, ii] * rows[:, jj]).sum(axis=1)
-        else:
-            self.internal_pair = np.zeros(len(masks), dtype=np.int64)
-        self.field = rows.sum(axis=1)
-        self.cross = rows @ cross  # (2^beta, |boundary|)
 
-    def motif_row(self, motif: LocalConfig) -> int:
-        members = {v: i for i, v in enumerate(self.ball.members)}
-        row = 0
-        for off in motif.positives:
-            row |= 1 << members[self.lattice.add(self.ball.center, off)]
-        return row
-
-    def boundary_spins(self, boundary: Mapping[Vertex, int]) -> np.ndarray:
-        assignment = {self.lattice.canon(v): s for v, s in boundary.items()}
-        missing = [v for v in self.boundary if v not in assignment]
-        if missing:
-            raise MissingSpin(f"boundary spin missing on {missing}")
-        tau = np.array([assignment[v] for v in self.boundary], dtype=np.int64)
-        if not np.all(np.abs(tau) == 1):
-            raise ValueError("boundary spins must be +1 or -1")
-        return tau
-
-    def energies(self, tau: np.ndarray, params: ModelParams) -> np.ndarray:
-        """Local energy of every motif against boundary spins ``tau``."""
-        pair = self.internal_pair + self.cross @ tau
-        return params.a * self.field + params.b * pair
+def _ball_table(lattice: TorusLattice, x: Vertex, motif: LocalConfig, cap: int) -> _BallTable:
+    ball = lattice.ball(lattice.canon(x), motif.radius)
+    members = tuple(ball.members)
+    if 1 << len(members) > cap:
+        raise FamilyTooLarge(f"ball has {len(members)} sites, 2^{len(members)} > cap {cap}")
+    boundary = tuple(lattice.boundary(ball))
+    index = {v: i for i, v in enumerate(members)}
+    internal = []
+    cross = np.zeros((len(members), len(boundary)))
+    for y in members:
+        for z in lattice.neighbors(y):
+            if z not in index:
+                cross[index[y], boundary.index(z)] += 1
+            elif y < z:
+                internal.append((index[y], index[z]))
+    rows = _spin_matrix(np.arange(1 << len(members), dtype=np.uint64), len(members))
+    ii, jj = np.array(internal, dtype=np.intp).reshape(-1, 2).T
+    target = sum(1 << index[lattice.add(ball.center, off)] for off in motif.positives)
+    field, pair = rows.sum(axis=1), (rows[:, ii] * rows[:, jj]).sum(axis=1)
+    return _BallTable(target, members, boundary, field, pair, rows @ cross)
 
 
 def conditional_motif_probability(
@@ -470,11 +466,16 @@ def conditional_motif_probability(
         raise SignatureMismatch(
             f"motif signature {motif.signature} != lattice signature {lattice.signature}"
         )
-    table = _BallEnergyTable(lattice, x, motif.radius, family_cap)
-    tau = table.boundary_spins(boundary)
+    table = _ball_table(lattice, x, motif, family_cap)
+    assignment = {lattice.canon(v): s for v, s in boundary.items()}
+    missing = [v for v in table.boundary if v not in assignment]
+    if missing:
+        raise MissingSpin(f"boundary spin missing on {missing}")
+    tau = np.array([[assignment[v]] for v in table.boundary], dtype=np.int64)
+    if not np.all(np.abs(tau) == 1):
+        raise ValueError("boundary spins must be +1 or -1")
     energies = table.energies(tau, params)
-    target = table.motif_row(motif)
-    return float(np.exp(energies[target] - logsumexp(energies)))
+    return float(np.exp(energies[table.target, 0] - _logsumexp(energies, axis=0)[0]))
 
 
 @dataclass(frozen=True)
@@ -510,7 +511,8 @@ def check_conditional_sandwich(
         NotClean: the motif has positives on its outer shell.
         MotifScheduleMismatch: k(motif) differs from the schedule's target.
         LatticeTooSmall: n <= 2 * rho * (r + 1).
-        NonFiniteLimit: the limit value c^k * exp(-2 b gamma) is not a finite float.
+        NonFiniteLimit: the limit value c^k * exp(-2 b gamma) is not a finite
+            float, or underflows to 0.0 so that no ratio against it exists.
     """
     if motif.signature != lattice.signature:
         raise SignatureMismatch(
@@ -529,31 +531,28 @@ def check_conditional_sandwich(
         )
     params = schedule.params(n, b)
     lam = poisson_limit(schedule.c, b, motif)
+    if lam == 0.0:
+        raise NonFiniteLimit(f"lambda underflows to 0.0 at c={schedule.c!r}, b={b!r}")
 
-    origin = (0,) * lattice.d
-    table = _BallEnergyTable(lattice, origin, motif.radius, family_cap)
-    target = table.motif_row(motif)
+    table = _ball_table(lattice, (0,) * lattice.d, motif, family_cap)
     n_boundary = len(table.boundary)
     if 1 << n_boundary > family_cap:
         raise FamilyTooLarge(f"2^{n_boundary} boundary assignments exceed cap {family_cap}")
 
-    scale = float(lattice.num_sites)
-    worst_ratio = math.inf
-    max_excess = -math.inf
-    for bmask in range(1 << n_boundary):
-        tau = np.array(
-            [1 if (bmask >> i) & 1 else -1 for i in range(n_boundary)], dtype=np.int64
-        )
-        energies = table.energies(tau, params)
-        prob = float(np.exp(energies[target] - logsumexp(energies)))
-        scaled = scale * prob
-        worst_ratio = min(worst_ratio, scaled / lam)
-        max_excess = max(max_excess, scaled - lam)
+    # boundary assignment m puts +1 on boundary[i] iff bit i of m is set
+    step = max(1, _SANDWICH_BLOCK_BYTES // (8 * len(table.field)))
+    low, high = math.inf, -math.inf
+    for start in range(0, 1 << n_boundary, step):
+        masks = np.arange(start, min(start + step, 1 << n_boundary), dtype=np.uint64)
+        energies = table.energies(_spin_matrix(masks, n_boundary).T, params)
+        log_z = _logsumexp(energies, axis=0)
+        scaled = lattice.num_sites * np.exp(energies[table.target] - log_z)
+        low, high = min(low, float(scaled.min())), max(high, float(scaled.max()))
     return SandwichReport(
         n=n,
         lambda_target=lam,
-        worst_ratio=worst_ratio,
-        max_excess=max_excess,
+        worst_ratio=low / lam,
+        max_excess=high - lam,
         boundary_count=1 << n_boundary,
-        upper_bound_holds=max_excess <= tol,
+        upper_bound_holds=high - lam <= tol,
     )

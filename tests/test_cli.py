@@ -458,6 +458,38 @@ def test_missing_key_report_does_not_depend_on_hash_seed(workdir):
     assert reports == {"ParseError: missing required key 'd' in section [lattice]\n"}
 
 
+NO_SCIPY_SCRIPT = """\
+import sys
+import isingmotif
+import isingmotif.cli
+for name in ("exact.ini", "cftp.ini"):
+    assert isingmotif.cli.main(["run", name, "--out", name + ".out"]) == 0
+leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy modules loaded: {leaked}" if leaked else 0)
+"""
+
+
+def test_runtime_loads_no_scipy(workdir):
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    (workdir / "exact.ini").write_text(
+        MINIMAL + "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
+    )
+    (workdir / "cftp.ini").write_text(
+        MINIMAL.replace("kind = exact", "kind = cftp\nsamples = 50")
+        + "\n[analysis]\ntargets = expectation tv moments\n"
+    )
+    src = str(Path(isingmotif.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_rows(workdir / "exact.ini.out" / "results.csv")
+    assert read_rows(workdir / "cftp.ini.out" / "results.csv")
+
+
 CONFIGS = Path(__file__).parents[1] / "configs"
 
 

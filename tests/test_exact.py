@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from isingmotif import (
     FieldSchedule,
@@ -12,6 +13,7 @@ from isingmotif import (
     build_exact,
     check_conditional_sandwich,
     conditional_motif_probability,
+    exact,
     hamiltonian,
     local_energy,
     threshold_field,
@@ -24,7 +26,7 @@ from isingmotif.errors import (
     NotClean,
     TooLargeForExact,
 )
-from isingmotif.exact import _BallEnergyTable
+from isingmotif.exact import _ball_table, _logsumexp
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import (
     LocalConfig,
@@ -286,6 +288,71 @@ def test_sandwich_limit_overflow_is_typed():
         )
 
 
+def test_sandwich_limit_underflow_is_typed():
+    # c^k = 1e-400 underflows to 0.0: no ratio against it, and no ZeroDivisionError
+    pair = LocalConfig(2, frozenset({(0,), (1,)}), D1)
+    with pytest.raises(NonFiniteLimit):
+        check_conditional_sandwich(
+            TorusLattice(1, 8, 1, 1), pair, FieldSchedule(c=1e-200, k_target=2, d=1), 0.0
+        )
+
+
+SANDWICH_CASES = [
+    (TorusLattice(1, 8, 1, 1), LocalConfig(2, frozenset({(0,), (1,)}), D1)),
+    (TorusLattice(2, 7, 1, 1), bundled_motif("single_plus_d2.motif")),
+]
+
+
+@pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("lat,motif", SANDWICH_CASES)
+def test_sandwich_equals_per_boundary_oracle(lat, motif, b):
+    schedule = FieldSchedule(c=1.3, k_target=motif.k, d=lat.d)
+    report = check_conditional_sandwich(lat, motif, schedule, b)
+    origin = (0,) * lat.d
+    boundary = lat.boundary(lat.ball(origin, motif.radius))
+    params = schedule.params(lat.n, b)
+    scaled = [
+        lat.num_sites * conditional_motif_probability(
+            lat, origin, motif, dict(zip(boundary, spins)), params
+        )
+        for spins in itertools.product((-1, 1), repeat=len(boundary))
+    ]
+    lam = report.lambda_target
+    assert report.boundary_count == len(scaled) == 2 ** len(boundary)
+    assert report.worst_ratio == pytest.approx(min(scaled) / lam, rel=1e-12)
+    assert report.max_excess == pytest.approx(max(scaled) - lam, rel=1e-12, abs=1e-12 * lam)
+    assert report.upper_bound_holds
+
+
+def test_sandwich_blocks_equal_one_block(monkeypatch):
+    lat, motif = SANDWICH_CASES[1]
+    schedule = FieldSchedule(c=1.3, k_target=1, d=2)
+    whole = check_conditional_sandwich(lat, motif, schedule, -0.5)
+    # 3 of the 256 boundaries per block: 86 blocks, the last one short
+    monkeypatch.setattr(exact, "_SANDWICH_BLOCK_BYTES", 8 * 32 * 3)
+    assert check_conditional_sandwich(lat, motif, schedule, -0.5) == whole
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(11)
+    x = rng.normal(scale=30.0, size=200)
+    np.testing.assert_allclose(_logsumexp(x), logsumexp(x), rtol=1e-15, atol=0)
+    # zero weights sit on -inf entries, as in ExactMeasure's level table
+    weights = rng.integers(0, 5, size=200)
+    masked = np.where(weights > 0, x, -np.inf)
+    np.testing.assert_allclose(
+        _logsumexp(masked, weights), logsumexp(masked, b=weights), rtol=1e-15, atol=0
+    )
+    grid = rng.normal(scale=5.0, size=(32, 7))
+    grid[3, 2] = grid[:, 2].max()  # a tied maximum in one column
+    np.testing.assert_allclose(
+        _logsumexp(grid, axis=0), logsumexp(grid, axis=0), rtol=1e-15, atol=0
+    )
+    # one dominant term: the rest underflows to 0 after the shift, or barely counts
+    for dominant in (np.array([900.0, 0.0, -5.0]), np.array([0.0, -40.0, -45.0])):
+        assert _logsumexp(dominant) == pytest.approx(logsumexp(dominant), rel=1e-15, abs=0)
+
+
 def test_schedule_field_values():
     sched = FieldSchedule(c=1.0, k_target=1, d=2)
     assert sched.field(16) == pytest.approx(0.5 * math.log(1 / 256))
@@ -328,17 +395,19 @@ def test_fkg_small_exhaustive():
         assert measure.expectation(f * g) >= measure.expectation(f) * measure.expectation(g) - 1e-12
 
 
-def test_ball_energy_table_matches_local_energy():
+def test_ball_table_matches_local_energy():
     lat = TorusLattice(2, 7, rho=1, p=1)
     params = ModelParams(-0.5, 0.3)
-    table = _BallEnergyTable(lat, (1, 1), 1, cap=1 << 20)
+    table = _ball_table(lat, (1, 1), single_positive(1, lat.signature), cap=1 << 20)
+    assert table.target == 1 << table.members.index((1, 1))
     rng = np.random.default_rng(3)
-    tau_dict = {v: int(s) for v, s in zip(table.boundary, rng.choice((-1, 1), size=8))}
-    energies = table.energies(table.boundary_spins(tau_dict), params)
-    for row in (0, 3, 17, 31):
-        spins = dict(tau_dict)
-        for i, v in enumerate(table.ball.members):
-            spins[v] = 1 if (row >> i) & 1 else -1
-        assert energies[row] == pytest.approx(
-            local_energy(lat, (1, 1), 1, spins, params), abs=1e-10
-        )
+    taus = rng.choice((-1, 1), size=(len(table.boundary), 3))
+    energies = table.energies(taus, params)  # one column per boundary assignment
+    for column in range(taus.shape[1]):
+        for row in (0, 3, 17, 31, table.target):
+            spins = dict(zip(table.boundary, taus[:, column].tolist()))
+            for i, v in enumerate(table.members):
+                spins[v] = 1 if (row >> i) & 1 else -1
+            assert energies[row, column] == pytest.approx(
+                local_energy(lat, (1, 1), 1, spins, params), abs=1e-10
+            )
