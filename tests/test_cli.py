@@ -373,19 +373,27 @@ def test_unreadable_config_is_a_parse_error(workdir, capsys, command):
         assert cause in captured.err and captured.err.count("\n") == 1
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden_results.csv"
+DATA = Path(__file__).parent / "data"
 
 
-def test_golden_file_pinned_run(workdir):
+@pytest.mark.parametrize("golden, kind, targets", [
+    ("golden_results.csv", "exact", "expectation tv stein_chen"),
+    ("golden_all_targets.csv", "exact",
+     "expectation tv moments stein_chen ring_check threshold_sweep"),
+    # coupling from the past keeps its bits fixed, so its rows are pinned too
+    ("golden_cftp.csv", "cftp", "expectation tv moments threshold_sweep"),
+])
+def test_golden_file_pinned_run(workdir, golden, kind, targets):
     # schema and values of a tiny pinned run; float cells compared with a
     # 1e-12 relative tolerance so the file survives libm differences
     text = MINIMAL.replace("b_list = 0.0", "b_list = 0.0 0.25")
-    text += "\n[analysis]\ntargets = expectation tv stein_chen\n[run]\nseed = 12345\n"
+    text = text.replace("kind = exact", f"kind = {kind}")
+    text += f"\n[analysis]\ntargets = {targets}\n[run]\nseed = 12345\n"
     config = parse_config(text, base_dir=workdir)
     assert run(config, out_dir=workdir / "out") == 0
 
     got_lines = (workdir / "out" / "results.csv").read_text().splitlines()
-    want_lines = GOLDEN.read_text().splitlines()
+    want_lines = (DATA / golden).read_text().splitlines()
     assert got_lines[0] == want_lines[0] == "# isingmotif-results schema=1"
     assert got_lines[1] == want_lines[1]  # column header
     assert len(got_lines) == len(want_lines)
