@@ -35,7 +35,6 @@ from .distributions import CountDistribution, PoissonTarget, tv_distance
 from .errors import ConfigError, MotifFileError, ParseError, ValidationError
 from .exact import (
     DEFAULT_SITE_CAP,
-    ExactMeasure,
     FieldSchedule,
     ModelParams,
     build_exact,
@@ -48,7 +47,6 @@ from .sampler import SamplerSpec, sample_with_params
 SCHEMA_VERSION = 1
 
 ENGINE_KINDS = ("exact", "heat_bath", "metropolis", "cftp")
-TARGETS = ("expectation", "tv", "moments", "stein_chen", "ring_check", "threshold_sweep")
 MODES = counting.MODES
 
 COLUMNS = (
@@ -255,9 +253,9 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError("n_list must be strictly increasing")
     if config.engine not in ENGINE_KINDS:
         raise ValidationError(f"engine kind must be one of {ENGINE_KINDS}, got {config.engine!r}")
-    for target in config.targets:
-        if target not in TARGETS:
-            raise ValidationError(f"unknown analysis target {target!r} (known: {TARGETS})")
+    for name in config.targets:
+        if name not in _TARGETS:
+            raise ValidationError(f"unknown analysis target {name!r} (known: {TARGETS})")
     if config.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
     if config.engine in ("heat_bath", "metropolis") and config.thinning_sweeps < 1:
@@ -272,15 +270,20 @@ def _validate(config: RunConfig) -> None:
             f"[engine] site_cap: the exact engine enumerates at most {cap} sites, "
             f"but n_list contains {largest} ({largest**config.d} sites)"
         )
-    for target in ("stein_chen", "ring_check"):
-        if target in config.targets and config.engine != "exact":
+    chosen = [(name, target) for name, target in _TARGETS.items() if name in config.targets]
+    for name, target in chosen:
+        if config.engine not in target.engines:
             raise ValidationError(
-                f"[analysis] targets: {target} requires the exact engine, got {config.engine}"
+                f"[analysis] targets: {name} requires the {' or '.join(target.engines)} engine, "
+                f"got {config.engine}"
             )
-    if "tv" in config.targets and config.a_override is not None:
-        raise ValidationError(
-            "[analysis] targets: tv needs the scheduled Poisson limit, which [schedule] a overrides"
-        )
+    for name, target in chosen:
+        if target.needs_schedule and config.a_override is not None:
+            raise ValidationError(
+                f"[analysis] targets: {name} needs the scheduled Poisson limit, "
+                "which [schedule] a overrides"
+            )
+    needing_k = [name for name, target in chosen if target.needs_k]
     signature = (config.d, config.rho, config.p)
     for path, motif, hint in zip(config.motif_paths, config.motifs, config.n_hints):
         if motif.signature != signature:
@@ -291,9 +294,9 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(
                 f"[schedule] a: motif {path!r} has k = 0, so the schedule gives it no field"
             )
-        if motif.k == 0 and "threshold_sweep" in config.targets:
+        if motif.k == 0 and needing_k:
             raise ValidationError(
-                f"[analysis] targets: threshold_sweep needs k >= 1, but motif {path!r} has k = 0"
+                f"[analysis] targets: {needing_k[0]} needs k >= 1, but motif {path!r} has k = 0"
             )
         needed = 2 * config.rho * (motif.radius + 1)
         for n in config.n_list:
@@ -306,6 +309,13 @@ def _validate(config: RunConfig) -> None:
                 raise ValidationError(
                     f"motif {path!r} carries n_hint={hint} but n_list contains {n}"
                 )
+    for name, target in chosen:
+        if config.mode not in target.modes:
+            raise ValidationError(
+                f"[analysis] mode: {name} needs {' or '.join(target.modes)}, got {config.mode}"
+            )
+    if config.engine == "cftp" and min(config.b_list) < 0:
+        raise ValidationError(f"[model] b_list: cftp needs b >= 0, got {min(config.b_list)!r}")
 
 
 # -- row computation ---------------------------------------------------------------
@@ -320,7 +330,8 @@ def _derived_seed(config: RunConfig, n: int, motif: LocalConfig, b: float) -> in
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name: str) -> dict:
+def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name: str,
+              **values) -> dict:
     p_txt = "inf" if config.p == INFINITY else config.p
     return {
         "run_id": f"{run_name}/{motif.motif_hash[:6]}/n{n}/b{b!r}",
@@ -333,129 +344,128 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name:
         "gamma": motif.perimeter,
         "c": config.c,
         "b": b,
+        "a": config.a_override,
         "mode": config.mode,
         "sample_size": 0 if config.engine == "exact" else config.samples,
         "seed": config.seed,
         "error": "",
+        **values,
     }
 
 
-def _source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
-    """What count laws are read from: the exact measure, or a batch of samples."""
+def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
+    """``(motif, mode) -> CountDistribution`` at ``params``, read from one measure or batch."""
     if config.engine == "exact":
-        return build_exact(lattice, params, site_cap=config.site_cap)
+        measure = build_exact(lattice, params, site_cap=config.site_cap)
+        return lambda motif, mode: counting.count_distribution_exact(measure, motif, mode)
     spec = SamplerSpec(
         kind=config.engine,
         burn_in_sweeps=config.burn_in_sweeps,
         thinning_sweeps=config.thinning_sweeps,
         seed=seed,
     )
-    return sample_with_params(lattice, params, spec, config.samples, replicas=config.replicas)
+    batch = sample_with_params(lattice, params, spec, config.samples, replicas=config.replicas)
+    return lambda motif, mode: CountDistribution.from_samples(
+        counting.count_samples(lattice, batch.spins, motif, mode)
+    )
 
 
-def _count_law(source, motif: LocalConfig, mode: str) -> CountDistribution:
-    """The motif's count law under a ``_source``: exact, or empirical."""
-    if isinstance(source, ExactMeasure):
-        return counting.count_distribution_exact(source, motif, mode)
-    counts = counting.count_samples(source.lattice, source.spins, motif, mode)
-    return CountDistribution.from_samples(counts)
-
-
-class _CellData:
-    """Lazily computed shared state for one (n, motif, b) grid cell."""
+class _Cell:
+    """One (n, motif, b) grid cell: what its targets share, and its laws on demand."""
 
     def __init__(self, config: RunConfig, n: int, motif: LocalConfig, b: float):
-        self.config = config
-        self.n = n
-        self.motif = motif
-        self.b = b
+        self.config, self.n, self.motif, self.b = config, n, motif, b
         self.lattice = TorusLattice(config.d, n, config.rho, config.p)
         if config.a_override is not None:
-            self.field = config.a_override
+            self.field, self.limit = config.a_override, None
         else:
             self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
-        self._source = None
-        self._laws: dict[str, CountDistribution] = {}
+            self.limit = analysis.poisson_limit(config.c, b, motif)
+        self.seed = _derived_seed(config, n, motif, b)
+        self.source = None
+        self._laws: dict[tuple[str, str], CountDistribution] = {}
 
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(self.field, self.b)
+    def row(self, run_name: str, **values) -> dict:
+        return _base_row(self.config, self.n, self.motif, self.b, run_name,
+                         a=self.field, lambda_target=self.limit, **values)
 
-    def distribution(self, motif: LocalConfig, mode: str) -> CountDistribution:
-        """The cell's count law of (motif, mode), computed once."""
-        key = f"{motif.motif_hash}:{mode}"
+    def law(self, motif: LocalConfig, mode: str | None = None) -> CountDistribution:
+        """The law of ``motif`` in ``mode`` (default: the run's), computed once."""
+        mode = mode or self.config.mode
+        key = (motif.motif_hash, mode)
         if key not in self._laws:
-            if self._source is None:
-                seed = _derived_seed(self.config, self.n, self.motif, self.b)
-                self._source = _source(self.config, self.lattice, self.params, seed)
-            self._laws[key] = _count_law(self._source, motif, mode)
+            if self.source is None:
+                params = ModelParams(self.field, self.b)
+                self.source = _law_source(self.config, self.lattice, params, self.seed)
+            self._laws[key] = self.source(motif, mode)
         return self._laws[key]
 
-    def lambda_target(self) -> float | None:
-        if self.config.a_override is not None:
-            return None
-        return analysis.poisson_limit(self.config.c, self.b, self.motif)
+
+def _expectation(cell: _Cell, name: str) -> list[dict]:
+    law = cell.law(cell.motif)
+    return [cell.row(name, mean=law.mean, var=law.variance)]
 
 
-def _target_rows(cell: _CellData, target: str) -> list[dict]:
-    config = cell.config
-    rows = []
+def _moments(cell: _Cell, name: str) -> list[dict]:
+    law = cell.law(cell.motif)
+    return [cell.row(name, mean=law.mean, var=law.variance,
+                     M2=law.factorial_moment(2), M3=law.factorial_moment(3))]
 
-    def new_row(run_suffix: str = "") -> dict:
-        row = _base_row(config, cell.n, cell.motif, cell.b, target + run_suffix)
-        row["a"] = cell.field
-        row["lambda_target"] = cell.lambda_target()
-        return row
 
-    if target in ("expectation", "moments"):
-        row = new_row()
-        dist = cell.distribution(cell.motif, config.mode)
-        row["mean"], row["var"] = dist.mean, dist.variance
-        if target == "moments":
-            row["M2"] = dist.factorial_moment(2)
-            row["M3"] = dist.factorial_moment(3)
-        rows.append(row)
-    elif target == "tv":
-        row = new_row()
-        dist = cell.distribution(cell.motif, config.mode)
-        row["mean"], row["var"] = dist.mean, dist.variance
-        tv, budget = tv_distance(dist, PoissonTarget(row["lambda_target"]), with_budget=True)
-        row["tv_exact_or_empirical"] = tv
-        row["tv_error_budget"] = budget
-        rows.append(row)
-    elif target == "stein_chen":
-        row = new_row()
-        row["mode"] = counting.SUPERSET_MATCH
-        dist = cell.distribution(cell.motif, counting.SUPERSET_MATCH)
-        row["mean"], row["var"] = dist.mean, dist.variance
-        row["stein_chen_bound"] = analysis.stein_chen_bound(dist, cell.lattice.num_sites, cell.b)
-        rows.append(row)
-    elif target == "ring_check":
-        row = new_row()
-        report = analysis.ring_equivalence_check(
-            cell.distribution(cell.motif, config.mode),
-            cell.distribution(cell.motif.ring(), config.mode),
-        )
-        row["mean"] = report.mean_difference
-        row["tv_exact_or_empirical"] = report.tv
-        row["tv_error_budget"] = 0.0
-        rows.append(row)
-    elif target == "threshold_sweep":
-        for suffix, super_side in (("/sub", False), ("/super", True)):
-            row = new_row(suffix)
-            row["lambda_target"] = None
-            field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
-            row["a"] = field
-            salt = 0xD1F if super_side else 0x5AB
-            seed = _derived_seed(config, cell.n, cell.motif, cell.b) ^ salt
-            source = _source(config, cell.lattice, ModelParams(field, cell.b), seed)
-            dist = _count_law(source, cell.motif, config.mode)
-            del source  # a side's measure or batch is not kept past its law
-            row["mean"], row["var"] = dist.mean, dist.variance
-            rows.append(row)
-    else:  # pragma: no cover - guarded by validation
-        raise ValidationError(f"unknown target {target!r}")
+def _tv(cell: _Cell, name: str) -> list[dict]:
+    law = cell.law(cell.motif)
+    tv, budget = tv_distance(law, PoissonTarget(cell.limit), with_budget=True)
+    return [cell.row(name, mean=law.mean, var=law.variance,
+                     tv_exact_or_empirical=tv, tv_error_budget=budget)]
+
+
+def _stein_chen(cell: _Cell, name: str) -> list[dict]:
+    law = cell.law(cell.motif, counting.SUPERSET_MATCH)
+    bound = analysis.stein_chen_bound(law, cell.lattice.num_sites, cell.b)
+    return [cell.row(name, mode=counting.SUPERSET_MATCH, mean=law.mean, var=law.variance,
+                     stein_chen_bound=bound)]
+
+
+def _ring_check(cell: _Cell, name: str) -> list[dict]:
+    report = analysis.ring_equivalence_check(cell.law(cell.motif), cell.law(cell.motif.ring()))
+    return [cell.row(name, mean=report.mean_difference, tv_exact_or_empirical=report.tv,
+                     tv_error_budget=0.0)]
+
+
+def _threshold_sweep(cell: _Cell, name: str) -> list[dict]:
+    config, rows = cell.config, []
+    for suffix, super_side, salt in (("/sub", False, 0x5AB), ("/super", True, 0xD1F)):
+        field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
+        params = ModelParams(field, cell.b)
+        # the side's measure or batch goes as soon as its law is read
+        law = _law_source(config, cell.lattice, params, cell.seed ^ salt)(cell.motif, config.mode)
+        rows.append(_base_row(config, cell.n, cell.motif, cell.b, name + suffix, a=field,
+                              mean=law.mean, var=law.variance))
     return rows
+
+
+class _Target(NamedTuple):
+    """One analysis target: its rows, and what the grid must give it."""
+
+    rows: Callable[[_Cell, str], list[dict]]
+    engines: tuple[str, ...] = ENGINE_KINDS
+    needs_schedule: bool = False  # reads the scheduled limit, which [schedule] a overrides
+    needs_k: bool = False  # moves the field through k, so every motif needs k >= 1
+    modes: tuple[str, ...] = MODES
+    cell_laws: bool = True  # reads laws at the cell's own field
+
+
+#: Every analysis target, in canonical order.
+_TARGETS = {
+    "expectation": _Target(_expectation),
+    "tv": _Target(_tv, needs_schedule=True),
+    "moments": _Target(_moments),
+    "stein_chen": _Target(_stein_chen, engines=("exact",)),
+    # the ring adds only negative sites, which superset matching ignores
+    "ring_check": _Target(_ring_check, engines=("exact",), modes=(counting.EXACT_MATCH,)),
+    "threshold_sweep": _Target(_threshold_sweep, needs_k=True, cell_laws=False),
+}
+TARGETS = tuple(_TARGETS)
 
 
 def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[dict]:
@@ -464,33 +474,22 @@ def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[d
     Any exception, arithmetic ones such as OverflowError included, is caught:
     one failing target never stops the rest of the grid.
     """
-    rows = []
-    try:
-        cell = _CellData(config, n, motif, b)
-        cell_error = None
-    except Exception as exc:
-        cell, cell_error = None, exc
-    for target in config.targets:
+    rows, cell = [], None
+    for i, name in enumerate(config.targets):
         start = time.perf_counter()
-        if cell_error is not None:
-            err_rows = [_error_row(config, n, motif, b, target, cell_error)]
-        else:
-            try:
-                err_rows = _target_rows(cell, target)
-            except Exception as exc:
-                err_rows = [_error_row(config, n, motif, b, target, exc)]
+        try:
+            cell = cell or _Cell(config, n, motif, b)
+            if not any(_TARGETS[later].cell_laws for later in config.targets[i:]):
+                cell.source = None  # no target left reads it: free the measure or batch
+            target_rows = _TARGETS[name].rows(cell, name)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            target_rows = [_base_row(config, n, motif, b, name, error=error)]
         elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
-        for row in err_rows:
+        for row in target_rows:
             row["wall_time_ms"] = elapsed_ms
-        rows.extend(err_rows)
+        rows.extend(target_rows)
     return rows
-
-
-def _error_row(config, n, motif, b, target, exc) -> dict:
-    row = _base_row(config, n, motif, b, target)
-    row["a"] = config.a_override
-    row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
 
 
 def _format_cell_value(value) -> str:

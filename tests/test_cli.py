@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import isingmotif
-from isingmotif import counting, exact, sampler
+from isingmotif import cli, counting, exact, sampler
 from isingmotif.cli import _KEYS, ENGINE_KINDS, TARGETS, main, parse_config, run
 from isingmotif.errors import ConfigError, ParseError, ValidationError
 from isingmotif.exact import _energy_levels
@@ -195,6 +196,27 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
     cells = 2 * 2
     assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
+
+
+@pytest.mark.parametrize("targets", ["threshold_sweep", "expectation ring_check threshold_sweep"])
+def test_one_measure_alive_at_a_time(workdir, monkeypatch, targets):
+    # each threshold_sweep side enumerates the measure at its own field, and the
+    # cell's measure goes once no target left reads its laws
+    fields, built = [], []
+
+    def tracked(lattice, params, **kwargs):
+        assert not any(ref() for ref in built), "a measure outlived its laws"
+        measure = exact.build_exact(lattice, params, **kwargs)
+        fields.append(params.a)
+        built.append(weakref.ref(measure))
+        return measure
+
+    monkeypatch.setattr(cli, "build_exact", tracked)
+    text = MINIMAL + f"\n[analysis]\ntargets = {targets}\n"
+    assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
+    # one measure per field the rows report, in row order: none built twice or for nothing
+    rows = read_rows(workdir / "out" / "results.csv")
+    assert fields == list(dict.fromkeys(float(row["a"]) for row in rows))
 
 
 def test_stein_chen_underflowed_mean_run(workdir):
@@ -426,6 +448,11 @@ def test_golden_file_pinned_run(workdir, golden, kind, targets):
     ("files = single.motif\n\n[schedule]\nc = 1.0",
      "files = null.motif\n\n[schedule]\nc = 1.0\na = -0.5\n[analysis]\ntargets = threshold_sweep",
      "[analysis] targets"),
+    ("b_list = 0.0\n\n[engine]\nkind = exact", "b_list = -0.3 0.25\n\n[engine]\nkind = cftp",
+     "[model] b_list"),
+    # the ring adds only negative sites, so under superset matching both counts agree
+    ("kind = exact", "kind = exact\n[analysis]\ntargets = ring_check\nmode = superset_match",
+     "[analysis] mode"),
 ])
 def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
     # each of these used to validate, then ran no cell or only error rows
@@ -544,3 +571,13 @@ def test_readme_config_block_names_every_key():
         elif match := re.match(r"(?:# )?(\w+) = ", line):
             named.add((section, match[1]))
     assert named == {(spec.section, spec.key) for spec in _KEYS}
+
+
+def test_readme_names_every_target():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    [line] = [line for line in block.splitlines() if line.startswith("targets = ")]
+    listed = line.removeprefix("targets = ").replace("# also:", "").split()
+    assert sorted(listed) == sorted(TARGETS)
+    conventions = readme.split("Per-target conventions:", 1)[1].split("\n\n", 1)[0]
+    assert {name for name in TARGETS if f"`{name}`" in conventions} == set(TARGETS)
