@@ -402,8 +402,10 @@ DATA = Path(__file__).parent / "data"
     ("golden_results.csv", "exact", "expectation tv stein_chen"),
     ("golden_all_targets.csv", "exact",
      "expectation tv moments stein_chen ring_check threshold_sweep"),
-    # coupling from the past keeps its bits fixed, so its rows are pinned too
+    # every sampler keeps its bits fixed, so its rows are pinned too
     ("golden_cftp.csv", "cftp", "expectation tv moments threshold_sweep"),
+    ("golden_heat_bath.csv", "heat_bath", "expectation tv moments threshold_sweep"),
+    ("golden_metropolis.csv", "metropolis", "expectation tv moments threshold_sweep"),
 ])
 def test_golden_file_pinned_run(workdir, golden, kind, targets):
     # schema and values of a tiny pinned run; float cells compared with a
