@@ -256,6 +256,8 @@ def _validate(config: RunConfig) -> None:
     for name in config.targets:
         if name not in _TARGETS:
             raise ValidationError(f"unknown analysis target {name!r} (known: {TARGETS})")
+        if config.targets.count(name) > 1:
+            raise ValidationError(f"[analysis] targets: {name} is named more than once")
     if config.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
     if config.engine in ("heat_bath", "metropolis") and config.thinning_sweeps < 1:
@@ -316,6 +318,11 @@ def _validate(config: RunConfig) -> None:
             )
     if config.engine == "cftp" and min(config.b_list) < 0:
         raise ValidationError(f"[model] b_list: cftp needs b >= 0, got {min(config.b_list)!r}")
+    for name, target in chosen:
+        if target.ferromagnetic and min(config.b_list) < 0:
+            raise ValidationError(
+                f"[model] b_list: {name} needs b >= 0, got {min(config.b_list)!r}"
+            )
 
 
 # -- row computation ---------------------------------------------------------------
@@ -453,6 +460,7 @@ class _Target(NamedTuple):
     needs_k: bool = False  # moves the field through k, so every motif needs k >= 1
     modes: tuple[str, ...] = MODES
     cell_laws: bool = True  # reads laws at the cell's own field
+    ferromagnetic: bool = False  # defined for b >= 0 only
 
 
 #: Every analysis target, in canonical order.
@@ -460,7 +468,7 @@ _TARGETS = {
     "expectation": _Target(_expectation),
     "tv": _Target(_tv, needs_schedule=True),
     "moments": _Target(_moments),
-    "stein_chen": _Target(_stein_chen, engines=("exact",)),
+    "stein_chen": _Target(_stein_chen, engines=("exact",), ferromagnetic=True),
     # the ring adds only negative sites, which superset matching ignores
     "ring_check": _Target(_ring_check, engines=("exact",), modes=(counting.EXACT_MATCH,)),
     "threshold_sweep": _Target(_threshold_sweep, needs_k=True, cell_laws=False),

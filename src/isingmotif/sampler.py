@@ -38,12 +38,26 @@ comparing one shared uniform against that probability; for b >= 0 this rule
 is monotone in the configuration, which is what coupling-from-the-past
 requires (Propp and Wilson, 1996).  Both kernels read their probabilities
 from a table indexed by the integer neighbor sum.
+
+Inside the samplers the spins are sites-major: an int8 (sites, chains) array,
+or (sites, 2, m) for coupling-from-the-past's stack of top and bottom chains,
+with the rows in colour-class order so that each class is a contiguous block
+of rows.  A class's neighbor sums are row gathers (``take`` on axis 0, which
+copies whole chain vectors) added in int8, or in int16 when the largest table
+index passes 127.  The stream fills the same rows: it computes the (time,
+row, chain) uniforms of as many consecutive times as fit in
+``_STREAM_BLOCK_BYTES`` per call, and a sweep reads one time of the block.
+Site order is restored only where a sample is recorded or a draw coalesces.
+The layout and the time blocks change no value: the sample bits of all three
+kernels are those of the site-major kernel that preceded them, and the golden
+runs in tests/data pin them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +69,11 @@ KINDS = ("heat_bath", "metropolis", "cftp")
 
 _U64 = (1 << 64) - 1
 
-#: Bytes of one time step's (draws, sites) float64 uniforms in ``cftp_batch``.
+#: Bytes of one time step's (sites, draws) float64 uniforms in ``cftp_batch``.
 _CFTP_CHUNK_BYTES = 1 << 20
+
+#: Bytes of float64 uniforms the stream computes in one call, a block of times.
+_STREAM_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,14 +98,27 @@ class SamplerSpec:
             raise ValueError(f"thinning_sweeps must be >= 1 for {self.kind}")
 
 
+class _Layout(NamedTuple):
+    """The sites-major row layout of one lattice's spins.
+
+    ``order[r]`` is the site stored in row r and ``row_of[x]`` the row of site
+    x.  ``classes`` holds one (rows, nbr) pair per colour class: the slice of
+    its rows and the (neighbor_count, class_size) matrix of the rows of its
+    sites' neighbors.
+    """
+
+    order: np.ndarray
+    row_of: np.ndarray
+    classes: tuple[tuple[slice, np.ndarray], ...]
+
+
 @lru_cache(maxsize=None)
-def _colour_classes(lattice: TorusLattice) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _colour_classes(lattice: TorusLattice) -> _Layout:
     """Greedy proper colouring of the lattice's neighbor graph, cached per lattice.
 
-    Returns one (sites, neighbors) pair per colour class: the class's site
-    indices in increasing order and the (neighbor_count, class_size) matrix
-    of their neighbors.  Sites are coloured in index order with the smallest
-    colour unused by an already coloured neighbor.
+    Sites are coloured in index order with the smallest colour unused by an
+    already coloured neighbor.  The rows hold the classes one after another,
+    each class's sites in increasing order.
     """
     rows = [[lattice.site_index(w) for w in lattice.neighbors(v)] for v in lattice.vertices()]
     colour = [-1] * len(rows)
@@ -96,10 +126,14 @@ def _colour_classes(lattice: TorusLattice) -> tuple[tuple[np.ndarray, np.ndarray
         taken = {colour[y] for y in row}
         colour[x] = next(c for c in range(len(row) + 1) if c not in taken)
     nbr, colour = np.array(rows, dtype=np.intp), np.array(colour)
-    return tuple(
-        (_read_only(sites), _read_only(np.ascontiguousarray(nbr[sites].T)))
-        for sites in (np.flatnonzero(colour == c) for c in range(colour.max() + 1))
+    order = np.argsort(colour, kind="stable")
+    row_of = np.argsort(order)
+    bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
+    classes = tuple(
+        (slice(lo, hi), _read_only(np.ascontiguousarray(row_of[nbr[order[lo:hi]]].T)))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     )
+    return _Layout(_read_only(order), _read_only(row_of), classes)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -125,33 +159,49 @@ def _metropolis_table(a: float, b: float, degree: int) -> np.ndarray:
     ]))
 
 
+def _neighbor_index(spins: np.ndarray, nbr: np.ndarray, top: int) -> np.ndarray:
+    """Sum of neighbor spins plus the degree, for the rows ``nbr`` of one class.
+
+    The sum runs in int8 when every table index up to ``top`` fits, else int16.
+    """
+    dtype = np.int8 if top <= 127 else np.int16
+    index = np.add.reduce(spins.take(nbr, axis=0), axis=0, dtype=dtype)
+    index += nbr.shape[0]
+    return index
+
+
 def _sweep_heat_bath(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
                      uniforms: np.ndarray) -> None:
     """One systematic heat-bath scan, in place, vectorized across chains.
 
-    ``spins`` is (..., sites) int8 and ``uniforms`` in [0, 1) broadcasts
-    against it: (chains, sites) for (chains, sites) spins, or (m, sites)
-    shared by the (2, m, sites) stack of coupled top and bottom chains.
+    ``spins`` is sites-major int8 in the rows of ``_colour_classes``: (sites,
+    chains), or (sites, 2, m) for the stack of coupled top and bottom chains.
+    ``uniforms`` in [0, 1) broadcasts against it: (sites, chains), or (sites,
+    1, m) shared by the stack.
     """
-    classes = _colour_classes(lattice)
+    classes = _colour_classes(lattice).classes
     degree = classes[0][1].shape[0]
     p_plus = _heat_bath_table(a, b, degree)
-    for sites, nbr_t in classes:
-        total = spins[..., nbr_t].sum(axis=-2, dtype=np.intp)
-        spins[..., sites] = np.where(uniforms[..., sites] < p_plus[total + degree], 1, -1)
+    for rows, nbr in classes:
+        plus = uniforms[rows] < p_plus.take(_neighbor_index(spins, nbr, 2 * degree))
+        # spin = 2 [u < p_plus] - 1, written into the class's rows
+        new = spins[rows]
+        np.multiply(plus, 2, out=new, dtype=np.int8)
+        new -= 1
 
 
 def _sweep_metropolis(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
                       uniforms: np.ndarray) -> None:
-    """One systematic single-flip Metropolis scan, in place."""
-    classes = _colour_classes(lattice)
+    """One systematic single-flip Metropolis scan of (sites, chains) spins, in place."""
+    classes = _colour_classes(lattice).classes
     degree = classes[0][1].shape[0]
     accept = _metropolis_table(a, b, degree)
-    for sites, nbr_t in classes:
-        old = spins[:, sites]
-        index = spins[:, nbr_t].sum(axis=1, dtype=np.intp) + degree
-        index += (old > 0) * (2 * degree + 1)
-        spins[:, sites] = np.where(uniforms[:, sites] < accept[index], -old, old)
+    for rows, nbr in classes:
+        old = spins[rows]
+        index = _neighbor_index(spins, nbr, 4 * degree + 1)
+        index += (old > 0) * index.dtype.type(2 * degree + 1)
+        flip = uniforms[rows] < accept.take(index)
+        old *= np.int8(1) - np.int8(2) * flip
 
 
 _SWEEPS = {"heat_bath": _sweep_heat_bath, "metropolis": _sweep_metropolis}
@@ -210,30 +260,39 @@ def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
 
 
 class _Stream:
-    """The counter-based uniforms of up to ``rows`` chains on ``sites`` sites.
+    """The counter-based uniforms of up to ``chains`` chains, sites-major.
 
-    ``uniforms(keys, t)`` returns the (len(keys), sites) uniforms of time t,
-    computed in preallocated buffers; the result is overwritten by the next
-    call.
+    ``uniforms(keys, t, count)`` returns the (count, sites, len(keys))
+    uniforms of times t .. t + count - 1, row r of each time holding site
+    ``order[r]``, computed in preallocated buffers; the result is overwritten
+    by the next call.  ``block(m)`` is how many times one call may ask for
+    with m keys: as many as fit in ``_STREAM_BLOCK_BYTES``, and at least one.
     """
 
-    def __init__(self, sites: int, rows: int):
-        self.sites = sites
-        self.site_gamma = np.arange(sites, dtype=np.uint64) * _GAMMA
-        self.counter = np.empty(sites, dtype=np.uint64)
-        self.work = np.empty((rows, sites), dtype=np.uint64)
-        self.tmp = np.empty((rows, sites), dtype=np.uint64)
-        self.out = np.empty((rows, sites), dtype=np.float64)
+    def __init__(self, order: np.ndarray, chains: int):
+        self.sites = order.size
+        self.row_gamma = order.astype(np.uint64) * _GAMMA
+        size = max(_STREAM_BLOCK_BYTES // 8, self.sites * chains)
+        self.work = np.empty(size, dtype=np.uint64)
+        self.tmp = np.empty(size, dtype=np.uint64)
+        self.out = np.empty(size, dtype=np.float64)
 
-    def uniforms(self, keys: np.ndarray, t: int) -> np.ndarray:
-        m = keys.size
-        work, tmp, out = self.work[:m], self.tmp[:m], self.out[:m]
+    def block(self, m: int) -> int:
+        return max(1, self.work.size // (self.sites * m))
+
+    def uniforms(self, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
+        shape = (count, self.sites, keys.size)
+        size = count * self.sites * keys.size
+        work, tmp, out = (buf[:size].reshape(shape) for buf in (self.work, self.tmp, self.out))
         # (t S + x) G = t S G + x G modulo 2**64
-        np.add(self.site_gamma, np.uint64(t * self.sites * int(_GAMMA) & _U64), out=self.counter)
-        np.add(keys[:, None], self.counter, out=work)
+        step = np.array([(t + i) * self.sites * int(_GAMMA) & _U64 for i in range(count)],
+                        dtype=np.uint64)
+        counter = step[:, None] + self.row_gamma
+        np.add(counter[:, :, None], keys, out=work)
         _mix(work, tmp)
         work >>= np.uint64(11)
-        return np.multiply(work, 2.0**-53, out=out)
+        # below 2**53 after the shift, so the int64 view converts exactly, and faster
+        return np.multiply(work.view(np.int64), 2.0**-53, out=out)
 
 
 # -- coupling from the past -------------------------------------------------------
@@ -256,7 +315,7 @@ def cftp_batch(
     (seed, i, t, x), the counter-based stream of the module docstring, so
     results do not depend on batching or chunk size.  Draws run in chunks of
     ``draw_chunk`` (default: about ``_CFTP_CHUNK_BYTES`` of uniforms per time
-    step), each chunk's top and bottom chains swept as one (2, m, sites) stack.
+    step), each chunk's top and bottom chains swept as one (sites, 2, m) stack.
 
     Raises:
         AntiferromagneticUnsupported: if b < 0 (the kernel is not monotone).
@@ -270,7 +329,8 @@ def cftp_batch(
     sites = lattice.num_sites
     if draw_chunk is None:
         draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
-    stream = _Stream(sites, min(draw_chunk, count))
+    layout = _colour_classes(lattice)
+    stream = _Stream(layout.order, min(draw_chunk, count))
     out = np.empty((count, sites), dtype=np.int8)
     for start in range(0, count, draw_chunk):
         active = np.arange(start, min(start + draw_chunk, count))
@@ -281,13 +341,16 @@ def cftp_batch(
                 raise CoalescenceTimeout(
                     f"{active.size} draws not coalesced after {epoch_limit} sweeps back"
                 )
-            chains = np.empty((2, active.size, sites), dtype=np.int8)
-            chains[0] = 1
-            chains[1] = -1
-            for t in range(horizon, 0, -1):
-                _sweep_heat_bath(chains, lattice, params.a, params.b, stream.uniforms(keys, t))
-            done = (chains[0] == chains[1]).all(axis=1)
-            out[active[done]] = chains[0, done]
+            chains = np.empty((sites, 2, active.size), dtype=np.int8)
+            chains[:, 0] = 1
+            chains[:, 1] = -1
+            step = stream.block(active.size)
+            for top in range(horizon, 0, -step):
+                low = max(top - step + 1, 1)
+                for uniforms in stream.uniforms(keys, low, top - low + 1)[::-1]:
+                    _sweep_heat_bath(chains, lattice, params.a, params.b, uniforms[:, None])
+            done = (chains[:, 0] == chains[:, 1]).all(axis=0)
+            out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
             active, keys = active[~done], keys[~done]
             horizon *= 2
     return out
@@ -327,18 +390,23 @@ def _run_mcmc_batch(
     quota = -(-count // replicas)
     # sample j is the state after sweep first + j * thinning
     first = spec.burn_in_sweeps or spec.thinning_sweeps
+    last = first + spec.thinning_sweeps * (quota - 1)
+    layout = _colour_classes(lattice)
     keys = _chain_keys(spec.seed, np.arange(replicas))
-    stream = _Stream(lattice.num_sites, replicas)
-    spins = np.where(stream.uniforms(keys, 0) < 0.5, 1, -1).astype(np.int8)
-    samples = np.empty((replicas, quota, lattice.num_sites), dtype=np.int8)
-    for t in range(1, first + spec.thinning_sweeps * (quota - 1) + 1):
-        sweep(spins, lattice, params.a, params.b, stream.uniforms(keys, t))
-        j, offset = divmod(t - first, spec.thinning_sweeps)
-        if j >= 0 and offset == 0:
-            samples[:, j] = spins
+    stream = _Stream(layout.order, replicas)
+    spins = np.where(stream.uniforms(keys, 0)[0] < 0.5, 1, -1).astype(np.int8)
+    samples = np.empty((quota, lattice.num_sites, replicas), dtype=np.int8)
+    step = stream.block(replicas)
+    for start in range(1, last + 1, step):
+        block = stream.uniforms(keys, start, min(step, last + 1 - start))
+        for t, uniforms in enumerate(block, start):
+            sweep(spins, lattice, params.a, params.b, uniforms)
+            j, offset = divmod(t - first, spec.thinning_sweeps)
+            if j >= 0 and offset == 0:
+                spins.take(layout.row_of, axis=0, out=samples[j])
     # replica i keeps its first ceil((count - i) / replicas) samples, replica-major
     keep = np.arange(quota) * replicas + np.arange(replicas)[:, None] < count
-    return samples[keep]
+    return samples.transpose(2, 0, 1)[keep]
 
 
 def sample_with_params(

@@ -513,9 +513,9 @@ def test_criterion_9_reversibility_and_monotonicity():
         sites = lattice.num_sites
         bad = 0
         for _ in range(300):
-            low = rng.choice((-1, 1), size=(1, sites)).astype(np.int8)
-            high = np.where(rng.random((1, sites)) < 0.4, 1, low).astype(np.int8)
-            uniforms = rng.random((1, sites))
+            low = rng.choice((-1, 1), size=(sites, 1)).astype(np.int8)
+            high = np.where(rng.random((sites, 1)) < 0.4, 1, low).astype(np.int8)
+            uniforms = rng.random((sites, 1))
             low2, high2 = low.copy(), high.copy()
             _sweep_heat_bath(low2, lattice, params.a, params.b, uniforms)
             _sweep_heat_bath(high2, lattice, params.a, params.b, uniforms)

@@ -371,16 +371,21 @@ def test_main_validate_and_motif_info(workdir, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
-def test_main_run_exit_codes(workdir):
+def test_main_run_exit_codes(workdir, monkeypatch):
     cfg_path = workdir / "run.ini"
     cfg_path.write_text(MINIMAL)
     assert main(["run", str(cfg_path), "--out", str(workdir / "ok")]) == 0
-    # stein_chen is for ferromagnets: a b < 0 cell fails at run time
-    cfg_path.write_text(MINIMAL.replace("b_list = 0.0", "b_list = -0.1")
-                        + "\n[analysis]\ntargets = stein_chen\n")
+
+    # a target that fails at run time writes error rows and exit status 1
+    def broken(cell, name):
+        raise ArithmeticError("no rows")
+
+    monkeypatch.setitem(cli._TARGETS, "expectation", cli._TARGETS["expectation"]._replace(
+        rows=broken))
     assert main(["run", str(cfg_path), "--out", str(workdir / "bad")]) == 1
     rows = read_rows(workdir / "bad" / "results.csv")
-    assert all(row["error"].startswith("FerromagneticOnly") for row in rows)
+    assert len(rows) == 2
+    assert all(row["error"] == "ArithmeticError: no rows" for row in rows)
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -455,11 +460,23 @@ def test_golden_file_pinned_run(workdir, golden, kind, targets):
     # the ring adds only negative sites, so under superset matching both counts agree
     ("kind = exact", "kind = exact\n[analysis]\ntargets = ring_check\nmode = superset_match",
      "[analysis] mode"),
+    # the Stein-Chen bound is for ferromagnets: b < 0 cells were FerromagneticOnly rows
+    ("b_list = 0.0\n\n[engine]\nkind = exact",
+     "b_list = -0.1\n\n[engine]\nkind = exact\n[analysis]\ntargets = stein_chen",
+     "[model] b_list"),
 ])
 def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
     # each of these used to validate, then ran no cell or only error rows
     with pytest.raises(ConfigError, match=re.escape(where)):
         parse_config(MINIMAL.replace(old, new), base_dir=workdir)
+
+
+def test_target_named_twice_rejected(workdir):
+    # a repeated target wrote its rows twice, under the same run_id
+    for targets in ("tv tv", "expectation tv moments expectation"):
+        text = MINIMAL + f"\n[analysis]\ntargets = {targets}\n"
+        with pytest.raises(ValidationError, match=re.escape("[analysis] targets")):
+            parse_config(text, base_dir=workdir)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

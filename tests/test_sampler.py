@@ -112,7 +112,7 @@ def test_metropolis_delta_matches_hamiltonian():
 def test_metropolis_always_accepts_at_zero_params():
     # delta H = 0 so every proposal is accepted: one sweep flips everything
     lat = TorusLattice(1, 6, 1, 1)
-    spins = np.full((1, lat.num_sites), -1, dtype=np.int8)
+    spins = np.full((lat.num_sites, 1), -1, dtype=np.int8)
     _sweep_metropolis(spins, lat, 0.0, 0.0, np.random.default_rng(1).random(spins.shape))
     assert np.all(spins == 1)
 
@@ -120,7 +120,7 @@ def test_metropolis_always_accepts_at_zero_params():
 def test_heat_bath_strong_negative_field():
     lat = TorusLattice(2, 4, 1, 1)
     rng = np.random.default_rng(3)
-    spins = rng.choice((-1, 1), size=(4, lat.num_sites)).astype(np.int8)
+    spins = rng.choice((-1, 1), size=(lat.num_sites, 4)).astype(np.int8)
     _sweep_heat_bath(spins, lat, -30.0, 0.2, rng.random(spins.shape))
     assert np.all(spins == -1)
 
@@ -145,7 +145,7 @@ def test_monotone_coupling_preserves_order():
     lat = TorusLattice(2, 4, 1, 1)
     params = ModelParams(-0.2, 0.6)
     for _ in range(50):
-        low = rng.choice((-1, 1), size=(1, lat.num_sites)).astype(np.int8)
+        low = rng.choice((-1, 1), size=(lat.num_sites, 1)).astype(np.int8)
         high = np.where(rng.random(low.shape) < 0.4, 1, low).astype(np.int8)
         uniforms = rng.random(low.shape)
         _sweep_heat_bath(low, lat, params.a, params.b, uniforms)
@@ -162,6 +162,9 @@ COLOUR_LATTICES = [
     (TorusLattice(2, 16, 1, 1), 2),
     (TorusLattice(1, 13, 2, 1), None),
     (TorusLattice(2, 5, 1, INFINITY), None),
+    # degree 48 and 80: the Metropolis and heat-bath table indices pass int8
+    (TorusLattice(2, 9, 3, INFINITY), None),
+    (TorusLattice(2, 11, 4, INFINITY), None),
 ]
 
 
@@ -170,21 +173,37 @@ def test_colour_classes_proper_and_covering(lat, expected):
     # the neighbor table comes from the lattice's own neighbor query
     nbr = np.array([[lat.site_index(w) for w in lat.neighbors(lat.vertex_at(x))]
                     for x in range(lat.num_sites)])
-    classes = _colour_classes(lat)
-    sites = np.concatenate([cls for cls, _ in classes])
-    assert np.array_equal(np.sort(sites), np.arange(lat.num_sites))
-    for cls, nbr_t in classes:
-        assert np.array_equal(nbr_t, nbr[cls].T)
+    order, row_of, classes = _colour_classes(lat)
+    assert np.array_equal(np.sort(order), np.arange(lat.num_sites))
+    assert np.array_equal(order[row_of], np.arange(lat.num_sites))
+    # the class slices tile the rows, each class in increasing site order
+    assert [rows.start for rows, _ in classes[1:]] == [rows.stop for rows, _ in classes[:-1]]
+    assert classes[0][0].start == 0 and classes[-1][0].stop == lat.num_sites
+    for rows, nbr_rows in classes:
+        cls = order[rows]
+        assert np.all(np.diff(cls) > 0)
+        assert np.array_equal(nbr_rows, row_of[nbr[cls]].T)
         assert not np.isin(nbr[cls], cls).any()
     if expected is not None:
         assert len(classes) == expected
 
 
+def to_rows(lat, spins):
+    """(chains, sites) in site order to the sampler's sites-major rows."""
+    return np.ascontiguousarray(spins.T[_colour_classes(lat).order])
+
+
+def to_sites(lat, rows):
+    """The sampler's sites-major rows back to (chains, sites) in site order."""
+    return rows[_colour_classes(lat).row_of].T
+
+
 def _scalar_colour_scan(lat, spins, params, uniforms, kind):
     """Site-by-site scan in colour-major order with the scalar oracles."""
     cfg = SpinConfig(lat, spins.copy())
-    for cls, _ in _colour_classes(lat):
-        for x in cls:
+    order, _, classes = _colour_classes(lat)
+    for rows, _ in classes:
+        for x in order[rows]:
             v = lat.vertex_at(int(x))
             if kind == "heat_bath":
                 p = heat_bath_plus_probability(cfg, v, params)
@@ -203,26 +222,27 @@ def test_block_sweep_equals_scalar_colour_scan(lat, a, b, kind, sweep):
     rng = np.random.default_rng(17)
     params = ModelParams(a, b)
     spins = rng.choice((-1, 1), size=(5, lat.num_sites)).astype(np.int8)
+    rows = to_rows(lat, spins)
     for _ in range(3):
         uniforms = rng.random(spins.shape)
-        want = np.stack([
+        spins = np.stack([
             _scalar_colour_scan(lat, row, params, u, kind) for row, u in zip(spins, uniforms)
         ])
-        sweep(spins, lat, a, b, uniforms)
-        assert np.array_equal(spins, want)
+        sweep(rows, lat, a, b, to_rows(lat, uniforms))
+        assert np.array_equal(to_sites(lat, rows), spins)
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 4, 1, 1)])
 def test_stacked_sweep_equals_separate_sweeps(lat):
     rng = np.random.default_rng(23)
-    stack = rng.choice((-1, 1), size=(2, 7, lat.num_sites)).astype(np.int8)
-    top, bot = stack[0].copy(), stack[1].copy()
+    stack = rng.choice((-1, 1), size=(lat.num_sites, 2, 7)).astype(np.int8)
+    top, bot = stack[:, 0].copy(), stack[:, 1].copy()
     for _ in range(3):
-        uniforms = rng.random((7, lat.num_sites))
-        _sweep_heat_bath(stack, lat, -0.3, 0.4, uniforms)
+        uniforms = rng.random((lat.num_sites, 7))
+        _sweep_heat_bath(stack, lat, -0.3, 0.4, uniforms[:, None])
         _sweep_heat_bath(top, lat, -0.3, 0.4, uniforms)
         _sweep_heat_bath(bot, lat, -0.3, 0.4, uniforms)
-        assert np.array_equal(stack[0], top) and np.array_equal(stack[1], bot)
+        assert np.array_equal(stack[:, 0], top) and np.array_equal(stack[:, 1], bot)
 
 
 # -- the counter-based stream -------------------------------------------------------
@@ -248,9 +268,9 @@ def reference_uniform(seed, chain, t, x, sites):
 def stream_block(seed, draws, times, sites):
     """(len(draws), len(times), sites) uniforms from the sampler's stream."""
     draws = np.asarray(draws)
-    stream = _Stream(sites, draws.size)
+    stream = _Stream(np.arange(sites), draws.size)
     keys = _chain_keys(seed, draws)
-    return np.stack([stream.uniforms(keys, t).copy() for t in times], axis=1)
+    return np.stack([stream.uniforms(keys, t)[0].T.copy() for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
@@ -268,10 +288,26 @@ def test_cftp_stream_independent_of_active_set():
         part = stream_block(seed, active, range(1, 9), sites)
         assert np.array_equal(part, full[active])
     # a larger buffer and a later start leave the values unchanged too
-    stream = _Stream(sites, 64)
+    stream = _Stream(np.arange(sites), 64)
     keys = _chain_keys(seed, np.arange(12))
     for t in (8, 3, 1):
-        assert np.array_equal(stream.uniforms(keys[4:], t), full[4:, t - 1])
+        assert np.array_equal(stream.uniforms(keys[4:], t)[0].T, full[4:, t - 1])
+
+
+@pytest.mark.parametrize("lat", [TorusLattice(2, 4, 1, 1), TorusLattice(1, 13, 2, 1)])
+def test_stream_time_blocks_in_row_order(lat):
+    # one call for a block of times gives each time's uniforms, row r at site order[r]
+    seed, sites = 3, lat.num_sites
+    full = stream_block(seed, np.arange(5), range(1, 41), sites)
+    order = _colour_classes(lat).order
+    stream = _Stream(order, 5)
+    keys = _chain_keys(seed, np.arange(5))
+    assert stream.block(5) == (1 << 18) // (8 * sites * 5)
+    for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
+        block = stream.uniforms(keys, start, count)
+        assert block.shape == (count, sites, 5)
+        want = full[:, start - 1:start - 1 + count][:, :, order].transpose(1, 2, 0)
+        assert np.array_equal(block, want)
 
 
 def assert_cells_uniform(cells):
