@@ -21,11 +21,13 @@ from isingmotif import (
     save_spin_config,
     tv_distance,
 )
+from isingmotif import sampler
 from isingmotif.counting import count_samples
 from isingmotif.errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
+    _STREAM_BLOCK_BYTES,
     _chain_keys,
     _colour_classes,
     _Stream,
@@ -302,7 +304,7 @@ def test_stream_time_blocks_in_row_order(lat):
     order = _colour_classes(lat).order
     stream = _Stream(order, 5)
     keys = _chain_keys(seed, np.arange(5))
-    assert stream.block(5) == (1 << 18) // (8 * sites * 5)
+    assert stream.block(5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
     for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
         block = stream.uniforms(keys, start, count)
         assert block.shape == (count, sites, 5)
@@ -415,7 +417,15 @@ def reference_cftp(lat, params, seed, draw):
         horizon *= 2
 
 
-def test_cftp_draw_independent_of_batching():
+# 36 uniforms per stream call: rounds and burn-ins span several time blocks,
+# the last one partial, and the block length changes as CFTP draws coalesce
+SMALL_BLOCK = [None, 8 * 36]
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCK)
+def test_cftp_draw_independent_of_batching(block_bytes, monkeypatch):
+    if block_bytes:
+        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", block_bytes)
     lat = TorusLattice(1, 6, 1, 1)
     params = ModelParams(-0.5, 0.4)
     want = [reference_cftp(lat, params, 21, i) for i in range(6)]
@@ -510,7 +520,11 @@ def reference_mcmc(lat, params, spec, count, replicas):
 @pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
 @pytest.mark.parametrize("burn_in,thinning", [(3, 2), (0, 2)])
 @pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 3, 1, 1)])
-def test_mcmc_batch_equals_reference_stream(kind, burn_in, thinning, lat):
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCK)
+def test_mcmc_batch_equals_reference_stream(kind, burn_in, thinning, lat, block_bytes,
+                                            monkeypatch):
+    if block_bytes:
+        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", block_bytes)
     params = ModelParams(-0.3, -0.4)
     spec = SamplerSpec(kind=kind, burn_in_sweeps=burn_in, thinning_sweeps=thinning, seed=41)
     batch = sample_with_params(lat, params, spec, count=7, replicas=3)
