@@ -26,8 +26,8 @@ EXACT_MATCH = "exact_match"
 SUPERSET_MATCH = "superset_match"
 MODES = (EXACT_MATCH, SUPERSET_MATCH)
 
-#: Bytes of one (samples, sites) int8 gather in ``count_samples``.
-_SAMPLE_CHUNK_BYTES = 1 << 20
+#: Bytes of one chunk of samples in ``count_samples`` (sites x samples, int8).
+_SAMPLE_CHUNK_BYTES = 1 << 17
 
 
 def _check_mode(mode: str) -> None:
@@ -49,12 +49,12 @@ def _check_motif(lattice: TorusLattice, motif: LocalConfig) -> None:
 
 @lru_cache(maxsize=None)
 def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
-    """The sites each site's match inspects, and the spin each must carry.
+    """The offsets each site's match inspects, and the spin each must carry.
 
-    Returns (idx, want) with shapes (N, m) and (m,): row x of ``idx`` lists the
-    site indices of x + positives, then, in exact mode only, those of the rest
-    of the ball around x; ``want`` holds the matching +1 / -1 spins.  Every
-    counter reads this table.
+    Returns (offsets, want) with shapes (m, d) and (m,): the rows of
+    ``offsets`` are the positives, then, in exact mode only, the rest of the
+    ball; ``want`` holds the matching +1 / -1 spins.  The match at x inspects
+    the sites x + offsets.  Every counter reads this table.
 
     Raises:
         ValueError: unknown mode.
@@ -64,20 +64,17 @@ def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
     _check_motif(lattice, motif)
     plus = sorted(motif.positives)
     rest = sorted(set(motif.ball_sites) - motif.positives) if mode == EXACT_MATCH else []
-    n, d = lattice.n, lattice.d
-    sites = np.array([lattice.vertex_at(i) for i in range(lattice.num_sites)], dtype=np.int64)
-    offsets = np.array(plus + rest, dtype=np.int64).reshape(-1, d)
-    coords = (sites[:, None, :] + offsets[None, :, :]) % n
-    idx = np.zeros(coords.shape[:2], dtype=np.int64)
-    for axis in range(d):
-        idx = idx * n + coords[:, :, axis]
-    return idx, np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
+    offsets = np.array(plus + rest, dtype=np.int64).reshape(-1, lattice.d)
+    return offsets, np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
 def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     """``_site_tables`` as bitmask words: a mask matches at x iff mask & care[x] == plus[x]."""
-    idx, want = _site_tables(lattice, motif, mode)
+    offsets, want = _site_tables(lattice, motif, mode)
+    shape = (lattice.n,) * lattice.d
+    sites = np.indices(shape).reshape(lattice.d, -1, 1)  # site index order is row-major
+    idx = np.ravel_multi_index(tuple(sites + offsets.T[:, None, :]), shape, mode="wrap")
     word = np.uint32 if lattice.num_sites <= 32 else np.uint64
     bits = np.left_shift(word(1), idx.astype(word))
     return np.bitwise_or.reduce(bits, axis=1), np.bitwise_or.reduce(bits[:, want == 1], axis=1)
@@ -126,22 +123,52 @@ def count(cfg: SpinConfig, motif: LocalConfig, mode: str) -> int:
 def count_samples(
     lattice: TorusLattice, spins: np.ndarray, motif: LocalConfig, mode: str
 ) -> np.ndarray:
-    """Counts for a whole (num_samples, n^d) matrix of configurations.
+    """Counts for a whole (num_samples, n^d) matrix of +1 / -1 configurations.
 
-    Works through the samples in chunks of about ``_SAMPLE_CHUNK_BYTES`` per
-    (samples, sites) gather, one column of the site table at a time, so the
-    working set stays a few MB whatever the batch size.
+    Works through the samples in chunks of about ``_SAMPLE_CHUNK_BYTES``.  Each
+    chunk is copied once into an int8 sites-major buffer of shape
+    (n + 2R, ..., n + 2R, chunk), R the largest offset component of the
+    pattern, whose border is filled by wrap-around one axis at a time (so the
+    corners too).  A pattern column with offset o is then the slice
+    [R + o_1 : R + o_1 + n, ...] of that buffer; the columns, signed by the
+    wanted spin, add up in an accumulator, and a site matches where the sum is
+    the number of columns.
+
+    Raises:
+        ValueError: ``spins`` is not 2-D with n^d columns, or holds an entry
+            other than +1 and -1; or an unknown mode.
+        SignatureMismatch, LatticeTooSmall: motif and lattice do not fit.
     """
-    idx, want = _site_tables(lattice, motif, mode)
-    spins = np.asarray(spins, dtype=np.int8)
-    totals = np.zeros(spins.shape[0], dtype=np.int64)
-    step = max(1, _SAMPLE_CHUNK_BYTES // lattice.num_sites)
-    for start in range(0, spins.shape[0], step):
+    offsets, want = _site_tables(lattice, motif, mode)
+    spins = np.asarray(spins)
+    if spins.ndim != 2 or spins.shape[1] != lattice.num_sites:
+        raise ValueError(
+            f"spins must have shape (samples, {lattice.num_sites}), got {spins.shape}"
+        )
+    n, d, columns = lattice.n, lattice.d, len(want)
+    halo = int(np.abs(offsets).max(initial=0))  # below n / 2, as n > 2 * rho * radius
+    step = max(1, min(len(spins), _SAMPLE_CHUNK_BYTES // lattice.num_sites))
+    pad = np.empty((n + 2 * halo,) * d + (step,), dtype=np.int8)
+    acc = np.empty((n,) * d + (step,), dtype=np.int8 if columns <= 127 else np.int16)
+    windows = [tuple(slice(halo + o, halo + o + n) for o in off) for off in offsets]
+    core = (slice(halo, halo + n),) * d
+    totals = np.empty(len(spins), dtype=np.int64)
+    for start in range(0, len(spins), step):
         block = spins[start:start + step]
-        match = np.ones(block.shape, dtype=bool)
-        for j in range(idx.shape[1]):
-            match &= block[:, idx[:, j]] == want[j]
-        totals[start:start + step] = match.sum(axis=1)
+        if not np.all((block == 1) | (block == -1)):
+            raise ValueError("spins must be +1 or -1")
+        k = len(block)
+        part, total = pad[..., :k], acc[..., :k]
+        part[core] = np.moveaxis(block.reshape((k,) + (n,) * d), 0, -1)
+        for axis in range(d):
+            lead = (slice(None),) * axis
+            part[lead + (slice(0, halo),)] = part[lead + (slice(n, n + halo),)]
+            part[lead + (slice(n + halo, None),)] = part[lead + (slice(halo, 2 * halo),)]
+        total.fill(0)
+        for window, spin in zip(windows, want):
+            (np.add if spin == 1 else np.subtract)(total, part[window], out=total)
+        hits = (total == columns).reshape(lattice.num_sites, k)
+        totals[start:start + k] = hits.sum(axis=0, dtype=np.int32)
     return totals
 
 

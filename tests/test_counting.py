@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,11 +179,23 @@ def test_count_samples_matches_scalar():
         assert batch_counts[row] == naive_count(SpinConfig(lat, spins[row]), motif, EXACT_MATCH)
 
 
+CORNER_CASE = (
+    # offsets reach the corners of the halo: R = rho * radius = 4 on n = 9
+    TorusLattice(2, 9, 2, INFINITY),
+    LocalConfig(2, frozenset({(0, 0), (4, -4), (-4, 4), (-3, -4)}), (2, 2, INFINITY)),
+)
+
+
 @pytest.mark.parametrize("lattice,motif", [
     (TorusLattice(1, 9, 1, 1), bundled_motif("single_plus_d1.motif")),
     (TorusLattice(2, 5, 1, 1), bundled_motif("single_plus_d2.motif")),
     (TorusLattice(1, 11, 2, 1), LocalConfig(1, frozenset({(0,), (1,)}), (1, 2, 1))),
     (TorusLattice(2, 7, 1, INFINITY), bundled_motif("blob_k10.motif")),
+    # d=3: the halo is filled along three axes in turn
+    (TorusLattice(3, 4, 1, 1), single_positive(1, (3, 1, 1))),
+    # the null motif: R = 1 in exact mode, and no offsets at all in superset mode
+    (TorusLattice(2, 5, 1, 1), null_config(1, D2)),
+    CORNER_CASE,
 ])
 @pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
 def test_count_samples_matches_count_and_indicator(lattice, motif, mode, monkeypatch):
@@ -199,6 +214,67 @@ def test_count_samples_matches_count_and_indicator(lattice, motif, mode, monkeyp
         assert value == count(cfg, motif, mode)
         assert value == sum(indicator(cfg, x, motif, mode) for x in lattice.vertices())
     assert got.any()
+
+
+def test_count_samples_accepts_any_layout_and_integer_width():
+    lattice, motif = CORNER_CASE
+    rng = np.random.default_rng(17)
+    spins = rng.choice((-1, 1), size=(10, lattice.num_sites)).astype(np.int8)
+    expected = [
+        sum(indicator(SpinConfig(lattice, row), x, motif, EXACT_MATCH) for x in lattice.vertices())
+        for row in spins
+    ]
+    fortran = np.asfortranarray(spins)
+    assert not fortran.flags.c_contiguous
+    strided = np.repeat(spins, 2, axis=0)[:, ::1][::2]
+    assert not strided.flags.c_contiguous
+    for variant in (fortran, strided, spins.astype(np.int64), spins.tolist()):
+        assert count_samples(lattice, variant, motif, EXACT_MATCH).tolist() == expected
+
+
+def test_count_samples_zero_rows():
+    lattice = TorusLattice(2, 5, 1, 1)
+    motif = bundled_motif("single_plus_d2.motif")
+    for mode in (EXACT_MATCH, SUPERSET_MATCH):
+        got = count_samples(lattice, np.empty((0, lattice.num_sites), np.int8), motif, mode)
+        assert got.shape == (0,) and got.dtype == np.int64
+
+
+def test_count_samples_rejects_a_wrong_shape():
+    lattice = TorusLattice(1, 8, 1, 1)
+    motif = bundled_motif("single_plus_d1.motif")
+    for shape in ((3, 9), (3, 7), (8,), (2, 2, 8)):
+        spins = -np.ones(shape, dtype=np.int8)
+        with pytest.raises(ValueError, match=re.escape(f"(samples, 8), got {shape}")):
+            count_samples(lattice, spins, motif, EXACT_MATCH)
+
+
+def test_count_samples_rejects_entries_other_than_plus_minus_one():
+    lattice = TorusLattice(1, 8, 1, 1)
+    motif = bundled_motif("single_plus_d1.motif")
+    # 257 wraps to the int8 value 1: unchecked, it would count 8 superset matches
+    wide = np.full((1, 8), 257, dtype=np.int64)
+    zero = np.ones((4, 8), dtype=np.int8)
+    zero[3, 5] = 0
+    for spins in (wide, zero, np.full((2, 8), 0.5), np.full((1, 8), 1j)):
+        with pytest.raises(ValueError, match=re.escape("must be +1 or -1")):
+            count_samples(lattice, spins, motif, SUPERSET_MATCH)
+
+
+def test_count_samples_working_set_is_bounded():
+    # the int8 halo buffer, the accumulator and the per-chunk temporaries stay
+    # well below the 3 MiB that a per-column gather of 1 MiB chunks reaches
+    lattice = TorusLattice(2, 16, 1, 1)
+    motif = bundled_motif("single_plus_d2.motif")
+    spins = np.random.default_rng(23).choice((-1, 1), size=(20000, 256)).astype(np.int8)
+    count_samples(lattice, spins[:1], motif, EXACT_MATCH)  # the pattern table is cached
+    tracemalloc.start()
+    try:
+        count_samples(lattice, spins, motif, EXACT_MATCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_count_distribution_binomial_case():
