@@ -23,7 +23,7 @@ from .distributions import (  # noqa: F401  (re-exported surface)
     poisson_limit,
     tv_distance,
 )
-from .errors import DegenerateFit, FerromagneticOnly, MotifScheduleMismatch
+from .errors import DegenerateFit, FerromagneticOnly
 from .exact import FieldSchedule
 from .motifs import LocalConfig
 
@@ -32,17 +32,10 @@ def poisson_target(schedule: FieldSchedule, b: float, motif: LocalConfig) -> Poi
     """Poisson target for a motif counted under the given schedule.
 
     Raises:
-        MotifScheduleMismatch: if k(motif) differs from the schedule target
+        MotifScheduleMismatch: if k(motif) or d differs from the schedule's
             (the scaling of the field is tied to the motif's positive count).
     """
-    if motif.k != schedule.k_target:
-        raise MotifScheduleMismatch(
-            f"motif has k={motif.k}, schedule targets k={schedule.k_target}"
-        )
-    if motif.signature[0] != schedule.d:
-        raise MotifScheduleMismatch(
-            f"motif dimension {motif.signature[0]} != schedule dimension {schedule.d}"
-        )
+    schedule.check_motif(motif)
     return PoissonTarget(poisson_limit(schedule.c, b, motif))
 
 

@@ -40,7 +40,7 @@ from .exact import (
     build_exact,
     threshold_field,
 )
-from .lattice import INFINITY, TorusLattice, normalize_norm_selector
+from .lattice import TorusLattice, norm_label, normalize_norm_selector
 from .motifs import LocalConfig, load_motif
 from .sampler import SamplerSpec, sample_with_params
 
@@ -87,10 +87,6 @@ class _Type(NamedTuple):
     strict: bool = False  # the value must exceed the lower bound, not just reach it
 
 
-def _norm_text(p) -> str:
-    return "inf" if p == INFINITY else str(p)
-
-
 def _finite_real(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -104,7 +100,7 @@ _REAL = _Type("a finite real", _finite_real, repr, strict=True)
 _REALS = _Type("finite reals", _finite_real, repr, many=True, strict=True)
 _TEXT = _Type("text", str)
 _WORDS = _Type("words", str, many=True)
-_NORM = _Type("an integer >= 1 or 'inf'", normalize_norm_selector, _norm_text)
+_NORM = _Type("an integer >= 1 or 'inf'", normalize_norm_selector, lambda p: str(norm_label(p)))
 
 
 class _Key(NamedTuple):
@@ -339,13 +335,12 @@ def _derived_seed(config: RunConfig, n: int, motif: LocalConfig, b: float) -> in
 
 def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name: str,
               **values) -> dict:
-    p_txt = "inf" if config.p == INFINITY else config.p
     return {
         "run_id": f"{run_name}/{motif.motif_hash[:6]}/n{n}/b{b!r}",
         "d": config.d,
         "n": n,
         "rho": config.rho,
-        "p": p_txt,
+        "p": norm_label(config.p),
         "motif_hash": motif.motif_hash,
         "k": motif.k,
         "gamma": motif.perimeter,
@@ -583,7 +578,7 @@ def _cmd_motif_info(args) -> int:
     d, rho, p = motif.signature
     print(f"d = {d}")
     print(f"rho = {rho}")
-    print(f"p = {_norm_text(p)}")
+    print(f"p = {norm_label(p)}")
     print(f"r = {motif.radius}")
     print(f"n_hint = {hint}")
     print(f"k = {motif.k}")

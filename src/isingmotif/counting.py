@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import CountDistribution
-from .errors import LatticeTooSmall, SignatureMismatch
-from .exact import ExactMeasure, SpinConfig
+from .exact import ExactMeasure, SpinConfig, as_spins, read_only
 from .lattice import TorusLattice, Vertex
 from .motifs import LocalConfig
 
@@ -29,22 +28,13 @@ MODES = (EXACT_MATCH, SUPERSET_MATCH)
 #: Bytes of one chunk of samples in ``count_samples`` (sites x samples, int8).
 _SAMPLE_CHUNK_BYTES = 1 << 17
 
+#: Bitmasks per chunk in ``count_all_masks``.
+_MASK_CHUNK = 1 << 16
+
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _check_motif(lattice: TorusLattice, motif: LocalConfig) -> None:
-    if motif.signature != lattice.signature:
-        raise SignatureMismatch(
-            f"motif signature {motif.signature} != lattice signature {lattice.signature}"
-        )
-    if lattice.n <= 2 * lattice.rho * motif.radius:
-        raise LatticeTooSmall(
-            f"motif of radius {motif.radius} needs n > {2 * lattice.rho * motif.radius}, "
-            f"got n={lattice.n}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -61,11 +51,12 @@ def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
         SignatureMismatch, LatticeTooSmall: motif and lattice do not fit.
     """
     _check_mode(mode)
-    _check_motif(lattice, motif)
+    motif.check_fits(lattice)
     plus = sorted(motif.positives)
     rest = sorted(set(motif.ball_sites) - motif.positives) if mode == EXACT_MATCH else []
     offsets = np.array(plus + rest, dtype=np.int64).reshape(-1, lattice.d)
-    return offsets, np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
+    want = np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
+    return read_only(offsets), read_only(want)
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +68,8 @@ def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     idx = np.ravel_multi_index(tuple(sites + offsets.T[:, None, :]), shape, mode="wrap")
     word = np.uint32 if lattice.num_sites <= 32 else np.uint64
     bits = np.left_shift(word(1), idx.astype(word))
-    return np.bitwise_or.reduce(bits, axis=1), np.bitwise_or.reduce(bits[:, want == 1], axis=1)
+    care = np.bitwise_or.reduce(bits, axis=1)
+    return read_only(care), read_only(np.bitwise_or.reduce(bits[:, want == 1], axis=1))
 
 
 def _mask_hits(lattice: TorusLattice, motif: LocalConfig, mode: str, start: int, stop: int):
@@ -102,7 +94,7 @@ def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
     """
     _check_mode(mode)
     lattice = cfg.lattice
-    _check_motif(lattice, motif)
+    motif.check_fits(lattice)
     x = lattice.canon(x)
     spins = cfg.spins
     for off in motif.positives:
@@ -154,9 +146,7 @@ def count_samples(
     core = (slice(halo, halo + n),) * d
     totals = np.empty(len(spins), dtype=np.int64)
     for start in range(0, len(spins), step):
-        block = spins[start:start + step]
-        if not np.all((block == 1) | (block == -1)):
-            raise ValueError("spins must be +1 or -1")
+        block = as_spins(spins[start:start + step])
         k = len(block)
         part, total = pad[..., :k], acc[..., :k]
         part[core] = np.moveaxis(block.reshape((k,) + (n,) * d), 0, -1)
@@ -172,18 +162,17 @@ def count_samples(
     return totals
 
 
-def count_all_masks(
-    lattice: TorusLattice, motif: LocalConfig, mode: str, chunk: int = 1 << 16
-) -> np.ndarray:
+def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Counts for every configuration bitmask of the lattice (exact pipeline).
 
-    The result is uint8: a count never exceeds the number of sites, far below
-    256 wherever the 2**sites masks can be enumerated.
+    The masks are counted in chunks of ``_MASK_CHUNK``.  The result is uint8:
+    a count never exceeds the number of sites, far below 256 wherever the
+    2**sites masks can be enumerated.
     """
     total = 1 << lattice.num_sites
     counts = np.zeros(total, dtype=np.uint8)
-    for start in range(0, total, chunk):
-        acc = counts[start:start + chunk]
+    for start in range(0, total, _MASK_CHUNK):
+        acc = counts[start:start + _MASK_CHUNK]
         for hit in _mask_hits(lattice, motif, mode, start, start + len(acc)):
             acc += hit
     return counts
@@ -199,9 +188,7 @@ def site_match_probabilities(measure: ExactMeasure, motif: LocalConfig, mode: st
 @lru_cache(maxsize=16)
 def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Read-only ``count_all_masks``, shared by every measure on the lattice."""
-    counts = count_all_masks(lattice, motif, mode)
-    counts.flags.writeable = False
-    return counts
+    return read_only(count_all_masks(lattice, motif, mode))
 
 
 def count_distribution_exact(

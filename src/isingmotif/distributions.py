@@ -116,8 +116,8 @@ class PoissonTarget:
     def pmf(self, k: int) -> float:
         return math.exp(self.log_pmf(k))
 
-    def pmf_truncated(self, at_least: int = 0, tail: float = POISSON_TAIL):
-        """Masses 0..K with K chosen so the neglected tail is below ``tail``.
+    def pmf_truncated(self, at_least: int = 0):
+        """Masses 0..K, K >= ``at_least``, with a neglected tail below POISSON_TAIL.
 
         The pmf climbs by the stable recursion p_{k} = p_{k-1} * lam / k in
         log domain.  Returns (array of masses, leftover tail mass bound).
@@ -130,7 +130,7 @@ class PoissonTarget:
             p = math.exp(log_p)
             masses.append(p)
             cum += p
-            done_mass = 1.0 - cum <= tail
+            done_mass = 1.0 - cum <= POISSON_TAIL
             past_mode = k >= self.lam
             if done_mass and past_mode and k >= at_least:
                 break

@@ -23,18 +23,9 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .distributions import poisson_limit
-from .errors import (
-    FamilyTooLarge,
-    LatticeTooSmall,
-    MissingSpin,
-    MotifScheduleMismatch,
-    NonFiniteLimit,
-    NotClean,
-    SignatureMismatch,
-    TooLargeForExact,
-)
+from .errors import MissingSpin, MotifScheduleMismatch, NonFiniteLimit, NotClean, TooLargeForExact
 from .lattice import TorusLattice, Vertex
-from .motifs import DEFAULT_FAMILY_CAP, LocalConfig
+from .motifs import LocalConfig, family_size
 
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
@@ -42,6 +33,23 @@ DEFAULT_SITE_CAP = 24
 # bytes of one (patterns, boundaries) float64 energy block of the sandwich check;
 # unblocked, a cap-sized ball and boundary would need hundreds of MB per temporary
 _SANDWICH_BLOCK_BYTES = 1 << 22
+
+#: Largest excess of n^d P(motif | boundary) over the limit that still counts as below it.
+_SANDWICH_TOL = 1e-12
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller; forbid writes to them."""
+    array.flags.writeable = False
+    return array
+
+
+def as_spins(values) -> np.ndarray:
+    """``values`` as int8, checked to be +1 or -1 before the cast wraps 257 or truncates 1.5."""
+    values = np.asarray(values)
+    if not np.all((values == 1) | (values == -1)):
+        raise ValueError("spins must be +1 or -1")
+    return values.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,17 @@ class FieldSchedule:
     def params(self, n: int, b: float) -> ModelParams:
         return ModelParams(a=self.field(n), b=b)
 
+    def check_motif(self, motif: LocalConfig) -> None:
+        """Raise MotifScheduleMismatch unless the schedule targets the motif's k and d."""
+        if motif.k != self.k_target:
+            raise MotifScheduleMismatch(
+                f"motif has k={motif.k}, schedule targets k={self.k_target}"
+            )
+        if motif.signature[0] != self.d:
+            raise MotifScheduleMismatch(
+                f"motif dimension {motif.signature[0]} != schedule dimension {self.d}"
+            )
+
 
 def threshold_field(n: int, d: int, k: int, epsilon: float, super_threshold: bool) -> float:
     """Field with exp(2a) = n**(-d/k +- epsilon).
@@ -106,13 +125,11 @@ class SpinConfig:
     __slots__ = ("lattice", "spins")
 
     def __init__(self, lattice: TorusLattice, spins):
-        spins = np.asarray(spins, dtype=np.int8)
+        spins = np.asarray(spins)
         if spins.shape != (lattice.num_sites,):
             raise ValueError(f"expected {lattice.num_sites} spins, got shape {spins.shape}")
-        if not np.all(np.abs(spins) == 1):
-            raise ValueError("spins must be +1 or -1")
         self.lattice = lattice
-        self.spins = spins
+        self.spins = as_spins(spins)
 
     @classmethod
     def all_minus(cls, lattice: TorusLattice) -> "SpinConfig":
@@ -223,15 +240,13 @@ def _energy_levels(lattice: TorusLattice) -> _Levels:
             step += 4 * ((masks >> j) & 1)
         index[half:2 * half] = index[:half] + step
     levels = np.arange(size)
-    out = _Levels(
+    out = (
         index,
         np.bincount(index, minlength=size),
         levels // width - n_sites,
         levels % width - n_edges,
     )
-    for array in out:
-        array.flags.writeable = False
-    return out
+    return _Levels(*map(read_only, out))
 
 
 class ExactMeasure:
@@ -266,9 +281,7 @@ class ExactMeasure:
     def probabilities(self) -> np.ndarray:
         """Probability of every configuration, indexed by bitmask (read-only)."""
         if self._probs is None:
-            probs = np.exp(self._table - self.log_z)[self._index]
-            probs.flags.writeable = False
-            self._probs = probs
+            self._probs = read_only(np.exp(self._table - self.log_z)[self._index])
         return self._probs
 
     def log_prob(self, cfg: SpinConfig) -> float:
@@ -307,6 +320,7 @@ class ExactMeasure:
     # -- partial assignments ------------------------------------------------
 
     def _assignment_masks(self, assignment: Mapping[Vertex, int]) -> tuple[int, int]:
+        as_spins(list(assignment.values()))
         sites_mask = 0
         plus_mask = 0
         for vertex, spin in assignment.items():
@@ -317,8 +331,6 @@ class ExactMeasure:
             sites_mask |= bit
             if spin == 1:
                 plus_mask |= bit
-            elif spin != -1:
-                raise ValueError("spins must be +1 or -1")
         return sites_mask, plus_mask
 
     def _match(self, sites_mask: int, plus_mask: int) -> np.ndarray:
@@ -384,9 +396,7 @@ def local_energy(
     missing = [v for v in list(ball.members) + list(boundary) if v not in assignment]
     if missing:
         raise MissingSpin(f"no spin assigned on {missing[:4]}{'...' if len(missing) > 4 else ''}")
-    for v, s in assignment.items():
-        if s not in (-1, 1):
-            raise ValueError(f"spin at {v} must be +1 or -1")
+    as_spins(list(assignment.values()))
 
     inside = set(ball.members)
     field = sum(assignment[v] for v in ball.members)
@@ -422,11 +432,10 @@ class _BallTable(NamedTuple):
         return params.a * self.field[:, None] + params.b * pair
 
 
-def _ball_table(lattice: TorusLattice, x: Vertex, motif: LocalConfig, cap: int) -> _BallTable:
+def _ball_table(lattice: TorusLattice, x: Vertex, motif: LocalConfig) -> _BallTable:
     ball = lattice.ball(lattice.canon(x), motif.radius)
     members = tuple(ball.members)
-    if 1 << len(members) > cap:
-        raise FamilyTooLarge(f"ball has {len(members)} sites, 2^{len(members)} > cap {cap}")
+    patterns = family_size(len(members), "ball pattern family")
     boundary = tuple(lattice.boundary(ball))
     index = {v: i for i, v in enumerate(members)}
     internal = []
@@ -437,7 +446,7 @@ def _ball_table(lattice: TorusLattice, x: Vertex, motif: LocalConfig, cap: int) 
                 cross[index[y], boundary.index(z)] += 1
             elif y < z:
                 internal.append((index[y], index[z]))
-    rows = _spin_matrix(np.arange(1 << len(members), dtype=np.uint64), len(members))
+    rows = _spin_matrix(np.arange(patterns, dtype=np.uint64), len(members))
     ii, jj = np.array(internal, dtype=np.intp).reshape(-1, 2).T
     target = sum(1 << index[lattice.add(ball.center, off)] for off in motif.positives)
     field, pair = rows.sum(axis=1), (rows[:, ii] * rows[:, jj]).sum(axis=1)
@@ -450,7 +459,6 @@ def conditional_motif_probability(
     motif: LocalConfig,
     boundary: Mapping[Vertex, int],
     params: ModelParams,
-    family_cap: int = DEFAULT_FAMILY_CAP,
 ) -> float:
     """Probability that the motif occupies B(x, r), given the boundary spins.
 
@@ -458,22 +466,18 @@ def conditional_motif_probability(
     of all 2**beta(r) patterns on the ball; the result lies in (0, 1).
 
     Raises:
-        SignatureMismatch: motif built for a different (d, rho, p).
+        SignatureMismatch, LatticeTooSmall: motif and lattice do not fit.
         FamilyTooLarge: the 2**beta(r) normalization is over the cap.
         MissingSpin: boundary does not cover the whole vertex boundary.
+        ValueError: a boundary spin other than +1 or -1.
     """
-    if motif.signature != lattice.signature:
-        raise SignatureMismatch(
-            f"motif signature {motif.signature} != lattice signature {lattice.signature}"
-        )
-    table = _ball_table(lattice, x, motif, family_cap)
+    motif.check_fits(lattice)
+    table = _ball_table(lattice, x, motif)
     assignment = {lattice.canon(v): s for v, s in boundary.items()}
     missing = [v for v in table.boundary if v not in assignment]
     if missing:
         raise MissingSpin(f"boundary spin missing on {missing}")
-    tau = np.array([[assignment[v]] for v in table.boundary], dtype=np.int64)
-    if not np.all(np.abs(tau) == 1):
-        raise ValueError("boundary spins must be +1 or -1")
+    tau = as_spins([[assignment[v]] for v in table.boundary])
     energies = table.energies(tau, params)
     return float(np.exp(energies[table.target, 0] - _logsumexp(energies, axis=0)[0]))
 
@@ -485,8 +489,8 @@ class SandwichReport:
     For every boundary assignment tau, n^d * P(motif | tau) must stay below
     the limit value c^k * exp(-2 b gamma); ``worst_ratio`` is the smallest
     observed ratio against that limit (it approaches 1 as n grows) and
-    ``max_excess`` the largest upper-bound violation (<= tolerance when the
-    bound holds).
+    ``max_excess`` the largest upper-bound violation (<= ``_SANDWICH_TOL`` when
+    the bound holds).
     """
 
     n: int
@@ -502,48 +506,38 @@ def check_conditional_sandwich(
     motif: LocalConfig,
     schedule: FieldSchedule,
     b: float,
-    tol: float = 1e-12,
-    family_cap: int = DEFAULT_FAMILY_CAP,
 ) -> SandwichReport:
     """Exhaustively bound n^d * P(motif | boundary) over all boundary spins.
 
     Raises:
+        SignatureMismatch: motif built for a different (d, rho, p).
         NotClean: the motif has positives on its outer shell.
-        MotifScheduleMismatch: k(motif) differs from the schedule's target.
-        LatticeTooSmall: n <= 2 * rho * (r + 1).
+        MotifScheduleMismatch: k(motif) or d differs from the schedule's.
+        LatticeTooSmall: n <= 2 * rho * (r + 1), so the closure B(x, r + 1) wraps.
+        FamilyTooLarge: the ball patterns or boundary assignments are over the cap.
         NonFiniteLimit: the limit value c^k * exp(-2 b gamma) is not a finite
             float, or underflows to 0.0 so that no ratio against it exists.
     """
-    if motif.signature != lattice.signature:
-        raise SignatureMismatch(
-            f"motif signature {motif.signature} != lattice signature {lattice.signature}"
-        )
+    motif.check_fits(lattice)
     if not motif.clean:
         raise NotClean("sandwich check requires a clean motif")
-    if motif.k != schedule.k_target:
-        raise MotifScheduleMismatch(
-            f"motif has k={motif.k}, schedule targets k={schedule.k_target}"
-        )
+    schedule.check_motif(motif)
+    lattice.check_radius(motif.radius + 1)
     n = lattice.n
-    if n <= 2 * lattice.rho * (motif.radius + 1):
-        raise LatticeTooSmall(
-            f"need n > {2 * lattice.rho * (motif.radius + 1)} for the closure, got {n}"
-        )
     params = schedule.params(n, b)
     lam = poisson_limit(schedule.c, b, motif)
     if lam == 0.0:
         raise NonFiniteLimit(f"lambda underflows to 0.0 at c={schedule.c!r}, b={b!r}")
 
-    table = _ball_table(lattice, (0,) * lattice.d, motif, family_cap)
+    table = _ball_table(lattice, (0,) * lattice.d, motif)
     n_boundary = len(table.boundary)
-    if 1 << n_boundary > family_cap:
-        raise FamilyTooLarge(f"2^{n_boundary} boundary assignments exceed cap {family_cap}")
+    assignments = family_size(n_boundary, "boundary assignment family")
 
     # boundary assignment m puts +1 on boundary[i] iff bit i of m is set
     step = max(1, _SANDWICH_BLOCK_BYTES // (8 * len(table.field)))
     low, high = math.inf, -math.inf
-    for start in range(0, 1 << n_boundary, step):
-        masks = np.arange(start, min(start + step, 1 << n_boundary), dtype=np.uint64)
+    for start in range(0, assignments, step):
+        masks = np.arange(start, min(start + step, assignments), dtype=np.uint64)
         energies = table.energies(_spin_matrix(masks, n_boundary).T, params)
         log_z = _logsumexp(energies, axis=0)
         scaled = lattice.num_sites * np.exp(energies[table.target] - log_z)
@@ -553,6 +547,6 @@ def check_conditional_sandwich(
         lambda_target=lam,
         worst_ratio=low / lam,
         max_excess=high - lam,
-        boundary_count=1 << n_boundary,
-        upper_bound_holds=high - lam <= tol,
+        boundary_count=assignments,
+        upper_bound_holds=high - lam <= _SANDWICH_TOL,
     )

@@ -38,6 +38,11 @@ def normalize_norm_selector(p) -> int | float:
     return q
 
 
+def norm_label(p) -> int | str:
+    """The norm selector as files and results write it: its integer, or "inf"."""
+    return "inf" if p == INFINITY else p
+
+
 @lru_cache(maxsize=None)
 def neighbor_offsets(d: int, rho: int, p) -> tuple[Vertex, ...]:
     """Nonzero integer vectors v with ||v||_p <= rho, sorted lexicographically.
@@ -142,8 +147,7 @@ class TorusLattice:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        p = "inf" if self.p == INFINITY else self.p
-        return f"TorusLattice(d={self.d}, n={self.n}, rho={self.rho}, p={p})"
+        return f"TorusLattice(d={self.d}, n={self.n}, rho={self.rho}, p={norm_label(self.p)})"
 
     # -- vertices ----------------------------------------------------------
 
@@ -225,19 +229,22 @@ class TorusLattice:
         """beta(radius): number of vertices of any radius-``radius`` ball."""
         return len(ball_offsets(self.d, self.rho, self.p, radius))
 
-    def ball(self, x: Vertex, radius: int) -> Ball:
-        """The ball B(x, radius).
-
-        Raises:
-            LatticeTooSmall: if n <= 2*rho*radius (the ball would wrap onto
-                itself and beta(radius) would no longer be center-free).
-        """
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+    def check_radius(self, radius: int) -> None:
+        """Raise LatticeTooSmall unless n > 2*rho*radius, below which a ball wraps onto itself."""
         if self.n <= 2 * self.rho * radius:
             raise LatticeTooSmall(
                 f"ball of radius {radius} needs n > {2 * self.rho * radius}, got n={self.n}"
             )
+
+    def ball(self, x: Vertex, radius: int) -> Ball:
+        """The ball B(x, radius).
+
+        Raises:
+            LatticeTooSmall: see ``check_radius``.
+        """
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        self.check_radius(radius)
         x = self.canon(x)
         key = (x, radius)
         cached = self._ball_cache.get(key)

@@ -13,20 +13,33 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FamilyTooLarge, MotifFileError
+from .errors import FamilyTooLarge, MotifFileError, SignatureMismatch
 from .lattice import (
-    INFINITY,
+    TorusLattice,
     Vertex,
     ball_offsets,
     neighbor_offsets,
+    norm_label,
     normalize_norm_selector,
 )
 
 #: (d, rho, p) a motif was built against.
 LatticeSignature = tuple
 
-#: Default cap on enumerated family sizes.
+#: Cap on enumerated family sizes.
 DEFAULT_FAMILY_CAP = 1 << 20
+
+
+def family_size(sites: int, what: str) -> int:
+    """2**sites, the number of patterns on ``sites`` free sites, unless over the cap.
+
+    Raises:
+        FamilyTooLarge: 2**sites > DEFAULT_FAMILY_CAP; the message names ``what``.
+    """
+    total = 1 << sites
+    if total > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLarge(f"{what} has 2^{sites} members, cap is {DEFAULT_FAMILY_CAP}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,14 @@ class LocalConfig:
                     count += 1
         return count
 
+    def check_fits(self, lattice: TorusLattice) -> None:
+        """Raise SignatureMismatch or LatticeTooSmall unless the motif applies to ``lattice``."""
+        if self.signature != lattice.signature:
+            raise SignatureMismatch(
+                f"motif signature {self.signature} != lattice signature {lattice.signature}"
+            )
+        lattice.check_radius(self.radius)
+
     def ring(self) -> "LocalConfig":
         """Extend to radius + 1 with an all-negative outer shell.
 
@@ -130,8 +151,7 @@ class LocalConfig:
     def canonical_text(self, n_hint: int = 0) -> str:
         """Bit-exact text form: header line, then one sorted positive per line."""
         d, rho, p = self.signature
-        p_txt = "inf" if p == INFINITY else str(p)
-        lines = [f"{d} {n_hint} {rho} {p_txt} {self.radius}"]
+        lines = [f"{d} {n_hint} {rho} {norm_label(p)} {self.radius}"]
         for v in sorted(self.positives):
             lines.append(" ".join(str(c) for c in v))
         return "\n".join(lines) + "\n"
@@ -143,9 +163,8 @@ class LocalConfig:
 
     def __repr__(self) -> str:
         d, rho, p = self.signature
-        p_txt = "inf" if p == INFINITY else p
         return (
-            f"LocalConfig(r={self.radius}, k={self.k}, d={d}, rho={rho}, p={p_txt}, "
+            f"LocalConfig(r={self.radius}, k={self.k}, d={d}, rho={rho}, p={norm_label(p)}, "
             f"positives={sorted(self.positives)})"
         )
 
@@ -161,21 +180,17 @@ def single_positive(radius: int, signature: LatticeSignature) -> LocalConfig:
     return LocalConfig(radius, frozenset({(0,) * d}), signature)
 
 
-def enumerate_superset_family(
-    cfg: LocalConfig, cap: int = DEFAULT_FAMILY_CAP
-) -> list[LocalConfig]:
+def enumerate_superset_family(cfg: LocalConfig) -> list[LocalConfig]:
     """All motifs of the same radius whose positives contain cfg's positives.
 
     The result has 2**(beta(r) - k) members and starts with ``cfg`` itself;
     every other member has at least k + 1 positives.
 
     Raises:
-        FamilyTooLarge: if the family would exceed ``cap`` members.
+        FamilyTooLarge: if the family would exceed DEFAULT_FAMILY_CAP members.
     """
     free = sorted(set(cfg.ball_sites) - cfg.positives)
-    total = 1 << len(free)
-    if total > cap:
-        raise FamilyTooLarge(f"superset family has {total} members, cap is {cap}")
+    total = family_size(len(free), "superset family")
     out = []
     for mask in range(total):
         extra = {free[i] for i in range(len(free)) if (mask >> i) & 1}
@@ -183,22 +198,15 @@ def enumerate_superset_family(
     return out
 
 
-def enumerate_exceeding(
-    radius: int,
-    k_min: int,
-    signature: LatticeSignature,
-    cap: int = DEFAULT_FAMILY_CAP,
-) -> list[LocalConfig]:
+def enumerate_exceeding(radius: int, k_min: int, signature: LatticeSignature) -> list[LocalConfig]:
     """All motifs on B(0, radius) with strictly more than ``k_min`` positives.
 
     Raises:
-        FamilyTooLarge: if 2**beta(radius) exceeds ``cap``.
+        FamilyTooLarge: if 2**beta(radius) exceeds DEFAULT_FAMILY_CAP.
     """
     d, rho, p = signature
     sites = ball_offsets(d, rho, normalize_norm_selector(p), radius)
-    total = 1 << len(sites)
-    if total > cap:
-        raise FamilyTooLarge(f"ball has {len(sites)} sites, 2^{len(sites)} > cap {cap}")
+    total = family_size(len(sites), "ball pattern family")
     out = []
     for mask in range(total):
         if mask.bit_count() <= k_min:
@@ -253,9 +261,16 @@ def parse_motif_text(text: str) -> tuple[LocalConfig, int]:
 
 
 def load_motif(path) -> tuple[LocalConfig, int]:
-    """Read a motif file from disk.  Returns (motif, n_hint)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_motif_text(fh.read())
+    """Read a motif file from disk.  Returns (motif, n_hint).
+
+    Raises OSError if it cannot be read, MotifFileError if it is no UTF-8 motif text.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MotifFileError(f"not UTF-8 text: {exc}") from exc
+    return parse_motif_text(text)
 
 
 def save_motif(cfg: LocalConfig, path, n_hint: int = 0) -> None:

@@ -62,8 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AntiferromagneticUnsupported, CoalescenceTimeout
-from .exact import ModelParams, SpinConfig
-from .lattice import INFINITY, TorusLattice, normalize_norm_selector
+from .exact import ModelParams, SpinConfig, read_only
+from .lattice import TorusLattice, norm_label, normalize_norm_selector
 
 KINDS = ("heat_bath", "metropolis", "cftp")
 
@@ -71,6 +71,9 @@ _U64 = (1 << 64) - 1
 
 #: Bytes of one time step's (sites, draws) float64 uniforms in ``cftp_batch``.
 _CFTP_CHUNK_BYTES = 1 << 20
+
+#: Sweeps back in time after which ``cftp_batch`` gives up on a draw.
+_EPOCH_LIMIT = 1 << 20
 
 #: Bytes of float64 uniforms the stream computes in one call, a block of times.
 _STREAM_BLOCK_BYTES = 1 << 18
@@ -130,22 +133,16 @@ def _colour_classes(lattice: TorusLattice) -> _Layout:
     row_of = np.argsort(order)
     bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
     classes = tuple(
-        (slice(lo, hi), _read_only(np.ascontiguousarray(row_of[nbr[order[lo:hi]]].T)))
+        (slice(lo, hi), read_only(np.ascontiguousarray(row_of[nbr[order[lo:hi]]].T)))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     )
-    return _Layout(_read_only(order), _read_only(row_of), classes)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """Cached arrays are shared by every caller; forbid writes to them."""
-    array.setflags(write=False)
-    return array
+    return _Layout(read_only(order), read_only(row_of), classes)
 
 
 @lru_cache(maxsize=256)
 def _heat_bath_table(a: float, b: float, degree: int) -> np.ndarray:
     """p_plus for every neighbor sum -degree..degree, at index sum + degree."""
-    return _read_only(np.array([
+    return read_only(np.array([
         1.0 / (1.0 + np.exp(-2.0 * (a + b * s))) for s in range(-degree, degree + 1)
     ]))
 
@@ -153,7 +150,7 @@ def _heat_bath_table(a: float, b: float, degree: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _metropolis_table(a: float, b: float, degree: int) -> np.ndarray:
     """Flip acceptance at index (sum + degree) + (2 degree + 1) * (spin == +1)."""
-    return _read_only(np.array([
+    return read_only(np.array([
         np.exp(min(-2.0 * spin * (a + b * s), 0.0))
         for spin in (-1, 1) for s in range(-degree, degree + 1)
     ]))
@@ -303,8 +300,6 @@ def cftp_batch(
     params: ModelParams,
     seed: int,
     count: int,
-    epoch_limit: int = 1 << 20,
-    draw_chunk: int | None = None,
 ) -> np.ndarray:
     """Exact draws from the Gibbs measure, as a (count, num_sites) spin matrix.
 
@@ -314,21 +309,20 @@ def cftp_batch(
     coalesce.  The uniform at (draw i, time -t, site x) is a pure function of
     (seed, i, t, x), the counter-based stream of the module docstring, so
     results do not depend on batching or chunk size.  Draws run in chunks of
-    ``draw_chunk`` (default: about ``_CFTP_CHUNK_BYTES`` of uniforms per time
-    step), each chunk's top and bottom chains swept as one (sites, 2, m) stack.
+    about ``_CFTP_CHUNK_BYTES`` of uniforms per time step, each chunk's top and
+    bottom chains swept as one (sites, 2, m) stack.
 
     Raises:
         AntiferromagneticUnsupported: if b < 0 (the kernel is not monotone).
         CoalescenceTimeout: if any chain pair fails to coalesce within
-            ``epoch_limit`` sweeps back in time.
+            ``_EPOCH_LIMIT`` sweeps back in time.
     """
     if params.b < 0:
         raise AntiferromagneticUnsupported("coupling-from-the-past requires b >= 0")
     if count < 1:
         raise ValueError("count must be >= 1")
     sites = lattice.num_sites
-    if draw_chunk is None:
-        draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
+    draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     layout = _colour_classes(lattice)
     stream = _Stream(layout.order, min(draw_chunk, count))
     out = np.empty((count, sites), dtype=np.int8)
@@ -337,9 +331,9 @@ def cftp_batch(
         keys = _chain_keys(seed, active)
         horizon = 1
         while active.size:
-            if horizon > epoch_limit:
+            if horizon > _EPOCH_LIMIT:
                 raise CoalescenceTimeout(
-                    f"{active.size} draws not coalesced after {epoch_limit} sweeps back"
+                    f"{active.size} draws not coalesced after {_EPOCH_LIMIT} sweeps back"
                 )
             chains = np.empty((sites, 2, active.size), dtype=np.int8)
             chains[:, 0] = 1
@@ -449,8 +443,7 @@ def sample_with_params(
 
 def save_spin_config(cfg: SpinConfig, path) -> None:
     lattice = cfg.lattice
-    p_txt = "inf" if lattice.p == INFINITY else str(lattice.p)
-    header = f"{lattice.d} {lattice.n} {lattice.rho} {p_txt}\n".encode("ascii")
+    header = f"{lattice.d} {lattice.n} {lattice.rho} {norm_label(lattice.p)}\n".encode("ascii")
     packed = np.packbits((cfg.spins == 1).astype(np.uint8))
     with open(path, "wb") as fh:
         fh.write(header)

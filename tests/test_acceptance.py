@@ -157,7 +157,7 @@ def test_criterion_3_conditional_upper_bound():
             ratios = []
             for n in SANDWICH_NS:
                 lattice = TorusLattice(d, n, 1, 1)
-                report = check_conditional_sandwich(lattice, motif, schedule, b, tol=1e-12)
+                report = check_conditional_sandwich(lattice, motif, schedule, b)
                 crit.check(
                     report.upper_bound_holds,
                     f"upper bound violated d={d} b={b} n={n} excess={report.max_excess:.3e}",

@@ -400,6 +400,19 @@ def test_unreadable_config_is_a_parse_error(workdir, capsys, command):
         assert cause in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "motif-info"])
+def test_motif_file_that_is_not_utf8_is_one_line_and_exit_2(workdir, capsys, command):
+    (workdir / "single.motif").write_bytes(b"\xff\xfe" + SINGLE_MOTIF.encode())
+    (workdir / "run.ini").write_text(MINIMAL)
+    target = "single.motif" if command == "motif-info" else "run.ini"
+    assert main([command, str(workdir / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = "MotifFileError: " if command == "motif-info" else "ParseError: bad motif file "
+    assert captured.err.startswith(first)
+    assert "not UTF-8" in captured.err and captured.err.count("\n") == 1
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -11,9 +11,11 @@ from isingmotif import (
     SpinConfig,
     TorusLattice,
     build_exact,
+    conditional_motif_probability,
     count,
     count_distribution_exact,
     indicator,
+    local_energy,
     site_match_probabilities,
 )
 from isingmotif import counting
@@ -146,9 +148,10 @@ def test_signature_and_size_guards():
     (TorusLattice(1, 11, 2, 1), LocalConfig(1, frozenset({(0,), (1,)}), (1, 2, 1))),
 ])
 @pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
-def test_count_all_masks_matches_per_config_count(lattice, motif, mode):
+def test_count_all_masks_matches_per_config_count(lattice, motif, mode, monkeypatch):
     # every mask, across chunk boundaries (chunks of 100 masks)
-    table = count_all_masks(lattice, motif, mode, chunk=100)
+    monkeypatch.setattr(counting, "_MASK_CHUNK", 100)
+    table = count_all_masks(lattice, motif, mode)
     for mask in range(1 << lattice.num_sites):
         assert table[mask] == naive_count(SpinConfig.from_mask(lattice, mask), motif, mode)
 
@@ -165,8 +168,12 @@ def test_cached_count_arrays_are_read_only_and_shared():
         assert [dist.pmf(k) for k in range(len(direct))] == list(direct)
     cached = counting._mask_counts(lat, motif, SUPERSET_MATCH)
     assert cached.dtype == np.uint8
-    with pytest.raises(ValueError):
-        cached[0] = 1
+    # the pattern tables every counter reads are cached too
+    tables = counting._site_tables(lat, motif, SUPERSET_MATCH)
+    words = counting._site_words(lat, motif, SUPERSET_MATCH)
+    for array in (cached, *tables, *words):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_count_samples_matches_scalar():
@@ -249,16 +256,45 @@ def test_count_samples_rejects_a_wrong_shape():
             count_samples(lattice, spins, motif, EXACT_MATCH)
 
 
-def test_count_samples_rejects_entries_other_than_plus_minus_one():
-    lattice = TorusLattice(1, 8, 1, 1)
-    motif = bundled_motif("single_plus_d1.motif")
-    # 257 wraps to the int8 value 1: unchecked, it would count 8 superset matches
-    wide = np.full((1, 8), 257, dtype=np.int64)
-    zero = np.ones((4, 8), dtype=np.int8)
-    zero[3, 5] = 0
-    for spins in (wide, zero, np.full((2, 8), 0.5), np.full((1, 8), 1j)):
-        with pytest.raises(ValueError, match=re.escape("must be +1 or -1")):
-            count_samples(lattice, spins, motif, SUPERSET_MATCH)
+LAT8 = TorusLattice(1, 8, 1, 1)
+PARAMS8 = ModelParams(-1.0, 0.3)
+
+
+def _by_site(spins):
+    return {(x,): s for x, s in enumerate(spins.tolist())}
+
+
+#: Every entry point that takes spins, fed the 8 spins of LAT8.  The bad
+#: entries below sit on sites 2 and 6, the boundary of B(0, 1), or everywhere.
+SPIN_ENTRY_POINTS = {
+    "SpinConfig": lambda spins: SpinConfig(LAT8, spins),
+    "count_samples": lambda spins: count_samples(
+        LAT8, np.stack([np.ones(8, dtype=np.int8), spins]), single_positive(1, D1), SUPERSET_MATCH
+    ),
+    "local_energy": lambda spins: local_energy(LAT8, (0,), 1, _by_site(spins), PARAMS8),
+    "conditional_motif_probability": lambda spins: conditional_motif_probability(
+        LAT8, (0,), single_positive(1, D1), _by_site(spins), PARAMS8
+    ),
+    "ExactMeasure.conditional_probability": lambda spins: build_exact(
+        LAT8, PARAMS8
+    ).conditional_probability({}, _by_site(spins)),
+}
+
+
+@pytest.mark.parametrize("entry", SPIN_ENTRY_POINTS)
+@pytest.mark.parametrize("spins", [
+    # cast to int8 before the check, 257 and -255 wrap to 1 and 1.5, 1.9 truncate to 1
+    np.full(8, 257),
+    np.full(8, -255),
+    np.array([1, 1, 1.5, -1, 1, 1, 1, 1]),
+    np.array([1, 1, 1, -1, 1, 1, 1.9, 1]),
+    np.array([1, 1, -1, -1, 1, 1, 0, 1], dtype=np.int8),
+    np.full(8, 0.5),
+    np.full(8, 1j),
+], ids=["257", "-255", "1.5", "1.9", "0", "0.5", "1j"])
+def test_spins_other_than_plus_minus_one_are_rejected(entry, spins):
+    with pytest.raises(ValueError, match=re.escape("must be +1 or -1")):
+        SPIN_ENTRY_POINTS[entry](spins)
 
 
 def test_count_samples_working_set_is_bounded():

@@ -270,6 +270,10 @@ def test_sandwich_rejections():
         check_conditional_sandwich(lat, LocalConfig(1, frozenset({(1,)}), D1), schedule, 0.0)
     with pytest.raises(MotifScheduleMismatch):
         check_conditional_sandwich(lat, null_config(1, D1).ring(), schedule, 0.0)
+    # the d = 1 schedule on a d = 2 torus, which poisson_target refuses as well
+    lat2 = TorusLattice(2, 8, rho=1, p=1)
+    with pytest.raises(MotifScheduleMismatch):
+        check_conditional_sandwich(lat2, single_positive(1, lat2.signature), schedule, 0.0)
     with pytest.raises(ValueError):
         FieldSchedule(c=1.0, k_target=0, d=1)  # the null motif has no schedule
     with pytest.raises(LatticeTooSmall):
@@ -398,7 +402,7 @@ def test_fkg_small_exhaustive():
 def test_ball_table_matches_local_energy():
     lat = TorusLattice(2, 7, rho=1, p=1)
     params = ModelParams(-0.5, 0.3)
-    table = _ball_table(lat, (1, 1), single_positive(1, lat.signature), cap=1 << 20)
+    table = _ball_table(lat, (1, 1), single_positive(1, lat.signature))
     assert table.target == 1 << table.members.index((1, 1))
     rng = np.random.default_rng(3)
     taus = rng.choice((-1, 1), size=(len(table.boundary), 3))

@@ -91,8 +91,9 @@ def test_superset_family():
 
 
 def test_superset_family_cap():
+    # the radius-3 ball of Z^2 has beta = 25 sites: 2^25 members exceed the cap
     with pytest.raises(FamilyTooLarge):
-        enumerate_superset_family(null_config(1, D2), cap=8)
+        enumerate_superset_family(null_config(3, D2))
 
 
 def test_enumerate_exceeding():

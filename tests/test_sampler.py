@@ -392,10 +392,11 @@ def test_cftp_rejects_antiferromagnet():
         cftp_batch(lat, ModelParams(0.0, -0.1), seed=1, count=1)
 
 
-def test_cftp_timeout():
+def test_cftp_timeout(monkeypatch):
+    monkeypatch.setattr(sampler, "_EPOCH_LIMIT", 2)
     lat = TorusLattice(1, 8, 1, 1)
     with pytest.raises(CoalescenceTimeout):
-        cftp_batch(lat, ModelParams(0.0, 3.0), seed=1, count=4, epoch_limit=2)
+        cftp_batch(lat, ModelParams(0.0, 3.0), seed=1, count=4)
 
 
 def reference_cftp(lat, params, seed, draw):
@@ -429,15 +430,18 @@ def test_cftp_draw_independent_of_batching(block_bytes, monkeypatch):
     lat = TorusLattice(1, 6, 1, 1)
     params = ModelParams(-0.5, 0.4)
     want = [reference_cftp(lat, params, 21, i) for i in range(6)]
-    # the chunks {0, 1, 2} and {3, 4, 5} of draw_chunk=3 coalesce at different horizons
+    # the chunks {0, 1, 2} and {3, 4, 5} of 3 draws coalesce at different horizons
     horizons = [h for _, h in want]
     assert max(horizons[:3]) != max(horizons[3:])
     want_spins = np.stack([spins for spins, _ in want])
     alone = cftp_batch(lat, params, seed=21, count=1)
     assert np.array_equal(alone, want_spins[:1])
-    for draw_chunk in (None, 1, 2, 3):
-        got = cftp_batch(lat, params, seed=21, count=6, draw_chunk=draw_chunk)
-        assert np.array_equal(got, want_spins), draw_chunk
+    # the default chunk holds all 6 draws; then chunks of 1, 2 and 3 draws
+    for draws in (None, 1, 2, 3):
+        if draws:
+            monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * lat.num_sites * draws)
+        got = cftp_batch(lat, params, seed=21, count=6)
+        assert np.array_equal(got, want_spins), draws
 
 
 # -- batch contract -----------------------------------------------------------------
