@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import exact
 from .distributions import CountDistribution
 from .exact import ExactMeasure, SpinConfig, as_spins, read_only
 from .lattice import TorusLattice, Vertex
@@ -27,9 +28,6 @@ MODES = (EXACT_MATCH, SUPERSET_MATCH)
 
 #: Bytes of one chunk of samples in ``count_samples`` (sites x samples, int8).
 _SAMPLE_CHUNK_BYTES = 1 << 17
-
-#: Bitmasks per chunk in ``count_all_masks``.
-_MASK_CHUNK = 1 << 16
 
 
 def _check_mode(mode: str) -> None:
@@ -165,14 +163,14 @@ def count_samples(
 def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Counts for every configuration bitmask of the lattice (exact pipeline).
 
-    The masks are counted in chunks of ``_MASK_CHUNK``.  The result is uint8:
-    a count never exceeds the number of sites, far below 256 wherever the
-    2**sites masks can be enumerated.
+    The masks are counted in chunks of ``exact.MASK_CHUNK``.  The result is
+    uint8: a count never exceeds the number of sites, far below 256 wherever
+    the 2**sites masks can be enumerated.
     """
     total = 1 << lattice.num_sites
     counts = np.zeros(total, dtype=np.uint8)
-    for start in range(0, total, _MASK_CHUNK):
-        acc = counts[start:start + _MASK_CHUNK]
+    for start in range(0, total, exact.MASK_CHUNK):
+        acc = counts[start:start + exact.MASK_CHUNK]
         for hit in _mask_hits(lattice, motif, mode, start, start + len(acc)):
             acc += hit
     return counts
@@ -195,6 +193,5 @@ def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
     """Exact law of the motif count under the measure, with cached moments."""
-    counts = _mask_counts(measure.lattice, motif, mode)
-    pmf = np.bincount(counts, weights=measure.probabilities())
+    pmf = measure.count_pmf(_mask_counts(measure.lattice, motif, mode))
     return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)

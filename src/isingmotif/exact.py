@@ -3,10 +3,11 @@
 The measure weights a configuration sigma by exp(a * sum_x sigma(x) +
 b * sum_edges sigma(x) sigma(y)).  Both sums are integers, so each small
 lattice is enumerated once into the (M, E) level of every configuration, and
-every (a, b) on it is a lookup in a table of a*M + b*E.  The probabilities of
-all 2**(n^d) configurations are materialized, giving an exact oracle for
-means, variances, conditionals and count distributions.  All weights stay in
-log domain; the field a can be strongly negative, which would underflow raw
+every (a, b) on it is a lookup in a table of a*M + b*E.  Count laws are summed
+from the level table, chunk by chunk in bitmask order, without a table of one
+probability per configuration; that table is built on demand only for the
+oracle queries (means, variances, conditionals).  All weights stay in log
+domain; the field a can be strongly negative, which would underflow raw
 weights.
 
 Configurations are identified with bitmasks: bit i set means site i (row-major
@@ -29,6 +30,10 @@ from .motifs import LocalConfig, family_size
 
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
+
+#: Bitmasks per chunk in every pass over the 2**N configurations: the level
+#: multiplicities, the count laws and ``counting.count_all_masks``.
+MASK_CHUNK = 1 << 16
 
 # bytes of one (patterns, boundaries) float64 energy block of the sandwich check;
 # unblocked, a cap-sized ball and boundary would need hundreds of MB per temporary
@@ -215,9 +220,9 @@ def _energy_levels(lattice: TorusLattice) -> _Levels:
 
     M = sum_x sigma(x) and E = sum_edges sigma(x) sigma(y) are integers, so
     the level (M + N) * (2|E| + 1) + (E + |E|) is a dense index.  The index is
-    built by doubling: the masks with top bit k are the masks below 2**k with
-    site k turned from -1 to +1 (the sites above k still -1), which adds 2 to
-    M and twice the neighbours' spin sum to E.
+    built in place by doubling: the masks with top bit k are the masks below
+    2**k with site k turned from -1 to +1 (the sites above k still -1), which
+    adds 2 to M and twice the neighbours' spin sum to E.
     """
     n_sites = lattice.num_sites
     edges = lattice.edges()
@@ -234,18 +239,16 @@ def _energy_levels(lattice: TorusLattice) -> _Levels:
     index[0] = 2 * n_edges  # all minus: M = -N, E = |E|
     for k in range(n_sites):
         half = 1 << k
-        masks = np.arange(half)
-        step = np.full(half, 2 * width - 2 * degree[k], dtype=np.int64)
+        upper = index[half:2 * half]
+        # every lower neighbour at -1; each one at +1 (bit j set) adds 4
+        np.add(index[:half], 2 * width - 2 * degree[k], out=upper)
         for j in lower[k]:
-            step += 4 * ((masks >> j) & 1)
-        index[half:2 * half] = index[:half] + step
+            upper.reshape(-1, 2, 1 << j)[:, 1] += 4
+    count = np.zeros(size, dtype=np.intp)
+    for start in range(0, len(index), MASK_CHUNK):
+        count += np.bincount(index[start:start + MASK_CHUNK], minlength=size)
     levels = np.arange(size)
-    out = (
-        index,
-        np.bincount(index, minlength=size),
-        levels // width - n_sites,
-        levels % width - n_edges,
-    )
+    out = (index, count, levels // width - n_sites, levels % width - n_edges)
     return _Levels(*map(read_only, out))
 
 
@@ -267,6 +270,7 @@ class ExactMeasure:
         # empty levels are never looked up; -inf keeps exp from overflowing on them
         self._table = np.where(levels.count > 0, table, -np.inf)
         self.log_z = float(_logsumexp(self._table, levels.count))
+        self._level_probs = np.exp(self._table - self.log_z)
         self._probs: np.ndarray | None = None
 
     @property
@@ -279,10 +283,31 @@ class ExactMeasure:
         return self._table[self._index]
 
     def probabilities(self) -> np.ndarray:
-        """Probability of every configuration, indexed by bitmask (read-only)."""
+        """Probability of every configuration, indexed by bitmask (read-only).
+
+        Eight bytes per configuration: for the oracle queries below; count laws
+        come from ``count_pmf``, which never builds this table.
+        """
         if self._probs is None:
-            self._probs = read_only(np.exp(self._table - self.log_z)[self._index])
+            self._probs = read_only(self._level_probs[self._index])
         return self._probs
+
+    def count_pmf(self, counts: np.ndarray) -> np.ndarray:
+        """Law of a statistic with values in 0..N, given per configuration bitmask.
+
+        Returns pmf of length N + 1, N the number of sites.  Each chunk of
+        masks gathers its probabilities from the level table and adds them
+        with ``np.add.at``, which adds in index order; every bin thus sums the
+        same terms in the same order as
+        ``np.bincount(counts, weights=self.probabilities())``, bit for bit.
+        """
+        if counts.shape != (self.num_configs,):
+            raise ValueError("counts must cover every configuration")
+        pmf = np.zeros(self.lattice.num_sites + 1)
+        for start in range(0, self.num_configs, MASK_CHUNK):
+            stop = start + MASK_CHUNK
+            np.add.at(pmf, counts[start:stop], self._level_probs[self._index[start:stop]])
+        return pmf
 
     def log_prob(self, cfg: SpinConfig) -> float:
         return float(self._table[self._index[cfg.to_mask()]] - self.log_z)

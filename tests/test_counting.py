@@ -18,7 +18,7 @@ from isingmotif import (
     local_energy,
     site_match_probabilities,
 )
-from isingmotif import counting
+from isingmotif import counting, exact
 from isingmotif.counting import count_all_masks, count_samples
 from isingmotif.errors import LatticeTooSmall, SignatureMismatch
 from isingmotif.lattice import INFINITY
@@ -150,7 +150,7 @@ def test_signature_and_size_guards():
 @pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
 def test_count_all_masks_matches_per_config_count(lattice, motif, mode, monkeypatch):
     # every mask, across chunk boundaries (chunks of 100 masks)
-    monkeypatch.setattr(counting, "_MASK_CHUNK", 100)
+    monkeypatch.setattr(exact, "MASK_CHUNK", 100)
     table = count_all_masks(lattice, motif, mode)
     for mask in range(1 << lattice.num_sites):
         assert table[mask] == naive_count(SpinConfig.from_mask(lattice, mask), motif, mode)
@@ -311,6 +311,61 @@ def test_count_samples_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+LAW_LATTICES = [
+    TorusLattice(1, 6, 1, 1),
+    TorusLattice(1, 9, 1, 1),
+    TorusLattice(1, 16, 1, 1),
+    TorusLattice(1, 20, 1, 1),
+    TorusLattice(2, 3, 1, 1),
+    TorusLattice(2, 3, 1, INFINITY),
+    TorusLattice(2, 4, 1, 1),
+    TorusLattice(2, 4, 1, INFINITY),
+    TorusLattice(1, 13, 2, 1),
+]
+
+
+@pytest.mark.parametrize("lattice", LAW_LATTICES, ids=repr)
+@pytest.mark.parametrize("a", [-0.6, -400.0])  # at -400 most probabilities underflow to 0
+@pytest.mark.parametrize("b", [-0.5, 0.0, 0.4])
+@pytest.mark.parametrize("chunk", [exact.MASK_CHUNK, 1000])  # 1000 divides no 2**N
+def test_count_law_is_bincount_bit_for_bit(lattice, a, b, chunk, monkeypatch):
+    # the law summed from the level table is the table-weighted bincount, bit for bit
+    monkeypatch.setattr(exact, "MASK_CHUNK", chunk)
+    measure = build_exact(lattice, ModelParams(a, b))
+    motif = single_positive(1, lattice.signature)
+    for mode in (EXACT_MATCH, SUPERSET_MATCH):
+        counts = count_all_masks(lattice, motif, mode)
+        pmf = measure.count_pmf(counts)
+        assert len(pmf) == lattice.num_sites + 1
+        direct = np.bincount(counts, weights=measure.probabilities(), minlength=len(pmf))
+        assert np.array_equal(pmf, direct)
+        dist = count_distribution_exact(measure, motif, mode)
+        assert [dist.pmf(k) for k in range(len(pmf))] == list(direct)
+
+
+def test_count_law_needs_every_configuration():
+    measure = build_exact(TorusLattice(1, 6, 1, 1), ModelParams(-0.6, 0.4))
+    with pytest.raises(ValueError, match="every configuration"):
+        measure.count_pmf(np.zeros(63, dtype=np.uint8))
+
+
+def test_count_law_working_set_is_bounded():
+    # no table of one probability per configuration and no intp copy of the
+    # counts: 1M masks take 8 MiB per such table, the law well under 1 MiB
+    lattice = TorusLattice(1, 20, 1, 1)
+    motif = bundled_motif("single_plus_d1.motif")
+    counting._mask_counts(lattice, motif, EXACT_MATCH)  # the counts are cached
+    measure = build_exact(lattice, ModelParams(-1.2, 0.3))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        count_distribution_exact(measure, motif, EXACT_MATCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * 2**20
 
 
 def test_count_distribution_binomial_case():

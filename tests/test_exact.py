@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from isingmotif.errors import (
     NotClean,
     TooLargeForExact,
 )
-from isingmotif.exact import _ball_table, _logsumexp
+from isingmotif.exact import _ball_table, _energy_levels, _logsumexp, _spin_matrix
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import (
     LocalConfig,
@@ -112,6 +113,53 @@ def test_cached_levels_match_hamiltonian(lat):
             assert weights[mask] == pytest.approx(hamiltonian(cfg, measure.params), abs=1e-12)
             assert measure.log_prob(cfg) == weights[mask] - measure.log_z
         assert measure.log_z == pytest.approx(naive_log_z(lat, measure.params), rel=1e-12)
+
+
+@pytest.mark.parametrize("lat", [
+    TorusLattice(1, 6, 1, 1),
+    TorusLattice(1, 9, 1, 1),
+    TorusLattice(2, 3, 1, 1),
+    TorusLattice(2, 4, 1, INFINITY),
+    TorusLattice(1, 11, 2, 1),
+], ids=repr)
+@pytest.mark.parametrize("chunk", [exact.MASK_CHUNK, 100])
+def test_energy_levels_match_per_mask_levels(lat, chunk, monkeypatch):
+    # (M, E) of every mask straight from its spins, against the doubling build
+    monkeypatch.setattr(exact, "MASK_CHUNK", chunk)
+    levels = _energy_levels.__wrapped__(lat)
+    n_sites, edges = lat.num_sites, lat.edges()
+    spins = _spin_matrix(np.arange(1 << n_sites, dtype=np.uint64), n_sites).astype(np.int64)
+    ii, jj = np.array(edges, dtype=np.intp).T
+    field = spins.sum(axis=1)
+    pair = (spins[:, ii] * spins[:, jj]).sum(axis=1)
+    width = 2 * len(edges) + 1
+    size = (2 * n_sites + 1) * width
+    level = (field + n_sites) * width + pair + len(edges)
+    assert levels.index.dtype == (np.uint16 if size <= 1 << 16 else np.uint32)
+    assert np.array_equal(levels.index, level)
+    assert levels.count.dtype == np.intp
+    assert np.array_equal(levels.count, np.bincount(level, minlength=size))
+    assert levels.field.dtype == levels.pair.dtype == np.intp
+    assert len(levels.field) == len(levels.pair) == size
+    assert np.array_equal(levels.field[level], field)
+    assert np.array_equal(levels.pair[level], pair)
+    for array in levels:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_energy_levels_working_set_is_bounded():
+    # the index is built in place, in its own dtype: 1M masks take 2 MiB of
+    # uint16 index, and every full-length int64 temporary would add 8 MiB
+    lat = TorusLattice(1, 20, 1, 1)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        levels = _energy_levels.__wrapped__(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < levels.index.nbytes + 2 * 2**20
 
 
 def test_probabilities_are_read_only():
