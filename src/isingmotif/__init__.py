@@ -6,7 +6,6 @@ from .analysis import (
     PoissonTarget,
     RateFit,
     RingCheckReport,
-    factorial_moments,
     poisson_limit,
     poisson_target,
     rate_fit,
@@ -22,7 +21,6 @@ from .counting import (
     count_distribution_exact,
     count_samples,
     indicator,
-    site_match_probabilities,
 )
 from .distributions import CountDistribution
 from .exact import (
@@ -42,21 +40,17 @@ from .lattice import INFINITY, Ball, TorusLattice, Vertex
 from .motifs import (
     LocalConfig,
     bundled_motif,
-    enumerate_exceeding,
     enumerate_superset_family,
     load_motif,
     null_config,
     parse_motif_text,
-    save_motif,
     single_positive,
 )
 from .sampler import (
     SampleBatch,
     SamplerSpec,
     cftp_batch,
-    load_spin_config,
     sample_with_params,
-    save_spin_config,
 )
 
 __version__ = "0.1.0"

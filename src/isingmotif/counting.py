@@ -70,20 +70,6 @@ def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     return read_only(care), read_only(np.bitwise_or.reduce(bits[:, want == 1], axis=1))
 
 
-def _mask_hits(lattice: TorusLattice, motif: LocalConfig, mode: str, start: int, stop: int):
-    """Yield, site by site, whether each bitmask in range(start, stop) matches there.
-
-    The yielded boolean array is one buffer, overwritten at the next site.
-    """
-    care, plus = _site_words(lattice, motif, mode)
-    masks = np.arange(start, stop, dtype=care.dtype)
-    selected = np.empty_like(masks)
-    hit = np.empty(len(masks), dtype=bool)
-    for care_x, plus_x in zip(care, plus):
-        np.bitwise_and(masks, care_x, out=selected)
-        yield np.equal(selected, plus_x, out=hit)
-
-
 def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
     """1 if the motif occurs at x in the given mode, else 0.
 
@@ -167,20 +153,18 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
     uint8: a count never exceeds the number of sites, far below 256 wherever
     the 2**sites masks can be enumerated.
     """
+    care, plus = _site_words(lattice, motif, mode)
     total = 1 << lattice.num_sites
     counts = np.zeros(total, dtype=np.uint8)
     for start in range(0, total, exact.MASK_CHUNK):
         acc = counts[start:start + exact.MASK_CHUNK]
-        for hit in _mask_hits(lattice, motif, mode, start, start + len(acc)):
-            acc += hit
+        masks = np.arange(start, start + len(acc), dtype=care.dtype)
+        selected = np.empty_like(masks)
+        hit = np.empty(len(masks), dtype=bool)
+        for care_x, plus_x in zip(care, plus):
+            np.bitwise_and(masks, care_x, out=selected)
+            acc += np.equal(selected, plus_x, out=hit)
     return counts
-
-
-def site_match_probabilities(measure: ExactMeasure, motif: LocalConfig, mode: str) -> np.ndarray:
-    """Exact occurrence probability of the motif at every site."""
-    probs = measure.probabilities()
-    hits = _mask_hits(measure.lattice, motif, mode, 0, measure.num_configs)
-    return np.array([probs[hit].sum() for hit in hits])
 
 
 @lru_cache(maxsize=16)

@@ -43,11 +43,12 @@ class CountDistribution:
 
     @classmethod
     def from_samples(cls, counts: Iterable[int]) -> "CountDistribution":
+        """Empirical law of the samples; ``__init__`` checks that they are integers >= 0."""
         counts = np.asarray(list(counts) if not isinstance(counts, np.ndarray) else counts)
         if counts.size == 0:
             raise ValueError("no samples")
         values, freq = np.unique(counts, return_counts=True)
-        pmf = {int(v): f / counts.size for v, f in zip(values, freq)}
+        pmf = {v: f / counts.size for v, f in zip(values.tolist(), freq)}
         return cls(pmf, sample_size=int(counts.size))
 
     @property
@@ -60,9 +61,6 @@ class CountDistribution:
 
     def pmf(self, k: int) -> float:
         return self._pmf.get(k, 0.0)
-
-    def items(self):
-        return self._pmf.items()
 
     @property
     def mean(self) -> float:
@@ -93,13 +91,6 @@ class CountDistribution:
         return f"CountDistribution({kind}, mean={self.mean:.6g}, support={self.support})"
 
 
-def factorial_moments(dist: CountDistribution, l_max: int) -> list[float]:
-    """Factorial moments of orders 1..l_max."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    return [dist.factorial_moment(order) for order in range(1, l_max + 1)]
-
-
 @dataclass(frozen=True)
 class PoissonTarget:
     """A Poisson law used as comparison target."""
@@ -109,12 +100,6 @@ class PoissonTarget:
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("Poisson parameter must be a positive finite real")
-
-    def log_pmf(self, k: int) -> float:
-        return -self.lam + k * math.log(self.lam) - math.lgamma(k + 1)
-
-    def pmf(self, k: int) -> float:
-        return math.exp(self.log_pmf(k))
 
     def pmf_truncated(self, at_least: int = 0):
         """Masses 0..K, K >= ``at_least``, with a neglected tail below POISSON_TAIL.

@@ -158,9 +158,6 @@ class SpinConfig:
     def spin(self, vertex: Vertex) -> int:
         return int(self.spins[self.lattice.site_index(self.lattice.canon(vertex))])
 
-    def copy(self) -> "SpinConfig":
-        return SpinConfig(self.lattice, self.spins.copy())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SpinConfig)
@@ -308,12 +305,6 @@ class ExactMeasure:
             stop = start + MASK_CHUNK
             np.add.at(pmf, counts[start:stop], self._level_probs[self._index[start:stop]])
         return pmf
-
-    def log_prob(self, cfg: SpinConfig) -> float:
-        return float(self._table[self._index[cfg.to_mask()]] - self.log_z)
-
-    def prob(self, cfg: SpinConfig) -> float:
-        return math.exp(self.log_prob(cfg))
 
     def expectation(self, values) -> float:
         """Mean of a statistic.

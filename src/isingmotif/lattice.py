@@ -24,6 +24,14 @@ Vertex = tuple[int, ...]
 INFINITY = math.inf
 
 
+def as_int(value, name: str, low: int) -> int:
+    """``value`` as an int, checked to be integral and >= ``low`` before the cast truncates 2.5."""
+    q = int(value)
+    if q != value or q < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return q
+
+
 def normalize_norm_selector(p) -> int | float:
     """Return ``p`` as an integer >= 1 or the INFINITY selector."""
     if p == INFINITY:
@@ -36,6 +44,11 @@ def normalize_norm_selector(p) -> int | float:
     if q != p or q < 1:
         raise ValueError(f"norm selector must be an integer >= 1 or 'inf', got {p!r}")
     return q
+
+
+def lattice_signature(d, rho, p) -> tuple:
+    """(d, rho, p) checked: integers d, rho >= 1 and a norm selector."""
+    return as_int(d, "d", 1), as_int(rho, "rho", 1), normalize_norm_selector(p)
 
 
 def norm_label(p) -> int | str:
@@ -59,12 +72,22 @@ def neighbor_offsets(d: int, rho: int, p) -> tuple[Vertex, ...]:
     return tuple(sorted(offsets))
 
 
-@lru_cache(maxsize=None)
-def offset_distance_map(d: int, rho: int, p, radius: int) -> dict[Vertex, int]:
-    """Graph distances from the origin in Z^d (no wrap), up to ``radius``.
+def ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
+    """Offsets within graph distance ``radius`` of the origin in Z^d (no wrap), sorted.
 
-    Valid as the torus distance whenever n > 2*rho*radius.
+    Valid as the torus ball whenever n > 2*rho*radius.  Every ball and motif
+    radius passes through here and is checked outside the cache: the search
+    stops at distance == radius, which a radius of 1.5 or -1 never reaches.
+
+    Raises:
+        ValueError: radius is not an integer >= 0.
     """
+    return _ball_offsets(d, rho, p, as_int(radius, "radius", 0))
+
+
+@lru_cache(maxsize=None)
+def _ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
+    """Breadth-first search from the origin, stopped at distance ``radius``."""
     steps = neighbor_offsets(d, rho, p)
     origin = (0,) * d
     dist = {origin: 0}
@@ -79,13 +102,7 @@ def offset_distance_map(d: int, rho: int, p, radius: int) -> dict[Vertex, int]:
             if w not in dist:
                 dist[w] = dv + 1
                 frontier.append(w)
-    return dist
-
-
-@lru_cache(maxsize=None)
-def ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
-    """Offsets within graph distance ``radius`` of the origin, sorted."""
-    return tuple(sorted(offset_distance_map(d, rho, p, radius)))
+    return tuple(sorted(dist))
 
 
 @dataclass(frozen=True)
@@ -100,9 +117,6 @@ class Ball:
     radius: int
     members: tuple[Vertex, ...]
 
-    def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self.members
-
 
 class TorusLattice:
     """Geometry of the d-dimensional discrete torus {0..n-1}^d.
@@ -113,19 +127,15 @@ class TorusLattice:
     lexicographically.
 
     Args:
-        d: dimension (>= 1).
-        n: side length (>= 1).
-        rho: neighborhood range (>= 1).
+        d: dimension, an integer >= 1.
+        n: side length, an integer >= 1.
+        rho: neighborhood range, an integer >= 1.
         p: norm selector, an integer >= 1 or INFINITY / "inf".
     """
 
     def __init__(self, d: int, n: int, rho: int = 1, p=1):
-        if d < 1 or n < 1 or rho < 1:
-            raise ValueError("d, n and rho must all be >= 1")
-        self.d = int(d)
-        self.n = int(n)
-        self.rho = int(rho)
-        self.p = normalize_norm_selector(p)
+        self.d, self.rho, self.p = lattice_signature(d, rho, p)
+        self.n = as_int(n, "n", 1)
         self.num_sites = self.n**self.d
         self._ball_cache: dict[tuple[Vertex, int], Ball] = {}
         self._edges: tuple[tuple[int, int], ...] | None = None
@@ -206,23 +216,6 @@ class TorusLattice:
             self._edges = tuple(out)
         return self._edges
 
-    def graph_distance(self, x: Vertex, y: Vertex) -> int:
-        """Minimal number of neighbor steps between two vertices (BFS)."""
-        x, y = self.canon(x), self.canon(y)
-        if x == y:
-            return 0
-        dist = {x: 0}
-        frontier = deque([x])
-        while frontier:
-            v = frontier.popleft()
-            for w in self.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if w == y:
-                        return dist[w]
-                    frontier.append(w)
-        raise ValueError("vertices are not connected")  # unreachable for rho >= 1
-
     # -- balls ---------------------------------------------------------------
 
     def ball_size(self, radius: int) -> int:
@@ -240,18 +233,17 @@ class TorusLattice:
         """The ball B(x, radius).
 
         Raises:
+            ValueError: radius is not an integer >= 0.
             LatticeTooSmall: see ``check_radius``.
         """
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+        offs = ball_offsets(self.d, self.rho, self.p, radius)
         self.check_radius(radius)
         x = self.canon(x)
         key = (x, radius)
         cached = self._ball_cache.get(key)
         if cached is None:
-            offs = ball_offsets(self.d, self.rho, self.p, radius)
             members = tuple(sorted(self.add(x, off) for off in offs))
-            cached = Ball(center=x, radius=radius, members=members)
+            cached = Ball(center=x, radius=int(radius), members=members)
             self._ball_cache[key] = cached
         return cached
 
@@ -264,10 +256,6 @@ class TorusLattice:
                 if w not in inside:
                     out.add(w)
         return tuple(sorted(out))
-
-    def closure(self, ball: Ball) -> Ball:
-        """The ball together with its boundary, i.e. B(x, radius + 1)."""
-        return self.ball(ball.center, ball.radius + 1)
 
     def internal_edge_count(self, ball: Ball) -> int:
         """alpha(radius): number of edges with both endpoints inside the ball."""

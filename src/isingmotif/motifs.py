@@ -18,6 +18,7 @@ from .lattice import (
     TorusLattice,
     Vertex,
     ball_offsets,
+    lattice_signature,
     neighbor_offsets,
     norm_label,
     normalize_norm_selector,
@@ -57,16 +58,15 @@ class LocalConfig:
     signature: LatticeSignature
 
     def __post_init__(self):
-        d, rho, p = self.signature
-        p = normalize_norm_selector(p)
-        object.__setattr__(self, "signature", (int(d), int(rho), p))
-        object.__setattr__(self, "positives", frozenset(tuple(map(int, v)) for v in self.positives))
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        ball = set(ball_offsets(d, rho, p, self.radius))
-        bad = [v for v in self.positives if v not in ball]
+        # check before casting: (0.6,) is outside every ball, not the center
+        signature = lattice_signature(*self.signature)
+        ball = set(ball_offsets(*signature, self.radius))
+        bad = [v for v in self.positives if tuple(v) not in ball]
         if bad:
             raise ValueError(f"positive vertices outside B(0, {self.radius}): {sorted(bad)}")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "positives", frozenset(tuple(map(int, v)) for v in self.positives))
 
     # -- basic statistics ----------------------------------------------------
 
@@ -80,11 +80,6 @@ class LocalConfig:
         """All offsets of the reference ball, sorted."""
         d, rho, p = self.signature
         return ball_offsets(d, rho, p, self.radius)
-
-    @property
-    def size(self) -> int:
-        """beta(radius): number of sites of the reference ball."""
-        return len(self.ball_sites)
 
     @property
     def perimeter(self) -> int:
@@ -198,24 +193,6 @@ def enumerate_superset_family(cfg: LocalConfig) -> list[LocalConfig]:
     return out
 
 
-def enumerate_exceeding(radius: int, k_min: int, signature: LatticeSignature) -> list[LocalConfig]:
-    """All motifs on B(0, radius) with strictly more than ``k_min`` positives.
-
-    Raises:
-        FamilyTooLarge: if 2**beta(radius) exceeds DEFAULT_FAMILY_CAP.
-    """
-    d, rho, p = signature
-    sites = ball_offsets(d, rho, normalize_norm_selector(p), radius)
-    total = family_size(len(sites), "ball pattern family")
-    out = []
-    for mask in range(total):
-        if mask.bit_count() <= k_min:
-            continue
-        pos = frozenset(sites[i] for i in range(len(sites)) if (mask >> i) & 1)
-        out.append(LocalConfig(radius, pos, signature))
-    return out
-
-
 # -- motif files ---------------------------------------------------------------
 #
 # Plain text, bit-exact.  First non-comment line: `d n_hint rho p r` with
@@ -271,12 +248,6 @@ def load_motif(path) -> tuple[LocalConfig, int]:
     except UnicodeDecodeError as exc:
         raise MotifFileError(f"not UTF-8 text: {exc}") from exc
     return parse_motif_text(text)
-
-
-def save_motif(cfg: LocalConfig, path, n_hint: int = 0) -> None:
-    """Write a motif in canonical form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.canonical_text(n_hint=n_hint))
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from .exact import ModelParams, SpinConfig, read_only
-from .lattice import TorusLattice, norm_label, normalize_norm_selector
+from .lattice import TorusLattice
 
 KINDS = ("heat_bath", "metropolis", "cftp")
 
@@ -355,22 +355,11 @@ def cftp_batch(
 
 @dataclass
 class SampleBatch:
-    """A batch of sampled configurations, stored as one (count, sites) matrix."""
+    """A batch of sampled configurations as one (count, sites) matrix, and the
+    number of chains that drew it (``count`` for kind="cftp")."""
 
-    lattice: TorusLattice
-    params: ModelParams
-    spec: SamplerSpec
     spins: np.ndarray
     replicas: int
-
-    def __len__(self) -> int:
-        return self.spins.shape[0]
-
-    def __getitem__(self, i: int) -> SpinConfig:
-        return SpinConfig(self.lattice, self.spins[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _run_mcmc_batch(
@@ -431,33 +420,4 @@ def sample_with_params(
         if used < 1:
             raise ValueError("replicas must be >= 1")
         spins = _run_mcmc_batch(lattice, params, spec, count, used)
-    return SampleBatch(lattice=lattice, params=params, spec=spec, spins=spins, replicas=used)
-
-
-# -- configuration snapshots -------------------------------------------------------
-#
-# Binary format: one ASCII header line `d n rho p`, then the n^d sign bits in
-# row-major lexicographic site order packed big-endian by numpy.packbits
-# (bit = 1 for spin +1).
-
-
-def save_spin_config(cfg: SpinConfig, path) -> None:
-    lattice = cfg.lattice
-    header = f"{lattice.d} {lattice.n} {lattice.rho} {norm_label(lattice.p)}\n".encode("ascii")
-    packed = np.packbits((cfg.spins == 1).astype(np.uint8))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(packed.tobytes())
-
-
-def load_spin_config(path) -> SpinConfig:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 4:
-            raise ValueError("snapshot header must be 'd n rho p'")
-        d, n, rho = int(header[0]), int(header[1]), int(header[2])
-        p = normalize_norm_selector(header[3])
-        payload = fh.read()
-    lattice = TorusLattice(d, n, rho, p)
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: lattice.num_sites]
-    return SpinConfig(lattice, (2 * bits.astype(np.int8) - 1))
+    return SampleBatch(spins=spins, replicas=used)

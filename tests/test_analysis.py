@@ -14,7 +14,6 @@ from isingmotif import (
     TorusLattice,
     build_exact,
     count_distribution_exact,
-    factorial_moments,
     poisson_limit,
     poisson_target,
     rate_fit,
@@ -116,18 +115,29 @@ def test_count_distribution_validation():
         CountDistribution({-1: 0.5, 0: 0.5})
 
 
+def test_samples_must_be_integers():
+    # from_samples hands the values to __init__ uncast, which owns the rule
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CountDistribution.from_samples([1.5, 2.7])
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CountDistribution.from_samples(np.array([-1, 0, 1]))
+    law = CountDistribution.from_samples(np.array([2, 0, 2, 2], dtype=np.uint8))
+    assert law.support == (0, 2) and law.pmf(2) == 0.75 and law.sample_size == 4
+    assert CountDistribution.from_samples([1.0, 3.0]).support == (1, 3)
+
+
 def test_factorial_moments_poisson():
     lam = 1.3
     masses, _ = PoissonTarget(lam).pmf_truncated()
     dist = CountDistribution({k: float(m) for k, m in enumerate(masses)})
-    moments = factorial_moments(dist, 4)
-    for order, value in enumerate(moments, start=1):
-        assert value == pytest.approx(lam**order, rel=1e-6)
+    for order in range(1, 5):
+        assert dist.factorial_moment(order) == pytest.approx(lam**order, rel=1e-6)
 
 
 def test_factorial_moments_point_mass():
     dist = CountDistribution({3: 1.0})
-    assert factorial_moments(dist, 4) == pytest.approx([3.0, 6.0, 6.0, 0.0])
+    moments = [dist.factorial_moment(order) for order in range(1, 5)]
+    assert moments == pytest.approx([3.0, 6.0, 6.0, 0.0])
 
 
 def test_factorial_moments_empirical_vs_exact():
@@ -298,11 +308,11 @@ def test_ring_equivalence_shrinks():
         for n in (8, 12, 16):
             lat = TorusLattice(1, n, 1, 1)
             measure = build_exact(lat, sched.params(n, b))
-            report = ring_equivalence_check(
-                count_distribution_exact(measure, motif, EXACT_MATCH),
-                count_distribution_exact(measure, motif.ring(), EXACT_MATCH),
-            )
-            assert report.ring_mean <= report.base_mean + 1e-12
+            base_law = count_distribution_exact(measure, motif, EXACT_MATCH)
+            ring_law = count_distribution_exact(measure, motif.ring(), EXACT_MATCH)
+            report = ring_equivalence_check(base_law, ring_law)
+            assert ring_law.mean <= base_law.mean + 1e-12
+            assert report.mean_difference == abs(base_law.mean - ring_law.mean)
             tvs.append(report.tv)
             gaps.append(report.mean_difference)
         assert tvs[0] > tvs[1] > tvs[2]

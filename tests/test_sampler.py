@@ -16,9 +16,7 @@ from isingmotif import (
     cftp_batch,
     count_distribution_exact,
     hamiltonian,
-    load_spin_config,
     sample_with_params,
-    save_spin_config,
     tv_distance,
 )
 from isingmotif import sampler
@@ -462,17 +460,6 @@ def test_sample_batch_deterministic():
     assert not np.array_equal(one.spins, other.spins)
 
 
-def test_sample_batch_rows_are_configs():
-    lat = TorusLattice(2, 16, 1, 1)
-    params = FieldSchedule(c=1.0, k_target=1, d=2).params(lat.n, 0.1)
-    spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=1, thinning_sweeps=1, seed=1)
-    batch = sample_with_params(lat, params, spec, count=2)
-    assert batch.params.a == pytest.approx(0.5 * math.log(1 / 256))
-    assert len(batch) == 2
-    assert isinstance(batch[0], SpinConfig)
-    assert [cfg.spins.tolist() for cfg in batch] == batch.spins.tolist()
-
-
 @pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
 def test_zero_thinning_rejected_for_mcmc(kind):
     with pytest.raises(ValueError, match="thinning_sweeps"):
@@ -575,15 +562,3 @@ def test_empirical_count_law_close_to_exact():
     counts = count_samples(lat, batch.spins, motif, EXACT_MATCH)
     emp = CountDistribution.from_samples(counts)
     assert tv_distance(emp, exact_law) < 0.02
-
-
-def test_snapshot_roundtrip(tmp_path):
-    rng = np.random.default_rng(31)
-    lat = TorusLattice(2, 5, 1, 1)
-    cfg = SpinConfig(lat, rng.choice((-1, 1), size=lat.num_sites).astype(np.int8))
-    path = tmp_path / "snap.bin"
-    save_spin_config(cfg, path)
-    back = load_spin_config(path)
-    assert back == cfg
-    save_spin_config(back, tmp_path / "snap2.bin")
-    assert (tmp_path / "snap.bin").read_bytes() == (tmp_path / "snap2.bin").read_bytes()
