@@ -15,7 +15,8 @@ easy as 1, 2, 3", SC 2011): the uniform of chain i at time t, site x of an
 S-site lattice is
 
     key_i = mix(mix((seed + 1) * G) ^ mix((i + 1) * G))
-    u     = (mix(key_i + (t * S + x) * G) >> 11) * 2**-53
+    w     = mix(key_i + (t * S + x) * G) >> 11
+    u     = w * 2**-53
 
 in uint64 arithmetic, where mix is the SplitMix64 finaliser (Steele, Lea and
 Flood, OOPSLA 2014) and G = 0x9E3779B97F4A7C15.  An MCMC replica starts with
@@ -36,21 +37,23 @@ Guestrin, AISTATS 2011).  The heat-bath update at site x sets the spin to +1
 with probability e^h / (e^h + e^-h), h = a + b * (sum of neighbor spins),
 comparing one shared uniform against that probability; for b >= 0 this rule
 is monotone in the configuration, which is what coupling-from-the-past
-requires (Propp and Wilson, 1996).  Both kernels read their probabilities
-from a table indexed by the integer neighbor sum.
+requires (Propp and Wilson, 1996).
 
-Inside the samplers the spins are sites-major: an int8 (sites, chains) array,
-or (sites, 2, m) for coupling-from-the-past's stack of top and bottom chains,
-with the rows in colour-class order so that each class is a contiguous block
-of rows.  A class's neighbor sums are row gathers (``take`` on axis 0, which
-copies whole chain vectors) added in int8, or in int16 when the largest table
-index passes 127.  The stream fills the same rows: it computes the (time,
-row, chain) uniforms of as many consecutive times as fit in
-``_STREAM_BLOCK_BYTES`` per call, and a sweep reads one time of the block.
-Site order is restored only where a sample is recorded or a draw coalesces.
-The layout and the time blocks change no value: the sample bits of all three
-kernels are those of the site-major kernel that preceded them, and the golden
-runs in tests/data pin them.
+Every decision u < p is made on integers: the stream yields the words w and
+each kernel's table holds T = ceil(p * 2**53) as uint64, so u < p <=> w <
+p * 2**53 <=> w < T, since scaling by 2**53 is exact and w is an integer
+(p = 0 gives T = 0, never; p = 1 gives T = 2**53, always).  Inside the
+samplers a spin is up = (s + 1) / 2, uint8 in {0, 1}, sites-major: (sites,
+chains), or (sites, 2, m) for coupling-from-the-past's stack of top and
+bottom chains, the rows in colour-class order so that each class is a
+contiguous block.  Tables are indexed by k, the number of + neighbors
+(neighbor sum 2k - degree), which a row gather (``take`` on axis 0) adds up
+in uint8, or in uint16 once the largest index passes 255: heat-bath sets
+up = [w < T(k)] and Metropolis flips up where w < T(k + (degree + 1) up).
+The stream computes the (time, row, chain) words of as many times as fit in
+``_STREAM_BLOCK_BYTES`` per call.  Site order and -1/+1 spins are restored
+only where a sample is recorded or a draw coalesces; the golden runs in
+tests/data pin every sample bit of the three kernels.
 """
 
 from __future__ import annotations
@@ -69,13 +72,13 @@ KINDS = ("heat_bath", "metropolis", "cftp")
 
 _U64 = (1 << 64) - 1
 
-#: Bytes of one time step's (sites, draws) float64 uniforms in ``cftp_batch``.
+#: Bytes of one time step's (sites, draws) uint64 words in ``cftp_batch``.
 _CFTP_CHUNK_BYTES = 1 << 20
 
 #: Sweeps back in time after which ``cftp_batch`` gives up on a draw.
 _EPOCH_LIMIT = 1 << 20
 
-#: Bytes of float64 uniforms the stream computes in one call, a block of times.
+#: Bytes of uint64 words the stream computes in one call, a block of times.
 _STREAM_BLOCK_BYTES = 1 << 18
 
 
@@ -139,69 +142,65 @@ def _colour_classes(lattice: TorusLattice) -> _Layout:
     return _Layout(read_only(order), read_only(row_of), classes)
 
 
-@lru_cache(maxsize=256)
-def _heat_bath_table(a: float, b: float, degree: int) -> np.ndarray:
-    """p_plus for every neighbor sum -degree..degree, at index sum + degree."""
-    return read_only(np.array([
-        1.0 / (1.0 + np.exp(-2.0 * (a + b * s))) for s in range(-degree, degree + 1)
-    ]))
+def _thresholds(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64, so that w < T <=> w * 2**-53 < p for a word w."""
+    return np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
 
 
-@lru_cache(maxsize=256)
-def _metropolis_table(a: float, b: float, degree: int) -> np.ndarray:
-    """Flip acceptance at index (sum + degree) + (2 degree + 1) * (spin == +1)."""
-    return read_only(np.array([
+def _heat_bath_thresholds(a: float, b: float, degree: int) -> np.ndarray:
+    """Thresholds of p_plus at index k, the number of + neighbors (0..degree)."""
+    return _thresholds([
+        1.0 / (1.0 + np.exp(-2.0 * (a + b * s))) for s in range(-degree, degree + 1, 2)
+    ])
+
+
+def _metropolis_thresholds(a: float, b: float, degree: int) -> np.ndarray:
+    """Thresholds of the flip acceptance at index k + (degree + 1) * up."""
+    return _thresholds([
         np.exp(min(-2.0 * spin * (a + b * s), 0.0))
-        for spin in (-1, 1) for s in range(-degree, degree + 1)
-    ]))
+        for spin in (-1, 1) for s in range(-degree, degree + 1, 2)
+    ])
 
 
-def _neighbor_index(spins: np.ndarray, nbr: np.ndarray, top: int) -> np.ndarray:
-    """Sum of neighbor spins plus the degree, for the rows ``nbr`` of one class.
-
-    The sum runs in int8 when every table index up to ``top`` fits, else int16.
-    """
-    dtype = np.int8 if top <= 127 else np.int16
-    index = np.add.reduce(spins.take(nbr, axis=0), axis=0, dtype=dtype)
-    index += nbr.shape[0]
-    return index
+def _plus_neighbors(up: np.ndarray, nbr: np.ndarray, top: int) -> np.ndarray:
+    """Number of + neighbors of a class's sites (rows ``nbr``); uint16 once ``top`` > 255."""
+    dtype = np.uint8 if top <= 255 else np.uint16
+    return np.add.reduce(up.take(nbr, axis=0), axis=0, dtype=dtype)
 
 
-def _sweep_heat_bath(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
-                     uniforms: np.ndarray) -> None:
+def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
     """One systematic heat-bath scan, in place, vectorized across chains.
 
-    ``spins`` is sites-major int8 in the rows of ``_colour_classes``: (sites,
-    chains), or (sites, 2, m) for the stack of coupled top and bottom chains.
-    ``uniforms`` in [0, 1) broadcasts against it: (sites, chains), or (sites,
-    1, m) shared by the stack.
+    ``up`` is (sites, chains) in the rows of ``_colour_classes(...).classes``,
+    or (sites, 2, m) for the stack of coupled top and bottom chains; the
+    stream's ``words`` broadcast against it, (sites, 1, m) for the stack.
     """
-    classes = _colour_classes(lattice).classes
-    degree = classes[0][1].shape[0]
-    p_plus = _heat_bath_table(a, b, degree)
     for rows, nbr in classes:
-        plus = uniforms[rows] < p_plus.take(_neighbor_index(spins, nbr, 2 * degree))
-        # spin = 2 [u < p_plus] - 1, written into the class's rows
-        new = spins[rows]
-        np.multiply(plus, 2, out=new, dtype=np.int8)
-        new -= 1
+        k = _plus_neighbors(up, nbr, thresholds.size - 1)
+        np.less(words[rows], thresholds.take(k), out=up[rows].view(bool))
 
 
-def _sweep_metropolis(spins: np.ndarray, lattice: TorusLattice, a: float, b: float,
-                      uniforms: np.ndarray) -> None:
-    """One systematic single-flip Metropolis scan of (sites, chains) spins, in place."""
-    classes = _colour_classes(lattice).classes
-    degree = classes[0][1].shape[0]
-    accept = _metropolis_table(a, b, degree)
+def _sweep_metropolis(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
+    """One systematic single-flip Metropolis scan of (sites, chains) uint8 spins, in place."""
     for rows, nbr in classes:
-        old = spins[rows]
-        index = _neighbor_index(spins, nbr, 4 * degree + 1)
-        index += (old > 0) * index.dtype.type(2 * degree + 1)
-        flip = uniforms[rows] < accept.take(index)
-        old *= np.int8(1) - np.int8(2) * flip
+        old = up[rows]
+        index = _plus_neighbors(up, nbr, thresholds.size - 1)
+        index += old * index.dtype.type(thresholds.size // 2)
+        old ^= words[rows] < thresholds.take(index)
 
 
-_SWEEPS = {"heat_bath": _sweep_heat_bath, "metropolis": _sweep_metropolis}
+def _plus_minus(up: np.ndarray) -> np.ndarray:
+    """uint8 {0, 1} spins as int8 -1/+1, s = 2 up - 1, in place."""
+    spins = up.view(np.int8)
+    spins *= np.int8(2)
+    spins -= np.int8(1)
+    return spins
+
+
+_KERNELS = {
+    "heat_bath": (_sweep_heat_bath, _heat_bath_thresholds),
+    "metropolis": (_sweep_metropolis, _metropolis_thresholds),
+}
 
 
 def heat_bath_plus_probability(cfg: SpinConfig, x, params: ModelParams) -> float:
@@ -233,13 +232,13 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
     ``tmp`` is scratch of the same shape.  Array arithmetic wraps modulo 2**64.
     """
-    np.right_shift(z, 30, out=tmp)
+    np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= _MIX_1
-    np.right_shift(z, 27, out=tmp)
+    np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= _MIX_2
-    np.right_shift(z, 31, out=tmp)
+    np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
 
@@ -257,10 +256,10 @@ def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
 
 
 class _Stream:
-    """The counter-based uniforms of up to ``chains`` chains, sites-major.
+    """The counter-based words of up to ``chains`` chains, sites-major.
 
-    ``uniforms(keys, t, count)`` returns the (count, sites, len(keys))
-    uniforms of times t .. t + count - 1, row r of each time holding site
+    ``words(keys, t, count)`` returns the (count, sites, len(keys)) uint64
+    words w of times t .. t + count - 1, row r of each time holding site
     ``order[r]``, computed in preallocated buffers; the result is overwritten
     by the next call.  ``block(m)`` is how many times one call may ask for
     with m keys: as many as fit in ``_STREAM_BLOCK_BYTES``, and at least one.
@@ -272,15 +271,14 @@ class _Stream:
         size = max(_STREAM_BLOCK_BYTES // 8, self.sites * chains)
         self.work = np.empty(size, dtype=np.uint64)
         self.tmp = np.empty(size, dtype=np.uint64)
-        self.out = np.empty(size, dtype=np.float64)
 
     def block(self, m: int) -> int:
         return max(1, self.work.size // (self.sites * m))
 
-    def uniforms(self, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
+    def words(self, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
         shape = (count, self.sites, keys.size)
         size = count * self.sites * keys.size
-        work, tmp, out = (buf[:size].reshape(shape) for buf in (self.work, self.tmp, self.out))
+        work, tmp = (buf[:size].reshape(shape) for buf in (self.work, self.tmp))
         # (t S + x) G = t S G + x G modulo 2**64
         step = np.array([(t + i) * self.sites * int(_GAMMA) & _U64 for i in range(count)],
                         dtype=np.uint64)
@@ -288,8 +286,7 @@ class _Stream:
         np.add(counter[:, :, None], keys, out=work)
         _mix(work, tmp)
         work >>= np.uint64(11)
-        # below 2**53 after the shift, so the int64 view converts exactly, and faster
-        return np.multiply(work.view(np.int64), 2.0**-53, out=out)
+        return work
 
 
 # -- coupling from the past -------------------------------------------------------
@@ -309,7 +306,7 @@ def cftp_batch(
     coalesce.  The uniform at (draw i, time -t, site x) is a pure function of
     (seed, i, t, x), the counter-based stream of the module docstring, so
     results do not depend on batching or chunk size.  Draws run in chunks of
-    about ``_CFTP_CHUNK_BYTES`` of uniforms per time step, each chunk's top and
+    about ``_CFTP_CHUNK_BYTES`` of words per time step, each chunk's top and
     bottom chains swept as one (sites, 2, m) stack.
 
     Raises:
@@ -324,8 +321,9 @@ def cftp_batch(
     sites = lattice.num_sites
     draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     layout = _colour_classes(lattice)
+    thresholds = _heat_bath_thresholds(params.a, params.b, layout.classes[0][1].shape[0])
     stream = _Stream(layout.order, min(draw_chunk, count))
-    out = np.empty((count, sites), dtype=np.int8)
+    out = np.empty((count, sites), dtype=np.uint8)
     for start in range(0, count, draw_chunk):
         active = np.arange(start, min(start + draw_chunk, count))
         keys = _chain_keys(seed, active)
@@ -335,19 +333,19 @@ def cftp_batch(
                 raise CoalescenceTimeout(
                     f"{active.size} draws not coalesced after {_EPOCH_LIMIT} sweeps back"
                 )
-            chains = np.empty((sites, 2, active.size), dtype=np.int8)
+            chains = np.empty((sites, 2, active.size), dtype=np.uint8)
             chains[:, 0] = 1
-            chains[:, 1] = -1
+            chains[:, 1] = 0
             step = stream.block(active.size)
             for top in range(horizon, 0, -step):
                 low = max(top - step + 1, 1)
-                for uniforms in stream.uniforms(keys, low, top - low + 1)[::-1]:
-                    _sweep_heat_bath(chains, lattice, params.a, params.b, uniforms[:, None])
+                for words in stream.words(keys, low, top - low + 1)[::-1]:
+                    _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None])
             done = (chains[:, 0] == chains[:, 1]).all(axis=0)
             out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
             active, keys = active[~done], keys[~done]
             horizon *= 2
-    return out
+    return _plus_minus(out)
 
 
 # -- batch generation -------------------------------------------------------------
@@ -369,27 +367,29 @@ def _run_mcmc_batch(
     count: int,
     replicas: int,
 ) -> np.ndarray:
-    sweep = _SWEEPS[spec.kind]
+    sweep, table = _KERNELS[spec.kind]
     quota = -(-count // replicas)
     # sample j is the state after sweep first + j * thinning
     first = spec.burn_in_sweeps or spec.thinning_sweeps
     last = first + spec.thinning_sweeps * (quota - 1)
     layout = _colour_classes(lattice)
+    thresholds = table(params.a, params.b, layout.classes[0][1].shape[0])
     keys = _chain_keys(spec.seed, np.arange(replicas))
     stream = _Stream(layout.order, replicas)
-    spins = np.where(stream.uniforms(keys, 0)[0] < 0.5, 1, -1).astype(np.int8)
-    samples = np.empty((quota, lattice.num_sites, replicas), dtype=np.int8)
+    # +1 where u < 1/2, that is w < 2**52
+    up = (stream.words(keys, 0)[0] < np.uint64(1 << 52)).view(np.uint8)
+    samples = np.empty((quota, lattice.num_sites, replicas), dtype=np.uint8)
     step = stream.block(replicas)
     for start in range(1, last + 1, step):
-        block = stream.uniforms(keys, start, min(step, last + 1 - start))
-        for t, uniforms in enumerate(block, start):
-            sweep(spins, lattice, params.a, params.b, uniforms)
+        block = stream.words(keys, start, min(step, last + 1 - start))
+        for t, words in enumerate(block, start):
+            sweep(up, layout.classes, thresholds, words)
             j, offset = divmod(t - first, spec.thinning_sweeps)
             if j >= 0 and offset == 0:
-                spins.take(layout.row_of, axis=0, out=samples[j])
+                up.take(layout.row_of, axis=0, out=samples[j])
     # replica i keeps its first ceil((count - i) / replicas) samples, replica-major
     keep = np.arange(quota) * replicas + np.arange(replicas)[:, None] < count
-    return samples.transpose(2, 0, 1)[keep]
+    return _plus_minus(samples.transpose(2, 0, 1)[keep])
 
 
 def sample_with_params(

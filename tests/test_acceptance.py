@@ -39,7 +39,7 @@ from isingmotif import (
 )
 from isingmotif.counting import count_samples
 from isingmotif.motifs import LocalConfig, bundled_motif
-from isingmotif.sampler import _sweep_heat_bath
+from isingmotif.sampler import _colour_classes, _heat_bath_thresholds, _sweep_heat_bath
 
 
 class Criterion:
@@ -511,14 +511,17 @@ def test_criterion_9_reversibility_and_monotonicity():
         (TorusLattice(2, 4, 1, 1), ModelParams(0.1, 0.35)),
     ):
         sites = lattice.num_sites
+        classes = _colour_classes(lattice).classes
+        thresholds = _heat_bath_thresholds(params.a, params.b, classes[0][1].shape[0])
         bad = 0
         for _ in range(300):
             low = rng.choice((-1, 1), size=(sites, 1)).astype(np.int8)
             high = np.where(rng.random((sites, 1)) < 0.4, 1, low).astype(np.int8)
-            uniforms = rng.random((sites, 1))
-            low2, high2 = low.copy(), high.copy()
-            _sweep_heat_bath(low2, lattice, params.a, params.b, uniforms)
-            _sweep_heat_bath(high2, lattice, params.a, params.b, uniforms)
+            # the sweep reads uint8 {0, 1} spins and the words w = u 2**53
+            words = (rng.random((sites, 1)) * 2.0**53).astype(np.uint64)
+            low2, high2 = (low > 0).astype(np.uint8), (high > 0).astype(np.uint8)
+            _sweep_heat_bath(low2, classes, thresholds, words)
+            _sweep_heat_bath(high2, classes, thresholds, words)
             if not np.all(low2 <= high2):
                 bad += 1
         crit.check(bad == 0, f"{bad}/300 order-breaking sweeps (d={lattice.d})")

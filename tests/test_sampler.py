@@ -25,12 +25,16 @@ from isingmotif.errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
+    _KERNELS,
     _STREAM_BLOCK_BYTES,
     _chain_keys,
     _colour_classes,
+    _heat_bath_thresholds,
+    _metropolis_thresholds,
     _Stream,
     _sweep_heat_bath,
     _sweep_metropolis,
+    _thresholds,
     heat_bath_plus_probability,
     metropolis_flip_probability,
 )
@@ -47,6 +51,28 @@ def exact_config_law(measure):
     return CountDistribution(
         {m: float(p) for m, p in enumerate(measure.probabilities())}, sample_size=0
     )
+
+
+def random_words(rng, shape):
+    """53-bit stream words w whose uniforms w * 2**-53 are ``rng.random(shape)``."""
+    return (rng.random(shape) * 2.0**53).astype(np.uint64)
+
+
+def as_up(spins):
+    """-1/+1 spins as the samplers' uint8 {0, 1}."""
+    return (np.asarray(spins) > 0).astype(np.uint8)
+
+
+def as_spins(up):
+    """The samplers' uint8 {0, 1} back to int8 -1/+1."""
+    return up.astype(np.int8) * np.int8(2) - np.int8(1)
+
+
+def block_sweep(kind, lat, params, up, words):
+    """One sweep of ``kind`` over sites-major uint8 rows, with the batch's table."""
+    sweep, table = _KERNELS[kind]
+    classes = _colour_classes(lat).classes
+    sweep(up, classes, table(params.a, params.b, classes[0][1].shape[0]), words)
 
 
 # -- per-site kernels --------------------------------------------------------------
@@ -112,17 +138,18 @@ def test_metropolis_delta_matches_hamiltonian():
 def test_metropolis_always_accepts_at_zero_params():
     # delta H = 0 so every proposal is accepted: one sweep flips everything
     lat = TorusLattice(1, 6, 1, 1)
-    spins = np.full((lat.num_sites, 1), -1, dtype=np.int8)
-    _sweep_metropolis(spins, lat, 0.0, 0.0, np.random.default_rng(1).random(spins.shape))
-    assert np.all(spins == 1)
+    up = as_up(np.full((lat.num_sites, 1), -1, dtype=np.int8))
+    block_sweep("metropolis", lat, ModelParams(0.0, 0.0), up,
+                random_words(np.random.default_rng(1), up.shape))
+    assert np.all(as_spins(up) == 1)
 
 
 def test_heat_bath_strong_negative_field():
     lat = TorusLattice(2, 4, 1, 1)
     rng = np.random.default_rng(3)
-    spins = rng.choice((-1, 1), size=(lat.num_sites, 4)).astype(np.int8)
-    _sweep_heat_bath(spins, lat, -30.0, 0.2, rng.random(spins.shape))
-    assert np.all(spins == -1)
+    up = as_up(rng.choice((-1, 1), size=(lat.num_sites, 4)).astype(np.int8))
+    block_sweep("heat_bath", lat, ModelParams(-30.0, 0.2), up, random_words(rng, up.shape))
+    assert np.all(as_spins(up) == -1)
 
 
 def test_heat_bath_product_frequency():
@@ -147,10 +174,49 @@ def test_monotone_coupling_preserves_order():
     for _ in range(50):
         low = rng.choice((-1, 1), size=(lat.num_sites, 1)).astype(np.int8)
         high = np.where(rng.random(low.shape) < 0.4, 1, low).astype(np.int8)
-        uniforms = rng.random(low.shape)
-        _sweep_heat_bath(low, lat, params.a, params.b, uniforms)
-        _sweep_heat_bath(high, lat, params.a, params.b, uniforms)
+        low, high = as_up(low), as_up(high)
+        words = random_words(rng, low.shape)
+        block_sweep("heat_bath", lat, params, low, words)
+        block_sweep("heat_bath", lat, params, high, words)
         assert np.all(low <= high)
+
+
+def assert_threshold_identity(threshold, p):
+    """w < threshold <=> w 2**-53 < p for the 53-bit words w next to the threshold."""
+    t = int(threshold)
+    for w in (0, t - 1, t, t + 1, 2**53 - 1):
+        if 0 <= w < 2**53:
+            assert bool(np.uint64(w) < threshold) == (w * 2.0**-53 < p), (p, w)
+
+
+@pytest.mark.parametrize("p", sorted({
+    float(p) for edge in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+    for p in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)) if 0.0 <= p <= 1.0
+}))
+def test_threshold_identity_at_edges(p):
+    table = _thresholds([p])
+    assert table.dtype == np.uint64
+    assert_threshold_identity(table[0], p)
+
+
+@pytest.mark.parametrize("a", [-40.0, 40.0])
+def test_threshold_identity_of_saturated_tables(a):
+    # at |a| = 40 the scalar oracles' probabilities round to 1 or fall below 2**-53
+    lat = TorusLattice(1, 4, 1, 1)
+    params = ModelParams(a, 0.5)
+    hb = _heat_bath_thresholds(a, 0.5, 2)
+    mp = _metropolis_thresholds(a, 0.5, 2)
+    probs = []
+    for mask in range(16):
+        cfg = SpinConfig.from_mask(lat, mask)
+        up, k = mask & 1, ((mask >> 1) & 1) + ((mask >> 3) & 1)
+        for table, index, p in (
+            (hb, k, heat_bath_plus_probability(cfg, (0,), params)),
+            (mp, k + 3 * up, metropolis_flip_probability(cfg, (0,), params)),
+        ):
+            assert_threshold_identity(table[index], p)
+            probs.append(p)
+    assert 1.0 in probs and 0.0 < min(probs) < 2.0**-53
 
 
 # -- colour-class sweeps --------------------------------------------------------------
@@ -162,7 +228,7 @@ COLOUR_LATTICES = [
     (TorusLattice(2, 16, 1, 1), 2),
     (TorusLattice(1, 13, 2, 1), None),
     (TorusLattice(2, 5, 1, INFINITY), None),
-    # degree 48 and 80: the Metropolis and heat-bath table indices pass int8
+    # degree 48 and 80: many classes of a few sites each
     (TorusLattice(2, 9, 3, INFINITY), None),
     (TorusLattice(2, 11, 4, INFINITY), None),
 ]
@@ -188,9 +254,9 @@ def test_colour_classes_proper_and_covering(lat, expected):
         assert len(classes) == expected
 
 
-def to_rows(lat, spins):
+def to_rows(lat, values):
     """(chains, sites) in site order to the sampler's sites-major rows."""
-    return np.ascontiguousarray(spins.T[_colour_classes(lat).order])
+    return np.ascontiguousarray(values.T[_colour_classes(lat).order])
 
 
 def to_sites(lat, rows):
@@ -213,35 +279,50 @@ def _scalar_colour_scan(lat, spins, params, uniforms, kind):
     return cfg.spins
 
 
+def assert_block_sweep_equals_scalar_colour_scan(lat, a, b, kind):
+    rng = np.random.default_rng(17)
+    params = ModelParams(a, b)
+    spins = rng.choice((-1, 1), size=(5, lat.num_sites)).astype(np.int8)
+    rows = to_rows(lat, as_up(spins))
+    for _ in range(3):
+        words = random_words(rng, spins.shape)
+        spins = np.stack([
+            _scalar_colour_scan(lat, row, params, w * 2.0**-53, kind)
+            for row, w in zip(spins, words)
+        ])
+        block_sweep(kind, lat, params, rows, to_rows(lat, words))
+        assert np.array_equal(as_spins(to_sites(lat, rows)), spins)
+
+
 @pytest.mark.parametrize("lat", [lat for lat, _ in COLOUR_LATTICES])
 @pytest.mark.parametrize("a,b", [(0.0, 0.5), (-0.6, 0.3), (0.2, -0.4), (-1.0, 0.0)])
 @pytest.mark.parametrize("kind,sweep", [
     ("heat_bath", _sweep_heat_bath), ("metropolis", _sweep_metropolis),
 ])
 def test_block_sweep_equals_scalar_colour_scan(lat, a, b, kind, sweep):
-    rng = np.random.default_rng(17)
-    params = ModelParams(a, b)
-    spins = rng.choice((-1, 1), size=(5, lat.num_sites)).astype(np.int8)
-    rows = to_rows(lat, spins)
-    for _ in range(3):
-        uniforms = rng.random(spins.shape)
-        spins = np.stack([
-            _scalar_colour_scan(lat, row, params, u, kind) for row, u in zip(spins, uniforms)
-        ])
-        sweep(rows, lat, a, b, to_rows(lat, uniforms))
-        assert np.array_equal(to_sites(lat, rows), spins)
+    assert _KERNELS[kind][0] is sweep
+    assert_block_sweep_equals_scalar_colour_scan(lat, a, b, kind)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+def test_block_sweep_past_uint8_index(kind):
+    # degree 168: the Metropolis table index k + 169 up runs to 337 and needs uint16
+    lat = TorusLattice(2, 14, 6, INFINITY)
+    assert _metropolis_thresholds(0.0, 0.0, 168).size == 338
+    assert_block_sweep_equals_scalar_colour_scan(lat, -0.2, 0.01, kind)
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(1, 6, 1, 1), TorusLattice(2, 4, 1, 1)])
 def test_stacked_sweep_equals_separate_sweeps(lat):
     rng = np.random.default_rng(23)
-    stack = rng.choice((-1, 1), size=(lat.num_sites, 2, 7)).astype(np.int8)
+    params = ModelParams(-0.3, 0.4)
+    stack = as_up(rng.choice((-1, 1), size=(lat.num_sites, 2, 7)).astype(np.int8))
     top, bot = stack[:, 0].copy(), stack[:, 1].copy()
     for _ in range(3):
-        uniforms = rng.random((lat.num_sites, 7))
-        _sweep_heat_bath(stack, lat, -0.3, 0.4, uniforms[:, None])
-        _sweep_heat_bath(top, lat, -0.3, 0.4, uniforms)
-        _sweep_heat_bath(bot, lat, -0.3, 0.4, uniforms)
+        words = random_words(rng, (lat.num_sites, 7))
+        block_sweep("heat_bath", lat, params, stack, words[:, None])
+        block_sweep("heat_bath", lat, params, top, words)
+        block_sweep("heat_bath", lat, params, bot, words)
         assert np.array_equal(stack[:, 0], top) and np.array_equal(stack[:, 1], bot)
 
 
@@ -266,11 +347,11 @@ def reference_uniform(seed, chain, t, x, sites):
 
 
 def stream_block(seed, draws, times, sites):
-    """(len(draws), len(times), sites) uniforms from the sampler's stream."""
+    """(len(draws), len(times), sites) uniforms w * 2**-53 from the sampler's stream."""
     draws = np.asarray(draws)
     stream = _Stream(np.arange(sites), draws.size)
     keys = _chain_keys(seed, draws)
-    return np.stack([stream.uniforms(keys, t)[0].T.copy() for t in times], axis=1)
+    return np.stack([stream.words(keys, t)[0].T * 2.0**-53 for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
@@ -291,7 +372,7 @@ def test_cftp_stream_independent_of_active_set():
     stream = _Stream(np.arange(sites), 64)
     keys = _chain_keys(seed, np.arange(12))
     for t in (8, 3, 1):
-        assert np.array_equal(stream.uniforms(keys[4:], t)[0].T, full[4:, t - 1])
+        assert np.array_equal(stream.words(keys[4:], t)[0].T * 2.0**-53, full[4:, t - 1])
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(2, 4, 1, 1), TorusLattice(1, 13, 2, 1)])
@@ -304,10 +385,10 @@ def test_stream_time_blocks_in_row_order(lat):
     keys = _chain_keys(seed, np.arange(5))
     assert stream.block(5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
     for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
-        block = stream.uniforms(keys, start, count)
-        assert block.shape == (count, sites, 5)
+        block = stream.words(keys, start, count)
+        assert block.shape == (count, sites, 5) and block.dtype == np.uint64
         want = full[:, start - 1:start - 1 + count][:, :, order].transpose(1, 2, 0)
-        assert np.array_equal(block, want)
+        assert np.array_equal(block * 2.0**-53, want)
 
 
 def assert_cells_uniform(cells):
