@@ -35,7 +35,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # mcmc_grid, cftp_grid: every b on a lattice reuses it
 def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
     """The offsets each site's match inspects, and the spin each must carry.
 
@@ -57,7 +57,6 @@ def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
     return read_only(offsets), read_only(want)
 
 
-@lru_cache(maxsize=None)
 def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     """``_site_tables`` as bitmask words: a mask matches at x iff mask & care[x] == plus[x]."""
     offsets, want = _site_tables(lattice, motif, mode)
@@ -67,7 +66,7 @@ def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     word = np.uint32 if lattice.num_sites <= 32 else np.uint64
     bits = np.left_shift(word(1), idx.astype(word))
     care = np.bitwise_or.reduce(bits, axis=1)
-    return read_only(care), read_only(np.bitwise_or.reduce(bits[:, want == 1], axis=1))
+    return care, np.bitwise_or.reduce(bits[:, want == 1], axis=1)
 
 
 def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
@@ -167,7 +166,7 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
     return counts
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16)  # exact_grid: every b and target on a lattice reuses it
 def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Read-only ``count_all_masks``, shared by every measure on the lattice."""
     return read_only(count_all_masks(lattice, motif, mode))
@@ -176,6 +175,6 @@ def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.nda
 def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
-    """Exact law of the motif count under the measure, with cached moments."""
+    """Exact law of the motif count under the measure."""
     pmf = measure.count_pmf(_mask_counts(measure.lattice, motif, mode))
     return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)

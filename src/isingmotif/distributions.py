@@ -39,7 +39,6 @@ class CountDistribution:
             raise NotNormalized(f"masses sum to {total}, not 1")
         self._pmf = dict(sorted(cleaned.items()))
         self.sample_size = int(sample_size)
-        self._moments: dict[int, float] = {}
 
     @classmethod
     def from_samples(cls, counts: Iterable[int]) -> "CountDistribution":
@@ -75,16 +74,14 @@ class CountDistribution:
         """E[X (X-1) ... (X-order+1)]: sums pmf(k) * k!/(k-order)!."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        if order not in self._moments:
-            total = 0.0
-            for k, p in self._pmf.items():
-                if k >= order:
-                    fall = 1
-                    for j in range(order):
-                        fall *= k - j
-                    total += p * fall
-            self._moments[order] = total
-        return self._moments[order]
+        total = 0.0
+        for k, p in self._pmf.items():
+            if k >= order:
+                fall = 1
+                for j in range(order):
+                    fall *= k - j
+                total += p * fall
+        return total
 
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else f"empirical(m={self.sample_size})"

@@ -44,7 +44,7 @@ _SANDWICH_TOL = 1e-12
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
-    """Cached arrays are shared by every caller; forbid writes to them."""
+    """Forbid writes to an array that callers must only read; a cached one is shared by all."""
     array.flags.writeable = False
     return array
 
@@ -211,7 +211,7 @@ class _Levels(NamedTuple):
     pair: np.ndarray  # pair sum E of every level
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4)  # exact_grid: every measure built on a lattice reuses it
 def _energy_levels(lattice: TorusLattice) -> _Levels:
     """Enumerate the lattice once: the (M, E) level of every configuration.
 
@@ -268,7 +268,6 @@ class ExactMeasure:
         self._table = np.where(levels.count > 0, table, -np.inf)
         self.log_z = float(_logsumexp(self._table, levels.count))
         self._level_probs = np.exp(self._table - self.log_z)
-        self._probs: np.ndarray | None = None
 
     @property
     def num_configs(self) -> int:
@@ -282,12 +281,11 @@ class ExactMeasure:
     def probabilities(self) -> np.ndarray:
         """Probability of every configuration, indexed by bitmask (read-only).
 
-        Eight bytes per configuration: for the oracle queries below; count laws
-        come from ``count_pmf``, which never builds this table.
+        Built afresh on each call, eight bytes per configuration: for the
+        oracle queries below; count laws come from ``count_pmf``, which never
+        builds this table.
         """
-        if self._probs is None:
-            self._probs = read_only(self._level_probs[self._index])
-        return self._probs
+        return read_only(self._level_probs[self._index])
 
     def count_pmf(self, counts: np.ndarray) -> np.ndarray:
         """Law of a statistic with values in 0..N, given per configuration bitmask.

@@ -56,7 +56,7 @@ def norm_label(p) -> int | str:
     return "inf" if p == INFINITY else p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # exact_grid, mcmc_grid, cftp_grid: every neighbors() call
 def neighbor_offsets(d: int, rho: int, p) -> tuple[Vertex, ...]:
     """Nonzero integer vectors v with ||v||_p <= rho, sorted lexicographically.
 
@@ -85,7 +85,7 @@ def ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
     return _ball_offsets(d, rho, p, as_int(radius, "radius", 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # exact_grid, mcmc_grid, cftp_grid: every motif's ball
 def _ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
     """Breadth-first search from the origin, stopped at distance ``radius``."""
     steps = neighbor_offsets(d, rho, p)
@@ -137,8 +137,6 @@ class TorusLattice:
         self.d, self.rho, self.p = lattice_signature(d, rho, p)
         self.n = as_int(n, "n", 1)
         self.num_sites = self.n**self.d
-        self._ball_cache: dict[tuple[Vertex, int], Ball] = {}
-        self._edges: tuple[tuple[int, int], ...] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -205,16 +203,14 @@ class TorusLattice:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All undirected edges as (i, j) site-index pairs with i < j."""
-        if self._edges is None:
-            out = []
-            for v in self.vertices():
-                i = self.site_index(v)
-                for w in self.neighbors(v):
-                    j = self.site_index(w)
-                    if j > i:
-                        out.append((i, j))
-            self._edges = tuple(out)
-        return self._edges
+        out = []
+        for v in self.vertices():
+            i = self.site_index(v)
+            for w in self.neighbors(v):
+                j = self.site_index(w)
+                if j > i:
+                    out.append((i, j))
+        return tuple(out)
 
     # -- balls ---------------------------------------------------------------
 
@@ -239,13 +235,8 @@ class TorusLattice:
         offs = ball_offsets(self.d, self.rho, self.p, radius)
         self.check_radius(radius)
         x = self.canon(x)
-        key = (x, radius)
-        cached = self._ball_cache.get(key)
-        if cached is None:
-            members = tuple(sorted(self.add(x, off) for off in offs))
-            cached = Ball(center=x, radius=int(radius), members=members)
-            self._ball_cache[key] = cached
-        return cached
+        members = tuple(sorted(self.add(x, off) for off in offs))
+        return Ball(center=x, radius=int(radius), members=members)
 
     def boundary(self, ball: Ball) -> tuple[Vertex, ...]:
         """The exterior vertex boundary: neighbors of members outside the ball."""

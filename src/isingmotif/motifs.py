@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FamilyTooLarge, MotifFileError, SignatureMismatch
 from .lattice import (
@@ -250,7 +249,6 @@ def load_motif(path) -> tuple[LocalConfig, int]:
     return parse_motif_text(text)
 
 
-@lru_cache(maxsize=None)
 def bundled_motif(name: str) -> LocalConfig:
     """Load one of the motif files shipped with the package (data/ directory)."""
     from importlib.resources import files

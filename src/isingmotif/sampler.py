@@ -118,7 +118,7 @@ class _Layout(NamedTuple):
     classes: tuple[tuple[slice, np.ndarray], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # mcmc_grid, cftp_grid: every b on a lattice reuses it
 def _colour_classes(lattice: TorusLattice) -> _Layout:
     """Greedy proper colouring of the lattice's neighbor graph, cached per lattice.
 

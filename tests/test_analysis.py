@@ -115,6 +115,19 @@ def test_count_distribution_validation():
         CountDistribution({-1: 0.5, 0: 0.5})
 
 
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: CountDistribution.from_samples([]), ValueError, "no samples"),
+    (lambda: CountDistribution({0: 1.0}).factorial_moment(0), ValueError, "order must be >= 1"),
+    (lambda: PoissonTarget(0.0), ValueError, "positive finite"),
+    (lambda: PoissonTarget(math.inf), ValueError, "positive finite"),
+    (lambda: tv_distance(CountDistribution({0: 1.0}), {0: 1.0}), TypeError, "dict"),
+    (lambda: rate_fit([4, 8, 16], [1.0, 0.5]), ValueError, "same length"),
+])
+def test_law_and_fit_inputs_checked(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 def test_samples_must_be_integers():
     # from_samples hands the values to __init__ uncast, which owns the rule
     with pytest.raises(ValueError, match="nonnegative integers"):

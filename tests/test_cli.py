@@ -492,6 +492,17 @@ def test_target_named_twice_rejected(workdir):
             parse_config(text, base_dir=workdir)
 
 
+@pytest.mark.parametrize("old, new, error, fragment", [
+    ("[model]\nb_list = 0.0\n", "", ParseError, "[model]"),
+    ("files = single.motif", "files = absent.motif", ParseError, "absent.motif"),
+    ("kind = exact", "kind = gibbs", ValidationError, "gibbs"),
+    ("kind = exact", "kind = exact\n[analysis]\nmode = fuzzy_match", ValidationError, "fuzzy_match"),
+])
+def test_bad_section_file_or_choice_rejected(workdir, old, new, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        parse_config(MINIMAL.replace(old, new), base_dir=workdir)
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_rejected(workdir, capsys, jobs):
     config = parse_config(MINIMAL, base_dir=workdir)

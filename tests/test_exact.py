@@ -63,6 +63,35 @@ def test_hamiltonian_examples():
     assert hamiltonian(single, ModelParams(0.0, 1.0)) == pytest.approx(0.0)
 
 
+def test_hamiltonian_on_edgeless_lattice():
+    lat = TorusLattice(1, 1)  # the only neighbor of the one site is itself
+    assert lat.edges() == ()
+    assert hamiltonian(SpinConfig.all_plus(lat), ModelParams(0.7, 5.0)) == 0.7
+
+
+def test_spin_config_equality():
+    lat = TorusLattice(1, 4)
+    cfg = SpinConfig.from_mask(lat, 0b0110)
+    assert cfg == SpinConfig(lat, [-1, 1, 1, -1])
+    assert cfg != SpinConfig.from_mask(lat, 0b0111)
+    assert cfg != SpinConfig.from_mask(TorusLattice(2, 2), 0b0110)
+    assert cfg != 0b0110
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ModelParams(math.nan, 0.0), "finite"),
+    (lambda: ModelParams(0.0, math.inf), "finite"),
+    (lambda: FieldSchedule(0.0, 1, 1), "schedule constant c"),
+    (lambda: FieldSchedule(math.inf, 1, 1), "schedule constant c"),
+    (lambda: FieldSchedule(1.0, 1, 0), "d must be >= 1"),
+    (lambda: threshold_field(8, 1, 0, 0.5, False), "k must be >= 1"),
+    (lambda: SpinConfig(TorusLattice(1, 4), [1, 1, 1]), "expected 4 spins"),
+])
+def test_model_values_checked(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
+
 def test_build_exact_uniform_case():
     lat = TorusLattice(1, 4, rho=1, p=1)
     measure = build_exact(lat, ModelParams(0.0, 0.0))
@@ -169,6 +198,24 @@ def test_probabilities_are_read_only():
     measure = build_exact(TorusLattice(1, 5, 1, 1), ModelParams(0.2, 0.1))
     with pytest.raises(ValueError):
         measure.probabilities()[0] = 0.5
+
+
+@pytest.mark.parametrize("query, fragment", [
+    (lambda m: m.expectation(np.zeros(3)), "values must cover"),
+    (lambda m: m.conditional_probability({(0,): 1, (5,): -1}, {}), "assigned twice"),
+    (lambda m: m.conditional_probability({(0,): 1}, {(0,): 1}), "overlap"),
+])
+def test_measure_queries_checked(query, fragment):
+    measure = build_exact(TorusLattice(1, 5, 1, 1), ModelParams(0.2, 0.1))
+    with pytest.raises(ValueError, match=fragment):
+        query(measure)
+
+
+def test_conditioning_on_zero_probability_event_rejected():
+    # at a = -400 a plus spin weighs exp(-800) against the all-minus state: 0.0 in float64
+    measure = build_exact(TorusLattice(1, 5, 1, 1), ModelParams(-400.0, 0.0))
+    with pytest.raises(ValueError, match="zero probability"):
+        measure.conditional_probability({(1,): 1}, {(0,): 1})
 
 
 def test_normalization_every_build():

@@ -123,6 +123,11 @@ def test_boundary_and_closure():
     assert set(closure.members) == set(ball.members) | set(lat.boundary(ball))
 
 
+def test_canon_rejects_wrong_coordinate_count():
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        TorusLattice(1, 5).canon((1, 2))
+
+
 def test_site_index_roundtrip_and_order():
     lat = TorusLattice(2, 5, rho=1, p=1)
     for i, v in enumerate(lat.vertices()):

@@ -45,6 +45,11 @@ def test_clean_flags():
     assert bundled_motif("blob_k10.motif").clean
 
 
+def test_positive_at_radius_zero_is_not_clean():
+    # the center is the outer shell of a radius-0 ball
+    assert not single_positive(0, D1).clean
+
+
 def test_ring_basics():
     eta0 = null_config(1, D1)
     assert eta0.ring() == null_config(2, D1)
@@ -145,6 +150,16 @@ def test_file_parse_errors():
         parse_motif_text("1 0 1 1 1\n0\n0\n")  # duplicate vertex
     with pytest.raises(MotifFileError):
         parse_motif_text("1 0 1 1 1\n9\n")  # outside the ball
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("1 zero 1 1 1\n", "bad header"),
+    ("1 0 1 x 1\n", "bad header"),
+    ("1 0 1 1 1\nx\n", "bad coordinate line 'x'"),
+])
+def test_file_bad_value_errors(text, fragment):
+    with pytest.raises(MotifFileError, match=fragment):
+        parse_motif_text(text)
 
 
 def test_comments_and_inf_norm():

@@ -548,6 +548,26 @@ def test_zero_thinning_rejected_for_mcmc(kind):
     assert SamplerSpec(kind="cftp", thinning_sweeps=0).thinning_sweeps == 0
 
 
+@pytest.mark.parametrize("kwargs, fragment", [
+    (dict(kind="gibbs"), "gibbs"),
+    (dict(kind="heat_bath", burn_in_sweeps=-1), "burn_in_sweeps"),
+])
+def test_sampler_spec_rejects_bad_values(kwargs, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        SamplerSpec(**kwargs)
+
+
+@pytest.mark.parametrize("draw, fragment", [
+    (lambda lat, params: cftp_batch(lat, params, 0, 0), "count"),
+    (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 0), "count"),
+    (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 5, 0),
+     "replicas"),
+])
+def test_draw_counts_below_one_rejected(draw, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        draw(TorusLattice(1, 6, 1, 1), ModelParams(-0.5, 0.2))
+
+
 def test_sample_batch_replica_layout():
     lat = TorusLattice(1, 6, 1, 1)
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=1, seed=3)

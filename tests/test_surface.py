@@ -1,9 +1,11 @@
-"""The package's public surface, the names the benchmark harness reads, and
-the README's library example."""
+"""The package's public surface, the names the benchmark harness reads, the
+package's caches, and the README's library example."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -31,6 +33,14 @@ TRACER_BINDS = {
     "counting.count_all_masks": {"lattice"},
     "counting.count_samples": {"lattice"},
     "sampler.sample_with_params": {"lattice", "spec", "count"},
+}
+
+
+# every memo table in the package, each hit by a benchmark workload; a new
+# cache names the workload that hits it on its decorator line
+CACHES = {
+    "counting._mask_counts", "counting._site_tables", "exact._energy_levels",
+    "lattice._ball_offsets", "lattice.neighbor_offsets", "sampler._colour_classes",
 }
 
 
@@ -69,3 +79,18 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_caches_are_pinned_and_name_their_workload():
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    found = {}
+    for path in sorted((ROOT / "src" / "isingmotif").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            for deco in getattr(node, "decorator_list", []):
+                name = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
+                if name.split(".")[-1] in ("lru_cache", "cache", "cached_property"):
+                    found[f"{path.stem}.{node.name}"] = lines[deco.lineno - 1]
+    assert set(found) == CACHES
+    for name, line in found.items():
+        assert any(w in line.partition("#")[2] for w in workloads), name
