@@ -54,7 +54,7 @@ class FerromagneticOnly(IsingMotifError):
 
 
 class CoalescenceTimeout(IsingMotifError):
-    """Coupled chains failed to coalesce within the epoch limit."""
+    """Coupled chains failed to coalesce within the work limit."""
 
 
 class MotifFileError(IsingMotifError):

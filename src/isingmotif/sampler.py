@@ -22,8 +22,10 @@ in uint64 arithmetic, where mix is the SplitMix64 finaliser (Steele, Lea and
 Flood, OOPSLA 2014) and G = 0x9E3779B97F4A7C15.  An MCMC replica starts with
 spin +1 at x iff its t = 0 uniform is below 1/2 and reads time t in sweep t.
 Coupling-from-the-past reads time t >= 1 for the sweep at time -t, so each
-doubling round re-reads the randomness of the times it shares with the
-previous round.
+doubling round re-reads the randomness of the times it shares with earlier
+rounds.  Its rounds sweep every pending draw of a call together, from a start
+horizon learned on a pilot of the first draws; by monotonicity a draw's value
+does not depend on the horizon its rounds start from.
 
 Both kernels perform systematic scans in colour-class order.  The neighbor
 graph is coloured greedily once per lattice (two classes on even tori with
@@ -73,10 +75,11 @@ KINDS = ("heat_bath", "metropolis", "cftp")
 _U64 = (1 << 64) - 1
 
 #: Bytes of one time step's (sites, draws) uint64 words in ``cftp_batch``.
-_CFTP_CHUNK_BYTES = 1 << 20
+_CFTP_CHUNK_BYTES = 1 << 18
 
-#: Sweeps back in time after which ``cftp_batch`` gives up on a draw.
-_EPOCH_LIMIT = 1 << 20
+#: Neighbor reads per chain, horizon * sites * degree, past which ``cftp_batch``
+#: gives up on a draw (2**20 sweeps back on a 16-site lattice of degree 4).
+_READ_LIMIT = 1 << 26
 
 #: Bytes of uint64 words the stream computes in one call, a block of times.
 _STREAM_BLOCK_BYTES = 1 << 18
@@ -301,18 +304,24 @@ def cftp_batch(
     """Exact draws from the Gibbs measure, as a (count, num_sites) spin matrix.
 
     Runs monotone coupling-from-the-past per draw: coupled heat-bath chains
-    from the all-plus and all-minus states share per-time uniforms over epochs
-    -1, -2, -4, ... and the common value at time 0 is returned once they
-    coalesce.  The uniform at (draw i, time -t, site x) is a pure function of
-    (seed, i, t, x), the counter-based stream of the module docstring, so
-    results do not depend on batching or chunk size.  Draws run in chunks of
-    about ``_CFTP_CHUNK_BYTES`` of words per time step, each chunk's top and
-    bottom chains swept as one (sites, 2, m) stack.
+    from the all-plus and all-minus states share per-time uniforms from a
+    horizon of h sweeps back, h doubling each round, and the common value at
+    time 0 is returned once they coalesce.  The uniform at (draw i, time -t,
+    site x) is a pure function of (seed, i, t, x), the counter-based stream
+    of the module docstring.  A pilot chunk of the first draws doubles h
+    from 1 until at least half of them have coalesced; every other draw
+    starts at that h.  Each round then sweeps every pending draw of the call, in chunks
+    of about ``_CFTP_CHUNK_BYTES`` of words per time step, each chunk's top
+    and bottom chains swept as one (sites, 2, m) stack.  For b >= 0 the
+    thresholds are nondecreasing in the number of + neighbors, so the scan
+    is monotone and chains from any horizon past a draw's coalescence time
+    end in the same state (Propp and Wilson, 1996): the draws do not depend
+    on the start horizon, on batching or on chunk size.
 
     Raises:
         AntiferromagneticUnsupported: if b < 0 (the kernel is not monotone).
-        CoalescenceTimeout: if any chain pair fails to coalesce within
-            ``_EPOCH_LIMIT`` sweeps back in time.
+        CoalescenceTimeout: if any chain pair fails to coalesce before a
+            round's horizon * sites * degree would pass ``_READ_LIMIT``.
     """
     if params.b < 0:
         raise AntiferromagneticUnsupported("coupling-from-the-past requires b >= 0")
@@ -321,30 +330,45 @@ def cftp_batch(
     sites = lattice.num_sites
     draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     layout = _colour_classes(lattice)
-    thresholds = _heat_bath_thresholds(params.a, params.b, layout.classes[0][1].shape[0])
+    degree = layout.classes[0][1].shape[0]
+    thresholds = _heat_bath_thresholds(params.a, params.b, degree)
     stream = _Stream(layout.order, min(draw_chunk, count))
+    keys = _chain_keys(seed, np.arange(count))
     out = np.empty((count, sites), dtype=np.uint8)
-    for start in range(0, count, draw_chunk):
-        active = np.arange(start, min(start + draw_chunk, count))
-        keys = _chain_keys(seed, active)
-        horizon = 1
-        while active.size:
-            if horizon > _EPOCH_LIMIT:
-                raise CoalescenceTimeout(
-                    f"{active.size} draws not coalesced after {_EPOCH_LIMIT} sweeps back"
-                )
+
+    def run_round(draws: np.ndarray, horizon: int) -> np.ndarray:
+        """Sweep ``draws`` from time -horizon; store the coalesced, return the rest."""
+        left = []
+        for start in range(0, draws.size, draw_chunk):
+            active = draws[start:start + draw_chunk]
+            active_keys = keys[active]
             chains = np.empty((sites, 2, active.size), dtype=np.uint8)
             chains[:, 0] = 1
             chains[:, 1] = 0
             step = stream.block(active.size)
             for top in range(horizon, 0, -step):
                 low = max(top - step + 1, 1)
-                for words in stream.words(keys, low, top - low + 1)[::-1]:
+                for words in stream.words(active_keys, low, top - low + 1)[::-1]:
                     _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None])
             done = (chains[:, 0] == chains[:, 1]).all(axis=0)
             out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
-            active, keys = active[~done], keys[~done]
-            horizon *= 2
+            left.append(active[~done])
+        return np.concatenate(left)
+
+    pilot = min(draw_chunk, count)
+    pending, rest = np.arange(pilot), np.arange(pilot, count)
+    horizon = 1
+    while pending.size or rest.size:
+        if horizon * sites * degree > _READ_LIMIT:
+            raise CoalescenceTimeout(
+                f"{pending.size + rest.size} draws not coalesced after {horizon // 2} sweeps"
+                f" back, the limit of {_READ_LIMIT} neighbor reads per chain"
+            )
+        pending = run_round(pending, horizon)
+        if rest.size and 2 * pending.size <= pilot:
+            pending = np.concatenate([pending, run_round(rest, horizon)])
+            rest = rest[:0]
+        horizon *= 2
     return _plus_minus(out)
 
 

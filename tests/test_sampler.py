@@ -472,10 +472,18 @@ def test_cftp_rejects_antiferromagnet():
 
 
 def test_cftp_timeout(monkeypatch):
-    monkeypatch.setattr(sampler, "_EPOCH_LIMIT", 2)
+    monkeypatch.setattr(sampler, "_READ_LIMIT", 2 * 8 * 2)  # horizon 2, 8 sites, degree 2
     lat = TorusLattice(1, 8, 1, 1)
-    with pytest.raises(CoalescenceTimeout):
+    with pytest.raises(CoalescenceTimeout, match="after 2 sweeps back"):
         cftp_batch(lat, ModelParams(0.0, 3.0), seed=1, count=4)
+
+
+def test_cftp_timeout_bounds_work_not_sweeps():
+    # degree 168 and b * degree = 3.4, deep in the ordered phase: no draw coalesces.
+    # 196 sites * 168 neighbors * 2048 sweeps passes the 2**26 reads, 1024 does not
+    lat = TorusLattice(2, 14, 6, INFINITY)
+    with pytest.raises(CoalescenceTimeout, match="50 draws not coalesced after 1024 sweeps back"):
+        cftp_batch(lat, ModelParams(-1.0, 0.02), seed=5, count=50)
 
 
 def reference_cftp(lat, params, seed, draw):
@@ -521,6 +529,56 @@ def test_cftp_draw_independent_of_batching(block_bytes, monkeypatch):
             monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * lat.num_sites * draws)
         got = cftp_batch(lat, params, seed=21, count=6)
         assert np.array_equal(got, want_spins), draws
+
+
+# d=2 n=4, a=0, b=0.35 at seed 1: chunks of 3 draws; the pilot {0, 1, 2} coalesces
+# at horizons 8, 32, 8, so every other draw starts at 8, and the draws past 8
+# (horizons 16 to 64) come from all four chunks and share stacks in later rounds
+POOLED_LATTICE, POOLED_PARAMS, POOLED_CHUNK = TorusLattice(2, 4, 1, 1), ModelParams(0.0, 0.35), 3
+
+
+@pytest.fixture(scope="module")
+def pooled_reference():
+    return [reference_cftp(POOLED_LATTICE, POOLED_PARAMS, 1, i) for i in range(12)]
+
+
+def patch_cftp_chunk(monkeypatch, draws):
+    monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * POOLED_LATTICE.num_sites * draws)
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCK)
+def test_cftp_pooled_rounds_match_reference(pooled_reference, block_bytes, monkeypatch):
+    if block_bytes:
+        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", block_bytes)
+    horizons = [h for _, h in pooled_reference]
+    start = sorted(horizons[:POOLED_CHUNK])[(POOLED_CHUNK - 1) // 2]  # half the pilot is in
+    assert start == 8
+    late_chunks = {i // POOLED_CHUNK for i, h in enumerate(horizons) if h > start}
+    assert late_chunks == {0, 1, 2, 3}
+    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    got = cftp_batch(POOLED_LATTICE, POOLED_PARAMS, seed=1, count=12)
+    assert np.array_equal(got, np.stack([spins for spins, _ in pooled_reference]))
+
+
+def test_cftp_sweep_count(pooled_reference, monkeypatch):
+    widths = []
+
+    def counting_sweep(up, classes, thresholds, words):
+        widths.append(up.shape[-1])
+        _sweep_heat_bath(up, classes, thresholds, words)
+
+    monkeypatch.setattr(sampler, "_sweep_heat_bath", counting_sweep)
+    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    cftp_batch(POOLED_LATTICE, POOLED_PARAMS, seed=1, count=12)
+    # pilot 1 + 2 + 4 + 8, the other 9 draws at 8 in three chunks, then the
+    # 7 draws left at 16 in three chunks, 3 at 32 and 1 at 64
+    assert len(widths) == 15 + 3 * 8 + 3 * 16 + 32 + 64 == 183
+    assert sum(widths) == 3 * 15 + 9 * 8 + 7 * 16 + 3 * 32 + 64 == 389
+    # doubling from 1 in each chunk until its last draw coalesces
+    horizons = [h for _, h in pooled_reference]
+    per_chunk = sum(2 * max(horizons[i:i + POOLED_CHUNK]) - 1
+                    for i in range(0, 12, POOLED_CHUNK))
+    assert per_chunk == 284 > len(widths)
 
 
 # -- batch contract -----------------------------------------------------------------
