@@ -24,6 +24,7 @@ from .distributions import (  # noqa: F401  (re-exported surface)
 )
 from .errors import DegenerateFit, FerromagneticOnly
 from .exact import FieldSchedule
+from .lattice import as_int
 from .motifs import LocalConfig
 
 
@@ -54,8 +55,10 @@ def stein_chen_bound(superset_law: CountDistribution, num_sites: int, b: float) 
     mass at 0, which is Poisson(0).
 
     Raises:
+        ValueError: if ``num_sites`` is not an integer >= 1.
         FerromagneticOnly: if the pair potential b is negative.
     """
+    num_sites = as_int(num_sites, "num_sites", 1)
     if b < 0:
         raise FerromagneticOnly("the Stein-Chen bound requires b >= 0")
     lam_n = superset_law.mean
@@ -80,16 +83,22 @@ def rate_fit(
     never corrupts the slope of a decaying sequence.
 
     Raises:
-        DegenerateFit: nonpositive values, or fewer than 3 usable points.
+        ValueError: unequal lengths, or an n that is not > 0.
+        DegenerateFit: values that are not finite and strictly positive, fewer
+            than 3 usable points, or fewer than 2 distinct n among them.
     """
     if len(ns) != len(values):
         raise ValueError("ns and values must have the same length")
+    if not all(n > 0 for n in ns):
+        raise ValueError(f"every n must be > 0, got {list(ns)}")
     pairs = list(zip(ns, values))
-    if any(v <= 0 for _, v in pairs):
-        raise DegenerateFit("rate fit requires strictly positive values")
+    if not all(0 < v < math.inf for _, v in pairs):
+        raise DegenerateFit("rate fit requires finite strictly positive values")
     usable = [(n, v) for n, v in pairs if v >= 10.0 * error_floor]
     if len(usable) < 3:
         raise DegenerateFit(f"need at least 3 usable points, got {len(usable)}")
+    if len({n for n, _ in usable}) < 2:
+        raise DegenerateFit("need at least 2 distinct n among the usable points")
     x = np.log([n for n, _ in usable])
     y = np.log([v for _, v in usable])
     slope, intercept = np.polyfit(x, y, 1)

@@ -16,6 +16,7 @@ from .errors import FamilyTooLarge, MotifFileError, SignatureMismatch
 from .lattice import (
     TorusLattice,
     Vertex,
+    as_int,
     ball_offsets,
     lattice_signature,
     neighbor_offsets,
@@ -213,7 +214,7 @@ def parse_motif_text(text: str) -> tuple[LocalConfig, int]:
     if len(head) != 5:
         raise MotifFileError(f"header must be 'd n_hint rho p r', got {lines[0]!r}")
     try:
-        d, n_hint, rho = int(head[0]), int(head[1]), int(head[2])
+        d, n_hint, rho = int(head[0]), as_int(int(head[1]), "n_hint", 0), int(head[2])
         p = normalize_norm_selector(head[3])
         radius = int(head[4])
     except ValueError as exc:

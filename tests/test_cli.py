@@ -322,6 +322,23 @@ def test_sampler_engine_rows(workdir):
     assert all(float(r["tv_error_budget"]) > 0 for r in tv_rows)
 
 
+def test_antiferromagnetic_tv_budget_is_the_plug_in_term(workdir):
+    # at b = -3 the target is Poisson(2.6e10) and the count lives on 0..64:
+    # the Poisson mass beyond the support is one term, so the distance is 1
+    # and the budget is the plug-in bound plus the fixed allowance
+    text = MINIMAL.replace("d = 1\nn_list = 6 8", "d = 2\nn_list = 8")
+    text = text.replace("single.motif", "single_plus_d2.motif").replace("b_list = 0.0", "b_list = -3")
+    text = text.replace("kind = exact", "kind = heat_bath\nsamples = 200\nburn_in_sweeps = 10")
+    text += "\n[analysis]\ntargets = tv\n"
+    motif = files("isingmotif") / "data" / "single_plus_d2.motif"
+    (workdir / "single_plus_d2.motif").write_text(motif.read_text(encoding="utf-8"))
+    assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
+    (row,) = read_rows(workdir / "out" / "results.csv")
+    assert float(row["lambda_target"]) > 1e10
+    assert float(row["tv_exact_or_empirical"]) == 1.0
+    assert float(row["tv_error_budget"]) < 1.0
+
+
 @pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
 @pytest.mark.parametrize("target", ["stein_chen", "ring_check"])
 def test_stein_chen_requires_exact_engine(workdir, kind, target):
@@ -398,6 +415,15 @@ def test_unreadable_config_is_a_parse_error(workdir, capsys, command):
         assert captured.out == ""
         assert captured.err.startswith(f"ParseError: cannot read configuration {path!r}: ")
         assert cause in captured.err and captured.err.count("\n") == 1
+
+
+def test_motif_info_rejects_negative_n_hint(workdir, capsys):
+    (workdir / "single.motif").write_text("1 -3 1 1 1\n0\n")
+    assert main(["motif-info", str(workdir / "single.motif")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("MotifFileError: bad header ")
+    assert "n_hint must be an integer >= 0" in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "motif-info"])

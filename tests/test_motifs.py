@@ -155,6 +155,7 @@ def test_file_parse_errors():
 @pytest.mark.parametrize("text, fragment", [
     ("1 zero 1 1 1\n", "bad header"),
     ("1 0 1 x 1\n", "bad header"),
+    ("1 -3 1 1 1\n0\n", "n_hint must be an integer >= 0, got -3"),
     ("1 0 1 1 1\nx\n", "bad coordinate line 'x'"),
 ])
 def test_file_bad_value_errors(text, fragment):
