@@ -247,6 +247,14 @@ def _validate(config: RunConfig) -> None:
     """The rules that involve more than one key, and the named choices."""
     if any(a >= z for a, z in zip(config.n_list, config.n_list[1:])):
         raise ValidationError("n_list must be strictly increasing")
+    for i, b in enumerate(config.b_list):
+        if b in config.b_list[:i]:
+            raise ValidationError(f"[model] b_list: {b!r} equals an earlier value")
+    hashes = [motif.motif_hash for motif in config.motifs]
+    for i, (path, motif_hash) in enumerate(zip(config.motif_paths, hashes)):
+        if motif_hash in hashes[:i]:
+            first = config.motif_paths[hashes.index(motif_hash)]
+            raise ValidationError(f"[motifs] files: {path!r} is the same motif as {first!r}")
     if config.engine not in ENGINE_KINDS:
         raise ValidationError(f"engine kind must be one of {ENGINE_KINDS}, got {config.engine!r}")
     for name in config.targets:
@@ -561,7 +569,12 @@ def _load(path: str) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    return run(_load(args.config), jobs=args.jobs, out_dir=args.out)
+    config = _load(args.config)
+    try:
+        return run(config, jobs=args.jobs, out_dir=args.out)
+    except OSError as exc:  # the output directory or a results file cannot be written
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_validate(args) -> int:

@@ -166,7 +166,7 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
     return counts
 
 
-@lru_cache(maxsize=16)  # exact_grid: every b and target on a lattice reuses it
+@lru_cache(maxsize=6)  # exact_grid, demo.ini: two threads' cells, each its motif, ring, superset
 def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Read-only ``count_all_masks``, shared by every measure on the lattice."""
     return read_only(count_all_masks(lattice, motif, mode))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class _Levels(NamedTuple):
     pair: np.ndarray  # pair sum E of every level
 
 
-@lru_cache(maxsize=4)  # exact_grid: every measure built on a lattice reuses it
+@lru_cache(maxsize=2)  # exact_grid, demo.ini: two threads on (n, motif, b) cells span 2 lattices
 def _energy_levels(lattice: TorusLattice) -> _Levels:
     """Enumerate the lattice once: the (M, E) level of every configuration.
 
@@ -305,31 +305,11 @@ class ExactMeasure:
         return pmf
 
     def expectation(self, values) -> float:
-        """Mean of a statistic.
-
-        ``values`` is either an array indexed by configuration bitmask or a
-        callable evaluated on every SpinConfig (slow; meant for small oracles).
-        """
-        values = self._as_values(values)
-        return float(np.dot(self.probabilities(), values))
-
-    def variance(self, values) -> float:
-        values = self._as_values(values)
-        p = self.probabilities()
-        mean = float(np.dot(p, values))
-        return float(np.dot(p, (values - mean) ** 2))
-
-    def _as_values(self, values) -> np.ndarray:
-        if callable(values):
-            f: Callable[[SpinConfig], float] = values
-            return np.array(
-                [f(SpinConfig.from_mask(self.lattice, m)) for m in range(self.num_configs)],
-                dtype=np.float64,
-            )
+        """Mean of a statistic given as an array indexed by configuration bitmask."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.num_configs,):
             raise ValueError("values must cover every configuration")
-        return values
+        return float(np.dot(self.probabilities(), values))
 
     # -- partial assignments ------------------------------------------------
 

@@ -230,11 +230,12 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser of the uint64 array ``z``, in place.
 
-    ``tmp`` is scratch of the same shape.  Array arithmetic wraps modulo 2**64.
+    Array arithmetic wraps modulo 2**64.
     """
+    tmp = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= _MIX_1
@@ -252,44 +253,27 @@ def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
     seed_key *= _GAMMA
     keys = np.asarray(chains, dtype=np.uint64) + np.uint64(1)
     keys *= _GAMMA
-    tmp = np.empty_like(keys)
-    _mix(keys, tmp)
-    keys ^= _mix(seed_key, np.empty_like(seed_key))
-    return _mix(keys, tmp)
+    _mix(keys)
+    keys ^= _mix(seed_key)
+    return _mix(keys)
 
 
-class _Stream:
-    """The counter-based words of up to ``chains`` chains, sites-major.
+def _block(sites: int, m: int) -> int:
+    """Times per ``_words`` call for m chains: all that fit in ``_STREAM_BLOCK_BYTES``, or 1."""
+    return max(1, _STREAM_BLOCK_BYTES // (8 * sites * m))
 
-    ``words(keys, t, count)`` returns the (count, sites, len(keys)) uint64
-    words w of times t .. t + count - 1, row r of each time holding site
-    ``order[r]``, computed in preallocated buffers; the result is overwritten
-    by the next call.  ``block(m)`` is how many times one call may ask for
-    with m keys: as many as fit in ``_STREAM_BLOCK_BYTES``, and at least one.
+
+def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
+    """The (count, rows, len(keys)) uint64 words w of times t .. t + count - 1.
+
+    Row r of each time holds site ``order[r]`` of an ``order.size``-site
+    lattice, column i the chain of ``keys[i]``.
     """
-
-    def __init__(self, order: np.ndarray, chains: int):
-        self.sites = order.size
-        self.row_gamma = order.astype(np.uint64) * _GAMMA
-        size = max(_STREAM_BLOCK_BYTES // 8, self.sites * chains)
-        self.work = np.empty(size, dtype=np.uint64)
-        self.tmp = np.empty(size, dtype=np.uint64)
-
-    def block(self, m: int) -> int:
-        return max(1, self.work.size // (self.sites * m))
-
-    def words(self, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
-        shape = (count, self.sites, keys.size)
-        size = count * self.sites * keys.size
-        work, tmp = (buf[:size].reshape(shape) for buf in (self.work, self.tmp))
-        # (t S + x) G = t S G + x G modulo 2**64
-        step = np.array([(t + i) * self.sites * int(_GAMMA) & _U64 for i in range(count)],
-                        dtype=np.uint64)
-        counter = step[:, None] + self.row_gamma
-        np.add(counter[:, :, None], keys, out=work)
-        _mix(work, tmp)
-        work >>= np.uint64(11)
-        return work
+    times = np.arange(t, t + count, dtype=np.uint64)[:, None]
+    counter = (times * np.uint64(order.size) + order.astype(np.uint64)) * _GAMMA
+    words = _mix(counter[:, :, None] + keys)
+    words >>= np.uint64(11)
+    return words
 
 
 # -- coupling from the past -------------------------------------------------------
@@ -332,7 +316,6 @@ def cftp_batch(
     layout = _colour_classes(lattice)
     degree = layout.classes[0][1].shape[0]
     thresholds = _heat_bath_thresholds(params.a, params.b, degree)
-    stream = _Stream(layout.order, min(draw_chunk, count))
     keys = _chain_keys(seed, np.arange(count))
     out = np.empty((count, sites), dtype=np.uint8)
 
@@ -345,10 +328,10 @@ def cftp_batch(
             chains = np.empty((sites, 2, active.size), dtype=np.uint8)
             chains[:, 0] = 1
             chains[:, 1] = 0
-            step = stream.block(active.size)
+            step = _block(sites, active.size)
             for top in range(horizon, 0, -step):
                 low = max(top - step + 1, 1)
-                for words in stream.words(active_keys, low, top - low + 1)[::-1]:
+                for words in _words(layout.order, active_keys, low, top - low + 1)[::-1]:
                     _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None])
             done = (chains[:, 0] == chains[:, 1]).all(axis=0)
             out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
@@ -399,13 +382,12 @@ def _run_mcmc_batch(
     layout = _colour_classes(lattice)
     thresholds = table(params.a, params.b, layout.classes[0][1].shape[0])
     keys = _chain_keys(spec.seed, np.arange(replicas))
-    stream = _Stream(layout.order, replicas)
     # +1 where u < 1/2, that is w < 2**52
-    up = (stream.words(keys, 0)[0] < np.uint64(1 << 52)).view(np.uint8)
+    up = (_words(layout.order, keys, 0)[0] < np.uint64(1 << 52)).view(np.uint8)
     samples = np.empty((quota, lattice.num_sites, replicas), dtype=np.uint8)
-    step = stream.block(replicas)
+    step = _block(lattice.num_sites, replicas)
     for start in range(1, last + 1, step):
-        block = stream.words(keys, start, min(step, last + 1 - start))
+        block = _words(layout.order, keys, start, min(step, last + 1 - start))
         for t, words in enumerate(block, start):
             sweep(up, layout.classes, thresholds, words)
             j, offset = divmod(t - first, spec.thinning_sweeps)

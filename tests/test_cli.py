@@ -45,6 +45,7 @@ NULL_MOTIF = "1 0 1 1 1\n"
 def workdir(tmp_path):
     (tmp_path / "single.motif").write_text(SINGLE_MOTIF)
     (tmp_path / "null.motif").write_text(NULL_MOTIF)
+    (tmp_path / "copy.motif").write_text("# single.motif under another name\n" + SINGLE_MOTIF)
     return tmp_path
 
 
@@ -145,7 +146,9 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
 @pytest.mark.parametrize("kind", ["exact", "heat_bath", "cftp"])
 def test_jobs_do_not_change_output(workdir, kind):
     # the exact engine's enumerations and count arrays, and the samplers'
-    # colour classes, are shared across threads
+    # colour classes, are shared across threads; the exact caches hold the
+    # tables of two live cells, so the four threads here, at each of the two
+    # lattice boundaries, may compute a table again
     targets = TARGETS if kind == "exact" else ("expectation", "tv", "moments", "threshold_sweep")
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
@@ -196,6 +199,23 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
     cells = 2 * 2
     assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
+
+
+def test_exact_caches_keep_two_lattices(workdir):
+    # cells run in (n, motif, b) order: a lattice's cells share one enumeration
+    # and three count arrays (the motif, its ring, its superset count), and the
+    # third lattice evicts the first without any table being computed twice
+    text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
+        "b_list = 0.0", "b_list = 0.0 0.3"
+    )
+    text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
+    config = parse_config(text, base_dir=workdir)
+    _energy_levels.cache_clear()
+    counting._mask_counts.cache_clear()
+    assert run(config, out_dir=workdir / "out") == 0
+    levels, counts = _energy_levels.cache_info(), counting._mask_counts.cache_info()
+    assert (levels.currsize, levels.misses) == (2, 3)
+    assert (counts.currsize, counts.misses) == (6, 3 * 3)
 
 
 @pytest.mark.parametrize("targets", ["threshold_sweep", "expectation ring_check threshold_sweep"])
@@ -372,7 +392,7 @@ def test_json_mirror(workdir):
     assert payload["rows"][0]["k"] == 1
 
 
-def test_main_validate_and_motif_info(workdir, capsys):
+def test_main_validate_and_motif_info(workdir, capsys, monkeypatch):
     cfg_path = workdir / "run.ini"
     cfg_path.write_text(MINIMAL)
     assert main(["validate", str(cfg_path)]) == 0
@@ -387,11 +407,29 @@ def test_main_validate_and_motif_info(workdir, capsys):
     bad.write_text(MINIMAL + "\n[lattice]\nbogus = 1\n")
     assert main(["validate", str(bad)]) == 2
 
+    # only run reports an OSError as exit status 2; validate's own output failing
+    # (stdout piped into a closed reader) is not a configuration error
+    def closed_pipe(config):
+        raise BrokenPipeError("stdout closed")
 
-def test_main_run_exit_codes(workdir, monkeypatch):
+    monkeypatch.setattr(cli.RunConfig, "resolved_text", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["validate", str(cfg_path)])
+
+
+def test_main_run_exit_codes(workdir, monkeypatch, capsys):
     cfg_path = workdir / "run.ini"
     cfg_path.write_text(MINIMAL)
     assert main(["run", str(cfg_path), "--out", str(workdir / "ok")]) == 0
+
+    # an output directory that cannot be made is one stderr line and exit status 2
+    taken = workdir / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("FileExistsError: ") and str(taken) in captured.err
 
     # a target that fails at run time writes error rows and exit status 1
     def broken(cell, name):
@@ -503,6 +541,11 @@ def test_golden_file_pinned_run(workdir, golden, kind, targets):
     ("b_list = 0.0\n\n[engine]\nkind = exact",
      "b_list = -0.1\n\n[engine]\nkind = exact\n[analysis]\ntargets = stein_chen",
      "[model] b_list"),
+    # a repeated b or motif wrote the cell's rows twice, under the same run_id
+    ("b_list = 0.0", "b_list = 0.0 0.3 0.0", "[model] b_list"),
+    ("b_list = 0.0", "b_list = 0.0 -0.0", "[model] b_list"),
+    ("files = single.motif", "files = single.motif single.motif", "[motifs] files"),
+    ("files = single.motif", "files = single.motif copy.motif", "[motifs] files"),
 ])
 def test_configs_that_produce_nothing_rejected(workdir, old, new, where):
     # each of these used to validate, then ran no cell or only error rows

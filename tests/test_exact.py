@@ -236,21 +236,6 @@ def test_spin_flip_symmetry():
     assert plus.log_z == pytest.approx(minus.log_z, rel=1e-14)
 
 
-def test_expectation_and_variance_oracle():
-    lat = TorusLattice(1, 5, rho=1, p=1)
-    measure = build_exact(lat, ModelParams(-0.4, 0.25))
-    mag = lambda cfg: float(cfg.spins.sum())
-    by_callable = measure.expectation(mag)
-    values = np.array(
-        [SpinConfig.from_mask(lat, m).spins.sum() for m in range(measure.num_configs)],
-        dtype=float,
-    )
-    assert by_callable == pytest.approx(float(measure.probabilities() @ values), abs=1e-12)
-    mean = by_callable
-    direct_var = float(measure.probabilities() @ (values - mean) ** 2)
-    assert measure.variance(values) == pytest.approx(direct_var, abs=1e-12)
-
-
 def test_local_energy_null_ball():
     lat = TorusLattice(1, 8, rho=1, p=1)
     a, b = -0.9, 0.35

@@ -27,14 +27,15 @@ from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
     _KERNELS,
     _STREAM_BLOCK_BYTES,
+    _block,
     _chain_keys,
     _colour_classes,
     _heat_bath_thresholds,
     _metropolis_thresholds,
-    _Stream,
     _sweep_heat_bath,
     _sweep_metropolis,
     _thresholds,
+    _words,
     heat_bath_plus_probability,
     metropolis_flip_probability,
 )
@@ -348,10 +349,8 @@ def reference_uniform(seed, chain, t, x, sites):
 
 def stream_block(seed, draws, times, sites):
     """(len(draws), len(times), sites) uniforms w * 2**-53 from the sampler's stream."""
-    draws = np.asarray(draws)
-    stream = _Stream(np.arange(sites), draws.size)
-    keys = _chain_keys(seed, draws)
-    return np.stack([stream.words(keys, t)[0].T * 2.0**-53 for t in times], axis=1)
+    keys = _chain_keys(seed, np.asarray(draws))
+    return np.stack([_words(np.arange(sites), keys, t)[0].T * 2.0**-53 for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
@@ -368,11 +367,11 @@ def test_cftp_stream_independent_of_active_set():
     for active in ([3], [7, 3], [11, 0, 5], list(range(2, 12))):
         part = stream_block(seed, active, range(1, 9), sites)
         assert np.array_equal(part, full[active])
-    # a larger buffer and a later start leave the values unchanged too
-    stream = _Stream(np.arange(sites), 64)
+    # a later start leaves the values unchanged too
     keys = _chain_keys(seed, np.arange(12))
     for t in (8, 3, 1):
-        assert np.array_equal(stream.words(keys[4:], t)[0].T * 2.0**-53, full[4:, t - 1])
+        assert np.array_equal(_words(np.arange(sites), keys[4:], t)[0].T * 2.0**-53,
+                              full[4:, t - 1])
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(2, 4, 1, 1), TorusLattice(1, 13, 2, 1)])
@@ -381,14 +380,17 @@ def test_stream_time_blocks_in_row_order(lat):
     seed, sites = 3, lat.num_sites
     full = stream_block(seed, np.arange(5), range(1, 41), sites)
     order = _colour_classes(lat).order
-    stream = _Stream(order, 5)
     keys = _chain_keys(seed, np.arange(5))
-    assert stream.block(5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
+    assert _block(sites, 5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
     for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
-        block = stream.words(keys, start, count)
+        block = _words(order, keys, start, count)
         assert block.shape == (count, sites, 5) and block.dtype == np.uint64
         want = full[:, start - 1:start - 1 + count][:, :, order].transpose(1, 2, 0)
         assert np.array_equal(block * 2.0**-53, want)
+    # every call returns a fresh array, which a later call leaves as it was
+    first = _words(order, keys, 1, 2)
+    _words(order, keys, 3, 2)
+    assert np.array_equal(first * 2.0**-53, full[:, :2][:, :, order].transpose(1, 2, 0))
 
 
 def assert_cells_uniform(cells):

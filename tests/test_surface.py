@@ -36,11 +36,15 @@ TRACER_BINDS = {
 }
 
 
-# every memo table in the package, each hit by a benchmark workload; a new
-# cache names the workload that hits it on its decorator line
+# every memo table in the package and its maxsize, each hit by a benchmark
+# workload; a new cache names the workload that hits it on its decorator line.
+# The exact caches keep the tables of two live cells (two threads, as
+# configs/demo.ini runs): two lattices' enumerations, and for each cell the
+# count arrays of its motif, its ring and its superset count.
 CACHES = {
-    "counting._mask_counts", "counting._site_tables", "exact._energy_levels",
-    "lattice._ball_offsets", "lattice.neighbor_offsets", "sampler._colour_classes",
+    "counting._mask_counts": 6, "counting._site_tables": None, "exact._energy_levels": 2,
+    "lattice._ball_offsets": None, "lattice.neighbor_offsets": None,
+    "sampler._colour_classes": None,
 }
 
 
@@ -91,6 +95,9 @@ def test_caches_are_pinned_and_name_their_workload():
                 name = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
                 if name.split(".")[-1] in ("lru_cache", "cache", "cached_property"):
                     found[f"{path.stem}.{node.name}"] = lines[deco.lineno - 1]
-    assert set(found) == CACHES
+    assert set(found) == set(CACHES)
     for name, line in found.items():
         assert any(w in line.partition("#")[2] for w in workloads), name
+        module, function = name.split(".")
+        cached = getattr(importlib.import_module(f"isingmotif.{module}"), function)
+        assert cached.cache_info().maxsize == CACHES[name], name
