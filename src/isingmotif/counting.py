@@ -12,6 +12,7 @@ Two matching modes exist for a motif eta at a site x:
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -145,25 +146,46 @@ def count_samples(
     return totals
 
 
+def _add_matches(words: np.ndarray, care: np.ndarray, plus: np.ndarray, out: np.ndarray):
+    """Add to ``out`` the number of sites x with words & care[x] == plus[x]."""
+    selected = np.empty_like(words)
+    hit = np.empty(len(words), dtype=bool)
+    for care_x, plus_x in zip(care, plus):
+        np.bitwise_and(words, care_x, out=selected)
+        out += np.equal(selected, plus_x, out=hit)
+    return out
+
+
 def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Counts for every configuration bitmask of the lattice (exact pipeline).
 
-    The masks are counted in chunks of ``exact.MASK_CHUNK``.  The result is
-    uint8: a count never exceeds the number of sites, far below 256 wherever
-    the 2**sites masks can be enumerated.
+    The masks are counted in chunks of 2**L, the largest power of two up to
+    ``exact.MASK_CHUNK`` and 2**sites.  A site whose match reads only the low
+    L bits matches alike in every chunk: its counts are tabulated once over
+    2**L masks.  One that reads only the high bits matches alike across a
+    chunk: one offset per chunk.  Only the sites that read both are matched
+    mask by mask.  The result is uint8: a count never exceeds the number of
+    sites, far below 256 wherever the 2**sites masks can be enumerated.
     """
     care, plus = _site_words(lattice, motif, mode)
-    total = 1 << lattice.num_sites
-    counts = np.zeros(total, dtype=np.uint8)
-    for start in range(0, total, exact.MASK_CHUNK):
-        acc = counts[start:start + exact.MASK_CHUNK]
-        masks = np.arange(start, start + len(acc), dtype=care.dtype)
-        selected = np.empty_like(masks)
-        hit = np.empty(len(masks), dtype=bool)
-        for care_x, plus_x in zip(care, plus):
-            np.bitwise_and(masks, care_x, out=selected)
-            acc += np.equal(selected, plus_x, out=hit)
+    step = 1 << min(exact.MASK_CHUNK.bit_length() - 1, lattice.num_sites)
+    low_bits = care.dtype.type(step - 1)
+    low = (care & ~low_bits) == 0  # and a site that reads no bit (superset, no positives)
+    high = ~low & ((care & low_bits) == 0)
+    both = ~(low | high)
+    masks = np.arange(step, dtype=care.dtype)
+    starts = np.arange(0, 1 << lattice.num_sites, step, dtype=care.dtype)
+    table = _add_matches(masks, care[low], plus[low], np.zeros(step, dtype=np.uint8))
+    offsets = _add_matches(starts, care[high], plus[high], np.zeros(len(starts), dtype=np.uint8))
+    counts = np.empty(len(starts) * step, dtype=np.uint8)
+    for start, offset in zip(starts.tolist(), offsets):
+        acc = np.add(table, offset, out=counts[start:start + step])
+        _add_matches(masks | care.dtype.type(start), care[both], plus[both], acc)
     return counts
+
+
+# taken around every cached call, as ``exact._LEVELS_LOCK`` is: one thread fills a table
+_COUNTS_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=6)  # exact_grid, demo.ini: two threads' cells, each its motif, ring, superset
@@ -176,5 +198,7 @@ def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
     """Exact law of the motif count under the measure."""
-    pmf = measure.count_pmf(_mask_counts(measure.lattice, motif, mode))
+    with _COUNTS_LOCK:
+        counts = _mask_counts(measure.lattice, motif, mode)
+    pmf = measure.count_pmf(counts)
     return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)

@@ -17,6 +17,7 @@ lexicographic index) carries spin +1.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -31,9 +32,12 @@ from .motifs import LocalConfig, family_size
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
 
-#: Bitmasks per chunk in every pass over the 2**N configurations: the level
-#: multiplicities, the count laws and ``counting.count_all_masks``.
+#: Bitmasks per chunk of the level multiplicities and of ``counting.count_all_masks``.
 MASK_CHUNK = 1 << 16
+
+# masks per block of ``ExactMeasure.count_pmf``; each of its three buffers takes
+# 128 KiB, where a new 512 KiB array per block would be mapped and faulted in anew
+_PMF_BLOCK = 1 << 14
 
 # bytes of one (patterns, boundaries) float64 energy block of the sandwich check;
 # unblocked, a cap-sized ball and boundary would need hundreds of MB per temporary
@@ -202,6 +206,11 @@ def _logsumexp(x: np.ndarray, weights=None, axis: int | None = None) -> np.ndarr
     return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
 
 
+# lru_cache holds no lock while it fills a table, so every cached call takes this
+# one: a thread that misses waits for the table another thread is filling
+_LEVELS_LOCK = threading.Lock()
+
+
 class _Levels(NamedTuple):
     """One lattice's enumeration, shared by every (a, b) on it."""
 
@@ -261,7 +270,8 @@ class ExactMeasure:
     def __init__(self, lattice: TorusLattice, params: ModelParams):
         self.lattice = lattice
         self.params = params
-        levels = _energy_levels(lattice)
+        with _LEVELS_LOCK:
+            levels = _energy_levels(lattice)
         self._index = levels.index
         table = params.a * levels.field + params.b * levels.pair
         # empty levels are never looked up; -inf keeps exp from overflowing on them
@@ -290,18 +300,24 @@ class ExactMeasure:
     def count_pmf(self, counts: np.ndarray) -> np.ndarray:
         """Law of a statistic with values in 0..N, given per configuration bitmask.
 
-        Returns pmf of length N + 1, N the number of sites.  Each chunk of
-        masks gathers its probabilities from the level table and adds them
-        with ``np.add.at``, which adds in index order; every bin thus sums the
-        same terms in the same order as
+        Returns pmf of length N + 1, N the number of sites.  Each block of
+        ``_PMF_BLOCK`` masks copies its levels and counts into two intp
+        buffers, gathers the probabilities of the levels into a third and adds
+        them with ``np.add.at``, which adds in index order; every bin thus
+        sums the same terms in the same order as
         ``np.bincount(counts, weights=self.probabilities())``, bit for bit.
+        The three buffers are made once per call.
         """
         if counts.shape != (self.num_configs,):
             raise ValueError("counts must cover every configuration")
         pmf = np.zeros(self.lattice.num_sites + 1)
-        for start in range(0, self.num_configs, MASK_CHUNK):
-            stop = start + MASK_CHUNK
-            np.add.at(pmf, counts[start:stop], self._level_probs[self._index[start:stop]])
+        size = min(_PMF_BLOCK, self.num_configs)  # both powers of two: every block is full
+        level, bins, probs = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size)
+        for start in range(0, self.num_configs, size):
+            level[:], bins[:] = self._index[start:start + size], counts[start:start + size]
+            # every level is in range; "clip" spares the copy of ``out`` that "raise" makes
+            self._level_probs.take(level, out=probs, mode="clip")
+            np.add.at(pmf, bins, probs)
         return pmf
 
     def expectation(self, values) -> float:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 from importlib.resources import files
 from pathlib import Path
@@ -148,7 +149,7 @@ def test_jobs_do_not_change_output(workdir, kind):
     # the exact engine's enumerations and count arrays, and the samplers'
     # colour classes, are shared across threads; the exact caches hold the
     # tables of two live cells, so the four threads here, at each of the two
-    # lattice boundaries, may compute a table again
+    # lattice boundaries, may evict a table and compute it again
     targets = TARGETS if kind == "exact" else ("expectation", "tv", "moments", "threshold_sweep")
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
@@ -201,10 +202,20 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
 
 
-def test_exact_caches_keep_two_lattices(workdir):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exact_caches_keep_two_lattices(workdir, jobs, monkeypatch):
     # cells run in (n, motif, b) order: a lattice's cells share one enumeration
     # and three count arrays (the motif, its ring, its superset count), and the
-    # third lattice evicts the first without any table being computed twice
+    # third lattice evicts the first without any table being computed twice;
+    # two threads that miss one table at once compute it once, however long
+    # it takes to fill
+    count_all_masks = counting.count_all_masks
+
+    def slow_count(*args):
+        time.sleep(0.02)
+        return count_all_masks(*args)
+
+    monkeypatch.setattr(counting, "count_all_masks", slow_count)
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
     )
@@ -212,7 +223,12 @@ def test_exact_caches_keep_two_lattices(workdir):
     config = parse_config(text, base_dir=workdir)
     _energy_levels.cache_clear()
     counting._mask_counts.cache_clear()
-    assert run(config, out_dir=workdir / "out") == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run(config, jobs=jobs, out_dir=workdir / "out") == 0
+    finally:
+        sys.setswitchinterval(interval)
     levels, counts = _energy_levels.cache_info(), counting._mask_counts.cache_info()
     assert (levels.currsize, levels.misses) == (2, 3)
     assert (counts.currsize, counts.misses) == (6, 3 * 3)

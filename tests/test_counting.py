@@ -20,6 +20,7 @@ from isingmotif import (
 from isingmotif import counting, exact
 from isingmotif.counting import count_all_masks, count_samples
 from isingmotif.errors import LatticeTooSmall, SignatureMismatch
+from isingmotif.exact import _spin_matrix
 from isingmotif.lattice import INFINITY
 from isingmotif.motifs import (
     LocalConfig,
@@ -153,6 +154,70 @@ def test_count_all_masks_matches_per_config_count(lattice, motif, mode, monkeypa
     table = count_all_masks(lattice, motif, mode)
     for mask in range(1 << lattice.num_sites):
         assert table[mask] == naive_count(SpinConfig.from_mask(lattice, mask), motif, mode)
+
+
+def all_mask_counts(lattice, motif, mode):
+    """count_samples over the spin matrix of every bitmask, 2**16 masks at a time."""
+    total = 1 << lattice.num_sites
+    return np.concatenate([
+        count_samples(lattice, _spin_matrix(masks, lattice.num_sites), motif, mode)
+        for masks in np.array_split(np.arange(total, dtype=np.uint64), max(1, total >> 16))
+    ])
+
+
+def split_sizes(lattice, motif, mode, chunk):
+    """Sites whose match reads only the low bits of a chunk, only the high bits, both."""
+    care, _ = counting._site_words(lattice, motif, mode)
+    low_bits = (1 << min(chunk.bit_length() - 1, lattice.num_sites)) - 1
+    low = [int(c) & ~low_bits == 0 for c in care]
+    high = [not lo and int(c) & low_bits == 0 for lo, c in zip(low, care)]
+    return sum(low), sum(high), len(care) - sum(low) - sum(high)
+
+
+SPLIT_CASES = [
+    (TorusLattice(1, 8, 1, 1), bundled_motif("single_plus_d1.motif")),
+    (TorusLattice(1, 6, 1, 1), null_config(1, D1)),  # superset: every match reads no bit
+    (TorusLattice(1, 11, 2, 1), LocalConfig(1, frozenset({(0,), (1,)}), (1, 2, 1))),
+    (TorusLattice(2, 4, 1, 1), bundled_motif("single_plus_d2.motif")),
+    # every 3 x 3 ball of the 4 x 4 torus reads both halves at chunks of 100 and 1000
+    (TorusLattice(2, 4, 1, INFINITY), single_positive(1, (2, 1, INFINITY))),
+]
+# chunks of 1 mask, of 2**6 and 2**9 masks, of every mask, and past 2**N
+SPLIT_CHUNKS = [1, 100, 1000, "all", "above"]
+
+
+@pytest.mark.parametrize("lattice,motif", SPLIT_CASES, ids=lambda v: repr(v)[:40])
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+@pytest.mark.parametrize("chunk", SPLIT_CHUNKS)
+def test_count_all_masks_at_every_split(lattice, motif, mode, chunk, monkeypatch):
+    chunk = {"all": 1 << lattice.num_sites, "above": 3 << lattice.num_sites}.get(chunk, chunk)
+    monkeypatch.setattr(exact, "MASK_CHUNK", chunk)
+    counts = count_all_masks(lattice, motif, mode)
+    assert counts.dtype == np.uint8
+    assert np.array_equal(counts, all_mask_counts(lattice, motif, mode))
+
+
+def test_split_cases_cover_no_some_and_every_site_reading_both_halves():
+    both = {
+        split_sizes(lattice, motif, mode, chunk)[2] / lattice.num_sites
+        for lattice, motif in SPLIT_CASES
+        for mode in (EXACT_MATCH, SUPERSET_MATCH)
+        for chunk in (1, 100, 1000)
+    }
+    assert 0.0 in both and 1.0 in both and len(both) > 2
+    # at the default chunk of 2**16 masks, 4 of the 22 sites at d=1, n=22
+    lattice = TorusLattice(1, 22, 1, 1)
+    sizes = split_sizes(lattice, bundled_motif("single_plus_d1.motif"), EXACT_MATCH, exact.MASK_CHUNK)
+    assert sizes == (14, 4, 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+def test_count_all_masks_on_the_smallest_d2_exact_lattice(mode):
+    # n = 5 is the smallest d=2 lattice the exact runner accepts (site_cap = 25)
+    lattice = TorusLattice(2, 5, 1, 1)
+    motif = bundled_motif("single_plus_d2.motif")
+    assert np.array_equal(count_all_masks(lattice, motif, mode), all_mask_counts(lattice, motif, mode))
 
 
 def test_cached_count_arrays_are_read_only_and_shared():
@@ -349,21 +414,23 @@ def test_count_law_needs_every_configuration():
         measure.count_pmf(np.zeros(63, dtype=np.uint8))
 
 
-def test_count_law_working_set_is_bounded():
+@pytest.mark.parametrize("n", [16, 20])
+def test_count_law_working_set_is_bounded(n):
     # no table of one probability per configuration and no intp copy of the
-    # counts: 1M masks take 8 MiB per such table, the law well under 1 MiB
-    lattice = TorusLattice(1, 20, 1, 1)
+    # counts: 2**20 masks take 8 MiB per such table, and one new 2**16-entry
+    # intp block per chunk 512 KiB; the law's three reused buffers take 384 KiB
+    lattice = TorusLattice(1, n, 1, 1)
     motif = bundled_motif("single_plus_d1.motif")
-    counting._mask_counts(lattice, motif, EXACT_MATCH)  # the counts are cached
+    counts = counting._mask_counts(lattice, motif, EXACT_MATCH)
     measure = build_exact(lattice, ModelParams(-1.2, 0.3))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        count_distribution_exact(measure, motif, EXACT_MATCH)
+        measure.count_pmf(counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 2 * 2**20
+    assert peak - base < 2**19
 
 
 def test_count_distribution_binomial_case():

@@ -583,6 +583,26 @@ def test_cftp_sweep_count(pooled_reference, monkeypatch):
     assert per_chunk == 284 > len(widths)
 
 
+@pytest.mark.parametrize("lat", [TorusLattice(2, 6, 1, 1), TorusLattice(1, 13, 2, 1)])
+@pytest.mark.parametrize("kind", ["heat_bath", "cftp"])
+def test_flat_heat_bath_table_reads_no_neighbors(lat, kind, monkeypatch):
+    # at b = 0 every threshold is equal: each site is set from its own word, as
+    # the gathering sweep sets it, and no neighbor row is read
+    params = ModelParams(-0.4, 0.0)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=5, thinning_sweeps=2, seed=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler, "_sweep_fields", _sweep_heat_bath)
+        gathered = sample_with_params(lat, params, spec, count=40).spins
+
+    def no_reads(*args):
+        raise AssertionError("a neighbor was read")
+
+    monkeypatch.setattr(sampler, "_plus_neighbors", no_reads)
+    assert np.array_equal(sample_with_params(lat, params, spec, count=40).spins, gathered)
+    with pytest.raises(AssertionError, match="neighbor"):
+        sample_with_params(lat, ModelParams(-0.4, 0.1), spec, count=40)
+
+
 # -- batch contract -----------------------------------------------------------------
 
 
