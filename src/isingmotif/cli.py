@@ -3,8 +3,9 @@
 Reads a sectioned key=value run configuration, sweeps the (n, motif, b) grid
 with the requested engine, and writes one row per (n, motif, b, target) cell
 to CSV and JSON result files.  Reruns with the same seed are byte-identical
-except for the wall_time_ms column; grid cells may execute concurrently but
-rows are always written in canonical sorted order.
+except for the wall_time_ms column.  ``jobs`` runs sampler cells
+concurrently; exact cells run one at a time on the calling thread.  Rows are
+always written in canonical sorted order.
 
 Subcommands:
     run <config> [--jobs N] [--out DIR]   execute the grid
@@ -19,6 +20,7 @@ import configparser
 import csv
 import json
 import math
+import numbers
 import struct
 import sys
 import time
@@ -139,7 +141,7 @@ _KEYS = (
     _Key("analysis", "mode", "mode", _TEXT, counting.EXACT_MATCH),
     _Key("output", "dir", "out_dir", _TEXT, "results"),
     _Key("run", "seed", "seed", _INT, "0"),
-    _Key("run", "jobs", "jobs", _INT, "1", lower=1),
+    _Key("run", "jobs", "jobs", _INT, "1", engines=_SAMPLERS, lower=1),
 )
 _BY_NAME = {(spec.section, spec.key): spec for spec in _KEYS}
 
@@ -514,9 +516,16 @@ def _format_cell_value(value) -> str:
 def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) -> int:
     """Execute the grid and write results.csv / results.json.
 
+    ``jobs`` sampler cells run at once.  Exact cells run in order on the
+    calling thread, whatever ``jobs``: threads make them no faster, and the
+    exact caches hold the tables of one cell.
+
     Returns 0 when every cell succeeded, 1 when any cell recorded an error.
-    Raises ValidationError for a ``jobs`` below 1, as ``[run] jobs`` would.
+    Raises ValidationError for a ``jobs`` that is not an integer >= 1, as
+    ``[run] jobs`` would.
     """
+    if not (jobs is None or isinstance(jobs, numbers.Integral)):
+        raise ValidationError(f"[run] jobs: expected an integer, got {jobs!r}")
     jobs = config.jobs if jobs is None else _bounded(_BY_NAME["run", "jobs"], jobs)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -527,7 +536,7 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
     def work(cell):
         return _run_cell(config, *cell)
 
-    if jobs == 1:
+    if jobs == 1 or config.engine == "exact":
         slabs = list(map(work, cells))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -609,7 +618,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute a run configuration")
     run_p.add_argument("config")
-    run_p.add_argument("--jobs", type=int, default=None, help="concurrent grid cells")
+    run_p.add_argument("--jobs", type=int, default=None, help="concurrent sampler cells")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.set_defaults(func=_cmd_run)
 

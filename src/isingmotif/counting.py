@@ -12,7 +12,6 @@ Two matching modes exist for a motif eta at a site x:
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -184,11 +183,7 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
     return counts
 
 
-# taken around every cached call, as ``exact._LEVELS_LOCK`` is: one thread fills a table
-_COUNTS_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=6)  # exact_grid, demo.ini: two threads' cells, each its motif, ring, superset
+@lru_cache(maxsize=3)  # exact_grid, demo.ini: one cell's motif, ring and superset count
 def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
     """Read-only ``count_all_masks``, shared by every measure on the lattice."""
     return read_only(count_all_masks(lattice, motif, mode))
@@ -198,7 +193,6 @@ def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
     """Exact law of the motif count under the measure."""
-    with _COUNTS_LOCK:
-        counts = _mask_counts(measure.lattice, motif, mode)
+    counts = _mask_counts(measure.lattice, motif, mode)
     pmf = measure.count_pmf(counts)
     return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)

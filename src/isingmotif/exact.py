@@ -17,7 +17,6 @@ lexicographic index) carries spin +1.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -206,11 +205,6 @@ def _logsumexp(x: np.ndarray, weights=None, axis: int | None = None) -> np.ndarr
     return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
 
 
-# lru_cache holds no lock while it fills a table, so every cached call takes this
-# one: a thread that misses waits for the table another thread is filling
-_LEVELS_LOCK = threading.Lock()
-
-
 class _Levels(NamedTuple):
     """One lattice's enumeration, shared by every (a, b) on it."""
 
@@ -220,7 +214,7 @@ class _Levels(NamedTuple):
     pair: np.ndarray  # pair sum E of every level
 
 
-@lru_cache(maxsize=2)  # exact_grid, demo.ini: two threads on (n, motif, b) cells span 2 lattices
+@lru_cache(maxsize=1)  # exact_grid, demo.ini: one cell's lattice; cells run in (n, motif, b) order
 def _energy_levels(lattice: TorusLattice) -> _Levels:
     """Enumerate the lattice once: the (M, E) level of every configuration.
 
@@ -270,8 +264,7 @@ class ExactMeasure:
     def __init__(self, lattice: TorusLattice, params: ModelParams):
         self.lattice = lattice
         self.params = params
-        with _LEVELS_LOCK:
-            levels = _energy_levels(lattice)
+        levels = _energy_levels(lattice)
         self._index = levels.index
         table = params.a * levels.field + params.b * levels.pair
         # empty levels are never looked up; -inf keeps exp from overflowing on them

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-import time
+import threading
 import weakref
 from importlib.resources import files
 from pathlib import Path
@@ -146,10 +146,9 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
 
 @pytest.mark.parametrize("kind", ["exact", "heat_bath", "cftp"])
 def test_jobs_do_not_change_output(workdir, kind):
-    # the exact engine's enumerations and count arrays, and the samplers'
-    # colour classes, are shared across threads; the exact caches hold the
-    # tables of two live cells, so the four threads here, at each of the two
-    # lattice boundaries, may evict a table and compute it again
+    # exact cells run on the calling thread at any jobs, so there jobs = 4 must
+    # change nothing; sampler cells run on four threads that share the
+    # samplers' colour classes and motif tables
     targets = TARGETS if kind == "exact" else ("expectation", "tv", "moments", "threshold_sweep")
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
@@ -157,7 +156,7 @@ def test_jobs_do_not_change_output(workdir, kind):
     text += "\n[analysis]\ntargets = " + " ".join(targets) + "\n"
     config = parse_config(text, base_dir=workdir)
     assert run(config, jobs=1, out_dir=workdir / "j1") == 0
-    # the threads below fill the caches themselves
+    # the run below fills the caches itself
     _energy_levels.cache_clear()
     counting._mask_counts.cache_clear()
     sampler._colour_classes.cache_clear()
@@ -202,20 +201,20 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_exact_caches_keep_two_lattices(workdir, jobs, monkeypatch):
-    # cells run in (n, motif, b) order: a lattice's cells share one enumeration
-    # and three count arrays (the motif, its ring, its superset count), and the
-    # third lattice evicts the first without any table being computed twice;
-    # two threads that miss one table at once compute it once, however long
-    # it takes to fill
-    count_all_masks = counting.count_all_masks
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_exact_caches_hold_one_cell(workdir, jobs, monkeypatch):
+    # exact cells run in (n, motif, b) order on the calling thread at any jobs:
+    # a lattice's cells share one enumeration and three count arrays (the
+    # motif, its ring, its superset count), and each lattice evicts the last
+    # one's tables without any table being computed twice
+    threads = set()
+    count_distribution_exact = counting.count_distribution_exact
 
-    def slow_count(*args):
-        time.sleep(0.02)
-        return count_all_masks(*args)
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return count_distribution_exact(*args)
 
-    monkeypatch.setattr(counting, "count_all_masks", slow_count)
+    monkeypatch.setattr(counting, "count_distribution_exact", recorded)
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
     )
@@ -223,15 +222,11 @@ def test_exact_caches_keep_two_lattices(workdir, jobs, monkeypatch):
     config = parse_config(text, base_dir=workdir)
     _energy_levels.cache_clear()
     counting._mask_counts.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert run(config, jobs=jobs, out_dir=workdir / "out") == 0
-    finally:
-        sys.setswitchinterval(interval)
+    assert run(config, jobs=jobs, out_dir=workdir / "out") == 0
+    assert threads == {threading.get_ident()}
     levels, counts = _energy_levels.cache_info(), counting._mask_counts.cache_info()
-    assert (levels.currsize, levels.misses) == (2, 3)
-    assert (counts.currsize, counts.misses) == (6, 3 * 3)
+    assert (levels.currsize, levels.misses) == (1, 3)
+    assert (counts.currsize, counts.misses) == (3, 3 * 3)
 
 
 @pytest.mark.parametrize("targets", ["threshold_sweep", "expectation ring_check threshold_sweep"])
@@ -588,7 +583,7 @@ def test_bad_section_file_or_choice_rejected(workdir, old, new, error, fragment)
         parse_config(MINIMAL.replace(old, new), base_dir=workdir)
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
+@pytest.mark.parametrize("jobs", [0, -1, 1.5])
 def test_jobs_below_one_rejected(workdir, capsys, jobs):
     config = parse_config(MINIMAL, base_dir=workdir)
     with pytest.raises(ValidationError, match=re.escape("[run] jobs")):
@@ -597,9 +592,15 @@ def test_jobs_below_one_rejected(workdir, capsys, jobs):
     cfg_path.write_text(MINIMAL + f"\n[run]\njobs = {jobs}\n")
     assert main(["validate", str(cfg_path)]) == 2
     from_file = capsys.readouterr().err
+    assert "[run] jobs" in from_file
     cfg_path.write_text(MINIMAL)
-    assert main(["run", str(cfg_path), "--jobs", str(jobs), "--out", str(workdir / "out")]) == 2
-    assert capsys.readouterr().err == from_file
+    argv = ["run", str(cfg_path), "--jobs", str(jobs), "--out", str(workdir / "out")]
+    if isinstance(jobs, int):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == from_file
+    else:  # argparse reads --jobs as an integer itself
+        with pytest.raises(SystemExit, match="2"):
+            main(argv)
     assert not (workdir / "out").exists()
 
 

@@ -38,11 +38,11 @@ TRACER_BINDS = {
 
 # every memo table in the package and its maxsize, each hit by a benchmark
 # workload; a new cache names the workload that hits it on its decorator line.
-# The exact caches keep the tables of two live cells (two threads, as
-# configs/demo.ini runs): two lattices' enumerations, and for each cell the
-# count arrays of its motif, its ring and its superset count.
+# The exact caches keep the tables of one cell, since exact cells run in
+# (n, motif, b) order on one thread: its lattice's enumeration, and the count
+# arrays of its motif, its ring and its superset count.
 CACHES = {
-    "counting._mask_counts": 6, "counting._site_tables": None, "exact._energy_levels": 2,
+    "counting._mask_counts": 3, "counting._site_tables": None, "exact._energy_levels": 1,
     "lattice._ball_offsets": None, "lattice.neighbor_offsets": None,
     "sampler._colour_classes": None,
 }
