@@ -55,10 +55,12 @@ def stein_chen_bound(superset_law: CountDistribution, num_sites: int, b: float) 
     mass at 0, which is Poisson(0).
 
     Raises:
-        ValueError: if ``num_sites`` is not an integer >= 1.
+        ValueError: if ``num_sites`` is not an integer >= 1, or ``b`` is not finite.
         FerromagneticOnly: if the pair potential b is negative.
     """
     num_sites = as_int(num_sites, "num_sites", 1)
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
     if b < 0:
         raise FerromagneticOnly("the Stein-Chen bound requires b >= 0")
     lam_n = superset_law.mean

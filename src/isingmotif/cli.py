@@ -3,12 +3,11 @@
 Reads a sectioned key=value run configuration, sweeps the (n, motif, b) grid
 with the requested engine, and writes one row per (n, motif, b, target) cell
 to CSV and JSON result files.  Reruns with the same seed are byte-identical
-except for the wall_time_ms column.  ``jobs`` runs sampler cells
-concurrently; exact cells run one at a time on the calling thread.  Rows are
-always written in canonical sorted order.
+except for the wall_time_ms column.  Cells run one at a time on the
+calling thread, and rows are written in canonical sorted order.
 
 Subcommands:
-    run <config> [--jobs N] [--out DIR]   execute the grid
+    run <config> [--jobs 1] [--out DIR]   execute the grid
     validate <config>                     parse, validate and echo the config
     motif-info <motif-file>               print a motif's statistics
 """
@@ -20,11 +19,9 @@ import configparser
 import csv
 import json
 import math
-import numbers
 import struct
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import make_dataclass
 from itertools import product
 from pathlib import Path
@@ -119,6 +116,7 @@ class _Key(NamedTuple):
 
 
 _SAMPLERS = ("heat_bath", "metropolis", "cftp")
+_CHAINS = ("heat_bath", "metropolis")
 
 #: Every run-configuration key, in canonical order.
 _KEYS = (
@@ -132,16 +130,16 @@ _KEYS = (
     _Key("model", "b_list", "b_list", _REALS, required=True),
     _Key("engine", "kind", "engine", _TEXT, required=True),
     _Key("engine", "samples", "samples", _INT, "10000", engines=_SAMPLERS, lower=1),
-    _Key("engine", "burn_in_sweeps", "burn_in_sweeps", _INT, "100", engines=_SAMPLERS, lower=0),
-    _Key("engine", "thinning_sweeps", "thinning_sweeps", _INT, "1", engines=_SAMPLERS, lower=0),
-    _Key("engine", "replicas", "replicas", _INT, engines=_SAMPLERS, lower=1),
-    _Key("engine", "site_cap", "site_cap", _INT, lower=1),
+    _Key("engine", "burn_in_sweeps", "burn_in_sweeps", _INT, "100", engines=_CHAINS, lower=0),
+    _Key("engine", "thinning_sweeps", "thinning_sweeps", _INT, "1", engines=_CHAINS, lower=0),
+    _Key("engine", "replicas", "replicas", _INT, engines=_CHAINS, lower=1),
+    _Key("engine", "site_cap", "site_cap", _INT, engines=("exact",), lower=1),
     _Key("analysis", "targets", "targets", _WORDS, "expectation"),
     _Key("analysis", "epsilon", "epsilon", _REAL, "0.5", lower=0),
     _Key("analysis", "mode", "mode", _TEXT, counting.EXACT_MATCH),
     _Key("output", "dir", "out_dir", _TEXT, "results"),
     _Key("run", "seed", "seed", _INT, "0"),
-    _Key("run", "jobs", "jobs", _INT, "1", engines=_SAMPLERS, lower=1),
+    _Key("run", "jobs", "jobs", _INT, "1", engines=()),  # 1 is its only value
 )
 _BY_NAME = {(spec.section, spec.key): spec for spec in _KEYS}
 
@@ -245,8 +243,15 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     return config
 
 
+def _one_job(jobs) -> None:
+    """Cells run one at a time: 1 is the only ``jobs`` there is."""
+    if type(jobs) is not int or jobs != 1:
+        raise ValidationError(f"[run] jobs: must be 1 (cells run one at a time), got {jobs!r}")
+
+
 def _validate(config: RunConfig) -> None:
     """The rules that involve more than one key, and the named choices."""
+    _one_job(config.jobs)
     if any(a >= z for a, z in zip(config.n_list, config.n_list[1:])):
         raise ValidationError("n_list must be strictly increasing")
     for i, b in enumerate(config.b_list):
@@ -266,7 +271,7 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(f"[analysis] targets: {name} is named more than once")
     if config.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.engine in ("heat_bath", "metropolis") and config.thinning_sweeps < 1:
+    if config.engine in _CHAINS and config.thinning_sweeps < 1:
         raise ValidationError(
             f"thinning_sweeps must be >= 1 for {config.engine}: "
             "0 records the same state repeatedly"
@@ -516,32 +521,20 @@ def _format_cell_value(value) -> str:
 def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) -> int:
     """Execute the grid and write results.csv / results.json.
 
-    ``jobs`` sampler cells run at once.  Exact cells run in order on the
-    calling thread, whatever ``jobs``: threads make them no faster, and the
-    exact caches hold the tables of one cell.
+    Cells run one at a time on the calling thread, in canonical (n, motif, b)
+    order, so the exact caches hold the tables of one cell.
 
     Returns 0 when every cell succeeded, 1 when any cell recorded an error.
-    Raises ValidationError for a ``jobs`` that is not an integer >= 1, as
-    ``[run] jobs`` would.
+    Raises ValidationError for a ``jobs`` other than 1, as ``[run] jobs``
+    would.
     """
-    if not (jobs is None or isinstance(jobs, numbers.Integral)):
-        raise ValidationError(f"[run] jobs: expected an integer, got {jobs!r}")
-    jobs = config.jobs if jobs is None else _bounded(_BY_NAME["run", "jobs"], jobs)
+    if jobs is not None:
+        _one_job(jobs)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # cells in canonical (n, motif, b) order; map keeps that order at any jobs
-    cells = list(product(config.n_list, config.motifs, config.b_list))
-
-    def work(cell):
-        return _run_cell(config, *cell)
-
-    if jobs == 1 or config.engine == "exact":
-        slabs = list(map(work, cells))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slabs = list(pool.map(work, cells))
-    all_rows = [row for slab in slabs for row in slab]
+    all_rows = [row for cell in product(config.n_list, config.motifs, config.b_list)
+                for row in _run_cell(config, *cell)]
 
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -618,7 +611,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute a run configuration")
     run_p.add_argument("config")
-    run_p.add_argument("--jobs", type=int, default=None, help="concurrent sampler cells")
+    run_p.add_argument("--jobs", type=int, default=None, help="must be 1: cells run one at a time")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.set_defaults(func=_cmd_run)
 

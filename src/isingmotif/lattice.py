@@ -24,11 +24,15 @@ Vertex = tuple[int, ...]
 INFINITY = math.inf
 
 
-def as_int(value, name: str, low: int) -> int:
+def as_int(value, name: str, low: int | None = None) -> int:
     """``value`` as an int, checked to be integral and >= ``low`` before the cast truncates 2.5."""
-    q = int(value)
-    if q != value or q < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    try:
+        q = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        q = None
+    if q is None or q != value or (low is not None and q < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return q
 
 

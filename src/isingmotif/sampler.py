@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import AntiferromagneticUnsupported, CoalescenceTimeout
 from .exact import ModelParams, SpinConfig, read_only
-from .lattice import TorusLattice
+from .lattice import TorusLattice, as_int
 
 KINDS = ("heat_bath", "metropolis", "cftp")
 
@@ -103,10 +103,10 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.burn_in_sweeps < 0 or self.thinning_sweeps < 0:
-            raise ValueError("burn_in_sweeps and thinning_sweeps must be >= 0")
-        if self.kind != "cftp" and self.thinning_sweeps < 1:
-            raise ValueError(f"thinning_sweeps must be >= 1 for {self.kind}")
+        # an MCMC chain thinned by 0 sweeps records the same state repeatedly
+        thinning_low = 0 if self.kind == "cftp" else 1
+        for name, low in (("burn_in_sweeps", 0), ("thinning_sweeps", thinning_low), ("seed", None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
 
 
 class _Layout(NamedTuple):
@@ -322,8 +322,7 @@ def cftp_batch(
     """
     if params.b < 0:
         raise AntiferromagneticUnsupported("coupling-from-the-past requires b >= 0")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    seed, count = as_int(seed, "seed"), as_int(count, "count", 1)
     sites = lattice.num_sites
     draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     layout = _colour_classes(lattice)
@@ -432,14 +431,11 @@ def sample_with_params(
     draw (burn-in and thinning are ignored).  For the field of a
     ``FieldSchedule``, pass ``schedule.params(lattice.n, b)``.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = as_int(count, "count", 1)
     if spec.kind == "cftp":
         spins = cftp_batch(lattice, params, spec.seed, count)
         used = count
     else:
-        used = replicas if replicas is not None else min(count, 64)
-        if used < 1:
-            raise ValueError("replicas must be >= 1")
+        used = as_int(min(count, 64) if replicas is None else replicas, "replicas", 1)
         spins = _run_mcmc_batch(lattice, params, spec, count, used)
     return SampleBatch(spins=spins, replicas=used)

@@ -176,6 +176,8 @@ def test_count_distribution_validation():
      ValueError, "num_sites"),
     (lambda: stein_chen_bound(CountDistribution({0: 0.5, 1: 0.5}), -3, 0.0),
      ValueError, "num_sites"),
+    (lambda: stein_chen_bound(CountDistribution({0: 0.5, 1: 0.5}), 16, math.nan),
+     ValueError, "b must be finite"),
 ])
 def test_law_and_fit_inputs_checked(call, error, fragment):
     with pytest.raises(error, match=fragment):

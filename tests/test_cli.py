@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import weakref
 from importlib.resources import files
 from pathlib import Path
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import isingmotif
-from isingmotif import cli, counting, exact, sampler
+from isingmotif import cli, counting, exact
 from isingmotif.cli import _KEYS, ENGINE_KINDS, TARGETS, main, parse_config, run
 from isingmotif.errors import ConfigError, ParseError, ValidationError
 from isingmotif.exact import _energy_levels
@@ -144,40 +143,6 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
     )
 
 
-@pytest.mark.parametrize("kind", ["exact", "heat_bath", "cftp"])
-def test_jobs_do_not_change_output(workdir, kind):
-    # exact cells run on the calling thread at any jobs, so there jobs = 4 must
-    # change nothing; sampler cells run on four threads that share the
-    # samplers' colour classes and motif tables
-    targets = TARGETS if kind == "exact" else ("expectation", "tv", "moments", "threshold_sweep")
-    text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
-        "b_list = 0.0", "b_list = 0.0 0.3"
-    ).replace("kind = exact", f"kind = {kind}\nsamples = 300\nburn_in_sweeps = 20")
-    text += "\n[analysis]\ntargets = " + " ".join(targets) + "\n"
-    config = parse_config(text, base_dir=workdir)
-    assert run(config, jobs=1, out_dir=workdir / "j1") == 0
-    # the run below fills the caches itself
-    _energy_levels.cache_clear()
-    counting._mask_counts.cache_clear()
-    sampler._colour_classes.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert run(config, jobs=4, out_dir=workdir / "j4") == 0
-    finally:
-        sys.setswitchinterval(interval)
-
-    def stripped(path):
-        rows = read_rows(path)
-        for row in rows:
-            row.pop("wall_time_ms")
-        return rows
-
-    rows = stripped(workdir / "j1" / "results.csv")
-    assert len(rows) == 3 * 2 * (len(targets) + 1)
-    assert rows == stripped(workdir / "j4" / "results.csv")
-
-
 def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     # stein_chen and ring_check read the laws the cell already holds: one law
     # per (motif, mode) of the cell, plus one measure and one law per
@@ -201,20 +166,11 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_exact_caches_hold_one_cell(workdir, jobs, monkeypatch):
-    # exact cells run in (n, motif, b) order on the calling thread at any jobs:
-    # a lattice's cells share one enumeration and three count arrays (the
-    # motif, its ring, its superset count), and each lattice evicts the last
-    # one's tables without any table being computed twice
-    threads = set()
-    count_distribution_exact = counting.count_distribution_exact
-
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return count_distribution_exact(*args)
-
-    monkeypatch.setattr(counting, "count_distribution_exact", recorded)
+def test_exact_caches_hold_one_cell(workdir):
+    # cells run in (n, motif, b) order: a lattice's cells share one enumeration
+    # and three count arrays (the motif, its ring, its superset count), and
+    # each lattice evicts the last one's tables without any table being
+    # computed twice
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
     )
@@ -222,8 +178,7 @@ def test_exact_caches_hold_one_cell(workdir, jobs, monkeypatch):
     config = parse_config(text, base_dir=workdir)
     _energy_levels.cache_clear()
     counting._mask_counts.cache_clear()
-    assert run(config, jobs=jobs, out_dir=workdir / "out") == 0
-    assert threads == {threading.get_ident()}
+    assert run(config, out_dir=workdir / "out") == 0
     levels, counts = _energy_levels.cache_info(), counting._mask_counts.cache_info()
     assert (levels.currsize, levels.misses) == (1, 3)
     assert (counts.currsize, counts.misses) == (3, 3 * 3)
@@ -583,8 +538,9 @@ def test_bad_section_file_or_choice_rejected(workdir, old, new, error, fragment)
         parse_config(MINIMAL.replace(old, new), base_dir=workdir)
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 1.5])
-def test_jobs_below_one_rejected(workdir, capsys, jobs):
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, 1.0, 2])
+def test_jobs_other_than_one_rejected(workdir, capsys, jobs):
+    # cells run one at a time, and 1 is the only jobs there is
     config = parse_config(MINIMAL, base_dir=workdir)
     with pytest.raises(ValidationError, match=re.escape("[run] jobs")):
         run(config, jobs=jobs, out_dir=workdir / "out")
@@ -664,7 +620,7 @@ def every_key_config(kind):
         "kind = exact", f"kind = {kind}\n{sampler}"
     ) + (
         "\n[analysis]\ntargets = expectation moments\nepsilon = 0.25\nmode = superset_match\n"
-        "\n[output]\ndir = out\n\n[run]\nseed = 9\njobs = 2\n"
+        "\n[output]\ndir = out\n\n[run]\nseed = 9\njobs = 1\n"
     )
 
 
@@ -688,6 +644,11 @@ def test_echo_is_a_fixed_point(workdir, name):
         if config.engine in spec.engines
         and (every_key or getattr(config, spec.field) is not None)
     }
+    if name == "sampler_demo.ini":
+        # CFTP reads no sweep or replica count and no site cap, and jobs is always 1
+        unread = {("engine", "burn_in_sweeps"), ("engine", "thinning_sweeps"),
+                  ("engine", "replicas"), ("engine", "site_cap"), ("run", "jobs")}
+        assert not shown & unread
 
 
 def test_readme_config_block_names_every_key():

@@ -631,6 +631,10 @@ def test_zero_thinning_rejected_for_mcmc(kind):
 @pytest.mark.parametrize("kwargs, fragment", [
     (dict(kind="gibbs"), "gibbs"),
     (dict(kind="heat_bath", burn_in_sweeps=-1), "burn_in_sweeps"),
+    (dict(kind="heat_bath", burn_in_sweeps=math.nan), "burn_in_sweeps"),
+    (dict(kind="heat_bath", burn_in_sweeps=2.5), "burn_in_sweeps"),
+    (dict(kind="metropolis", thinning_sweeps=1.5), "thinning_sweeps"),
+    (dict(kind="cftp", seed=2.5), "seed"),
 ])
 def test_sampler_spec_rejects_bad_values(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -641,6 +645,11 @@ def test_sampler_spec_rejects_bad_values(kwargs, fragment):
     (lambda lat, params: cftp_batch(lat, params, 0, 0), "count"),
     (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 0), "count"),
     (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 5, 0),
+     "replicas"),
+    (lambda lat, params: cftp_batch(lat, params, 0, 2.5), "count"),
+    (lambda lat, params: cftp_batch(lat, params, 2.5, 5), "seed"),
+    (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 2.5), "count"),
+    (lambda lat, params: sample_with_params(lat, params, SamplerSpec("heat_bath"), 5, 2.5),
      "replicas"),
 ])
 def test_draw_counts_below_one_rejected(draw, fragment):

@@ -38,7 +38,7 @@ TRACER_BINDS = {
 
 # every memo table in the package and its maxsize, each hit by a benchmark
 # workload; a new cache names the workload that hits it on its decorator line.
-# The exact caches keep the tables of one cell, since exact cells run in
+# The exact caches keep the tables of one cell, since cells run in
 # (n, motif, b) order on one thread: its lattice's enumeration, and the count
 # arrays of its motif, its ring and its superset count.
 CACHES = {
