@@ -283,20 +283,6 @@ def _validate(config: RunConfig) -> None:
             f"[engine] site_cap: the exact engine enumerates at most {cap} sites, "
             f"but n_list contains {largest} ({largest**config.d} sites)"
         )
-    chosen = [(name, target) for name, target in _TARGETS.items() if name in config.targets]
-    for name, target in chosen:
-        if config.engine not in target.engines:
-            raise ValidationError(
-                f"[analysis] targets: {name} requires the {' or '.join(target.engines)} engine, "
-                f"got {config.engine}"
-            )
-    for name, target in chosen:
-        if target.needs_schedule and config.a_override is not None:
-            raise ValidationError(
-                f"[analysis] targets: {name} needs the scheduled Poisson limit, "
-                "which [schedule] a overrides"
-            )
-    needing_k = [name for name, target in chosen if target.needs_k]
     signature = (config.d, config.rho, config.p)
     for path, motif, hint in zip(config.motif_paths, config.motifs, config.n_hints):
         if motif.signature != signature:
@@ -306,10 +292,6 @@ def _validate(config: RunConfig) -> None:
         if motif.k == 0 and config.a_override is None:
             raise ValidationError(
                 f"[schedule] a: motif {path!r} has k = 0, so the schedule gives it no field"
-            )
-        if motif.k == 0 and needing_k:
-            raise ValidationError(
-                f"[analysis] targets: {needing_k[0]} needs k >= 1, but motif {path!r} has k = 0"
             )
         needed = 2 * config.rho * (motif.radius + 1)
         for n in config.n_list:
@@ -322,14 +304,31 @@ def _validate(config: RunConfig) -> None:
                 raise ValidationError(
                     f"motif {path!r} carries n_hint={hint} but n_list contains {n}"
                 )
-    for name, target in chosen:
+    if config.engine == "cftp" and min(config.b_list) < 0:
+        raise ValidationError(f"[model] b_list: cftp needs b >= 0, got {min(config.b_list)!r}")
+    ks = [motif.k for motif in config.motifs]
+    for name, target in _TARGETS.items():
+        if name not in config.targets:
+            continue
+        if config.engine not in target.engines:
+            raise ValidationError(
+                f"[analysis] targets: {name} requires the {' or '.join(target.engines)} engine, "
+                f"got {config.engine}"
+            )
+        if target.needs_schedule and config.a_override is not None:
+            raise ValidationError(
+                f"[analysis] targets: {name} needs the scheduled Poisson limit, "
+                "which [schedule] a overrides"
+            )
+        if target.needs_k and 0 in ks:
+            raise ValidationError(
+                f"[analysis] targets: {name} needs k >= 1, "
+                f"but motif {config.motif_paths[ks.index(0)]!r} has k = 0"
+            )
         if config.mode not in target.modes:
             raise ValidationError(
                 f"[analysis] mode: {name} needs {' or '.join(target.modes)}, got {config.mode}"
             )
-    if config.engine == "cftp" and min(config.b_list) < 0:
-        raise ValidationError(f"[model] b_list: cftp needs b >= 0, got {min(config.b_list)!r}")
-    for name, target in chosen:
         if target.ferromagnetic and min(config.b_list) < 0:
             raise ValidationError(
                 f"[model] b_list: {name} needs b >= 0, got {min(config.b_list)!r}"
@@ -450,11 +449,13 @@ def _ring_check(cell: _Cell, name: str) -> list[dict]:
 
 
 def _threshold_sweep(cell: _Cell, name: str) -> list[dict]:
+    # the one target with measures or batches of its own: the cell's goes first
+    # (its laws stay memoized), and each side's as soon as its law is read
+    cell.source = None
     config, rows = cell.config, []
     for suffix, super_side, salt in (("/sub", False, 0x5AB), ("/super", True, 0xD1F)):
         field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
         params = ModelParams(field, cell.b)
-        # the side's measure or batch goes as soon as its law is read
         law = _law_source(config, cell.lattice, params, cell.seed ^ salt)(cell.motif, config.mode)
         rows.append(_base_row(config, cell.n, cell.motif, cell.b, name + suffix, a=field,
                               mean=law.mean, var=law.variance))
@@ -469,7 +470,6 @@ class _Target(NamedTuple):
     needs_schedule: bool = False  # reads the scheduled limit, which [schedule] a overrides
     needs_k: bool = False  # moves the field through k, so every motif needs k >= 1
     modes: tuple[str, ...] = MODES
-    cell_laws: bool = True  # reads laws at the cell's own field
     ferromagnetic: bool = False  # defined for b >= 0 only
 
 
@@ -481,7 +481,7 @@ _TARGETS = {
     "stein_chen": _Target(_stein_chen, engines=("exact",), ferromagnetic=True),
     # the ring adds only negative sites, which superset matching ignores
     "ring_check": _Target(_ring_check, engines=("exact",), modes=(counting.EXACT_MATCH,)),
-    "threshold_sweep": _Target(_threshold_sweep, needs_k=True, cell_laws=False),
+    "threshold_sweep": _Target(_threshold_sweep, needs_k=True),
 }
 TARGETS = tuple(_TARGETS)
 
@@ -493,12 +493,10 @@ def _run_cell(config: RunConfig, n: int, motif: LocalConfig, b: float) -> list[d
     one failing target never stops the rest of the grid.
     """
     rows, cell = [], None
-    for i, name in enumerate(config.targets):
+    for name in config.targets:
         start = time.perf_counter()
         try:
             cell = cell or _Cell(config, n, motif, b)
-            if not any(_TARGETS[later].cell_laws for later in config.targets[i:]):
-                cell.source = None  # no target left reads it: free the measure or batch
             target_rows = _TARGETS[name].rows(cell, name)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import poisson_limit
 from .errors import MissingSpin, MotifScheduleMismatch, NonFiniteLimit, NotClean, TooLargeForExact
-from .lattice import TorusLattice, Vertex
+from .lattice import TorusLattice, Vertex, as_int
 from .motifs import LocalConfig, family_size
 
 #: Default cap on sites for full enumeration (2**cap configurations).
@@ -149,8 +149,11 @@ class SpinConfig:
 
     @classmethod
     def from_mask(cls, lattice: TorusLattice, mask: int) -> "SpinConfig":
-        bits = (int(mask) >> np.arange(lattice.num_sites)) & 1
-        return cls(lattice, (2 * bits - 1).astype(np.int8))
+        mask = as_int(mask, "mask")
+        if not 0 <= mask < 1 << lattice.num_sites:
+            raise ValueError(f"mask must be in [0, 2^{lattice.num_sites}), got {mask}")
+        bits = np.array([mask >> i & 1 for i in range(lattice.num_sites)], dtype=np.int8)
+        return cls(lattice, 2 * bits - 1)
 
     def to_mask(self) -> int:
         mask = 0

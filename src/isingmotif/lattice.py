@@ -181,6 +181,10 @@ class TorusLattice:
         return idx
 
     def vertex_at(self, index: int) -> Vertex:
+        """The vertex of row-major index ``index``, in [0, n^d)."""
+        index = as_int(index, "index")
+        if not 0 <= index < self.num_sites:
+            raise ValueError(f"index must be in [0, {self.num_sites}), got {index}")
         coords = []
         for _ in range(self.d):
             coords.append(index % self.n)

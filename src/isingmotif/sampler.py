@@ -52,7 +52,7 @@ contiguous block.  Tables are indexed by k, the number of + neighbors
 (neighbor sum 2k - degree), which a row gather (``take`` on axis 0) adds up
 in uint8, or in uint16 once the largest index passes 255: heat-bath sets
 up = [w < T(k)] and Metropolis flips up where w < T(k + (degree + 1) up).
-Where every heat-bath threshold is equal (b = 0), a sampler call sets
+Where every heat-bath threshold is equal (b = 0), the sweep sees so and sets
 up = [w < T] at every site at once, reading no neighbor.
 The stream computes the (time, row, chain) words of as many times as fit in
 ``_STREAM_BLOCK_BYTES`` per call.  Site order and -1/+1 spins are restored
@@ -179,21 +179,15 @@ def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.
     ``up`` is (sites, chains) in the rows of ``_colour_classes(...).classes``,
     or (sites, 2, m) for the stack of coupled top and bottom chains; the
     stream's ``words`` broadcast against it, (sites, 1, m) for the stack.
+    The table is monotone in k, so equal ends mean a flat table (b = 0): no
+    site reads its neighbors, and every class is set at once, as w < T.
     """
+    if thresholds[0] == thresholds[-1]:
+        np.less(words, thresholds[0], out=up.view(bool))
+        return
     for rows, nbr in classes:
         k = _plus_neighbors(up, nbr, thresholds.size - 1)
         np.less(words[rows], thresholds.take(k), out=up[rows].view(bool))
-
-
-def _sweep_fields(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
-    """``_sweep_heat_bath`` for a table whose entries are all equal (b = 0): no site
-    reads its neighbors, so every class is set at once, as w < T."""
-    np.less(words, thresholds[0], out=up.view(bool))
-
-
-def _heat_bath_sweep(thresholds: np.ndarray):
-    """The heat-bath scan for ``thresholds``: ``_sweep_fields`` where they are flat."""
-    return _sweep_fields if (thresholds == thresholds[0]).all() else _sweep_heat_bath
 
 
 def _sweep_metropolis(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
@@ -328,7 +322,6 @@ def cftp_batch(
     layout = _colour_classes(lattice)
     degree = layout.classes[0][1].shape[0]
     thresholds = _heat_bath_thresholds(params.a, params.b, degree)
-    sweep = _heat_bath_sweep(thresholds)
     keys = _chain_keys(seed, np.arange(count))
     out = np.empty((count, sites), dtype=np.uint8)
 
@@ -345,7 +338,7 @@ def cftp_batch(
             for top in range(horizon, 0, -step):
                 low = max(top - step + 1, 1)
                 for words in _words(layout.order, active_keys, low, top - low + 1)[::-1]:
-                    sweep(chains, layout.classes, thresholds, words[:, None])
+                    _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None])
             done = (chains[:, 0] == chains[:, 1]).all(axis=0)
             out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
             left.append(active[~done])
@@ -394,8 +387,6 @@ def _run_mcmc_batch(
     last = first + spec.thinning_sweeps * (quota - 1)
     layout = _colour_classes(lattice)
     thresholds = table(params.a, params.b, layout.classes[0][1].shape[0])
-    if sweep is _sweep_heat_bath:
-        sweep = _heat_bath_sweep(thresholds)
     keys = _chain_keys(spec.seed, np.arange(replicas))
     # +1 where u < 1/2, that is w < 2**52
     up = (_words(layout.order, keys, 0)[0] < np.uint64(1 << 52)).view(np.uint8)

@@ -184,10 +184,9 @@ def test_exact_caches_hold_one_cell(workdir):
     assert (counts.currsize, counts.misses) == (3, 3 * 3)
 
 
-@pytest.mark.parametrize("targets", ["threshold_sweep", "expectation ring_check threshold_sweep"])
-def test_one_measure_alive_at_a_time(workdir, monkeypatch, targets):
-    # each threshold_sweep side enumerates the measure at its own field, and the
-    # cell's measure goes once no target left reads its laws
+def track_builds(monkeypatch) -> list[float]:
+    """The field of every measure the runner builds, in order; fails if two
+    measures are ever alive at once."""
     fields, built = [], []
 
     def tracked(lattice, params, **kwargs):
@@ -198,11 +197,34 @@ def test_one_measure_alive_at_a_time(workdir, monkeypatch, targets):
         return measure
 
     monkeypatch.setattr(cli, "build_exact", tracked)
+    return fields
+
+
+@pytest.mark.parametrize("targets", [
+    "threshold_sweep", "expectation ring_check threshold_sweep", "expectation threshold_sweep tv",
+])
+def test_one_measure_alive_at_a_time(workdir, monkeypatch, targets):
+    # each threshold_sweep side enumerates the measure at its own field, and the
+    # cell's measure goes before them; a later tv re-reads the cell's law
+    fields = track_builds(monkeypatch)
     text = MINIMAL + f"\n[analysis]\ntargets = {targets}\n"
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
     # one measure per field the rows report, in row order: none built twice or for nothing
     rows = read_rows(workdir / "out" / "results.csv")
     assert fields == list(dict.fromkeys(float(row["a"]) for row in rows))
+
+
+def test_new_law_after_threshold_sweep_rebuilds_the_cell_measure(workdir, monkeypatch):
+    # stein_chen reads the superset law, which the cell does not hold yet once
+    # threshold_sweep has freed its measure: the cell's field is built again
+    fields = track_builds(monkeypatch)
+    text = MINIMAL + "\n[analysis]\ntargets = expectation threshold_sweep stein_chen\n"
+    assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
+    rows = read_rows(workdir / "out" / "results.csv")
+    assert fields == [float(row["a"]) for row in rows]  # a measure per row, in row order
+    cell_fields = [float(row["a"]) for row in rows if row["run_id"].startswith("expectation/")]
+    assert len(cell_fields) == 2
+    assert [fields.count(a) for a in cell_fields] == [2, 2]
 
 
 def test_stein_chen_underflowed_mean_run(workdir):

@@ -63,6 +63,12 @@ def test_hamiltonian_examples():
     assert hamiltonian(single, ModelParams(0.0, 1.0)) == pytest.approx(0.0)
 
 
+def test_from_mask_reads_masks_past_64_sites():
+    lat = TorusLattice(2, 9)  # 81 sites: most masks do not fit in an int64
+    for mask in (0, 5, 1 << 70, (1 << 81) - 1):
+        assert SpinConfig.from_mask(lat, mask).to_mask() == mask
+
+
 def test_hamiltonian_on_edgeless_lattice():
     lat = TorusLattice(1, 1)  # the only neighbor of the one site is itself
     assert lat.edges() == ()
@@ -86,6 +92,11 @@ def test_spin_config_equality():
     (lambda: FieldSchedule(1.0, 1, 0), "d must be >= 1"),
     (lambda: threshold_field(8, 1, 0, 0.5, False), "k must be >= 1"),
     (lambda: SpinConfig(TorusLattice(1, 4), [1, 1, 1]), "expected 4 spins"),
+    # a mask outside [0, 2^N) would wrap into some configuration
+    (lambda: SpinConfig.from_mask(TorusLattice(1, 8), 1 << 40), r"mask must be in \[0, 2\^8\)"),
+    (lambda: SpinConfig.from_mask(TorusLattice(1, 8), 1 << 8), r"mask must be in \[0, 2\^8\)"),
+    (lambda: SpinConfig.from_mask(TorusLattice(1, 8), -1), r"mask must be in \[0, 2\^8\)"),
+    (lambda: SpinConfig.from_mask(TorusLattice(1, 8), 2.5), "mask must be an integer"),
 ])
 def test_model_values_checked(make, fragment):
     with pytest.raises(ValueError, match=fragment):

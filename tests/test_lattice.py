@@ -128,6 +128,18 @@ def test_canon_rejects_wrong_coordinate_count():
         TorusLattice(1, 5).canon((1, 2))
 
 
+@pytest.mark.parametrize("index, fragment", [
+    (100, r"index must be in \[0, 8\), got 100"),
+    (8, r"index must be in \[0, 8\), got 8"),
+    (-1, r"index must be in \[0, 8\), got -1"),
+    (1.5, "index must be an integer"),
+])
+def test_vertex_at_rejects_out_of_range_index(index, fragment):
+    # an index outside [0, n^d) would wrap onto some vertex
+    with pytest.raises(ValueError, match=fragment):
+        TorusLattice(1, 8).vertex_at(index)
+
+
 def test_site_index_roundtrip_and_order():
     lat = TorusLattice(2, 5, rho=1, p=1)
     for i, v in enumerate(lat.vertices()):

@@ -587,20 +587,21 @@ def test_cftp_sweep_count(pooled_reference, monkeypatch):
 @pytest.mark.parametrize("kind", ["heat_bath", "cftp"])
 def test_flat_heat_bath_table_reads_no_neighbors(lat, kind, monkeypatch):
     # at b = 0 every threshold is equal: each site is set from its own word, as
-    # the gathering sweep sets it, and no neighbor row is read
+    # the site-by-site oracles set it, and no neighbor row is read
     params = ModelParams(-0.4, 0.0)
     spec = SamplerSpec(kind=kind, burn_in_sweeps=5, thinning_sweeps=2, seed=4)
-    with monkeypatch.context() as patch:
-        patch.setattr(sampler, "_sweep_fields", _sweep_heat_bath)
-        gathered = sample_with_params(lat, params, spec, count=40).spins
+    if kind == "cftp":
+        want = np.stack([reference_cftp(lat, params, spec.seed, i)[0] for i in range(6)])
+    else:
+        want = reference_mcmc(lat, params, spec, 6, 3)
 
     def no_reads(*args):
         raise AssertionError("a neighbor was read")
 
     monkeypatch.setattr(sampler, "_plus_neighbors", no_reads)
-    assert np.array_equal(sample_with_params(lat, params, spec, count=40).spins, gathered)
+    assert np.array_equal(sample_with_params(lat, params, spec, count=6, replicas=3).spins, want)
     with pytest.raises(AssertionError, match="neighbor"):
-        sample_with_params(lat, ModelParams(-0.4, 0.1), spec, count=40)
+        sample_with_params(lat, ModelParams(-0.4, 0.1), spec, count=6, replicas=3)
 
 
 # -- batch contract -----------------------------------------------------------------
