@@ -370,10 +370,11 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name:
 
 
 def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
-    """``(motif, mode) -> CountDistribution`` at ``params``, read from one measure or batch."""
+    """``[(motif, mode), ...] -> [CountDistribution, ...]`` at ``params``, from one
+    measure or batch; the exact engine sums all the laws of a call in one pass."""
     if config.engine == "exact":
         measure = build_exact(lattice, params, site_cap=config.site_cap)
-        return lambda motif, mode: counting.count_distribution_exact(measure, motif, mode)
+        return lambda laws: counting.count_laws_exact(measure, laws)
     spec = SamplerSpec(
         kind=config.engine,
         burn_in_sweeps=config.burn_in_sweeps,
@@ -381,13 +382,22 @@ def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, s
         seed=seed,
     )
     batch = sample_with_params(lattice, params, spec, config.samples, replicas=config.replicas)
-    return lambda motif, mode: CountDistribution.from_samples(
-        counting.count_samples(lattice, batch.spins, motif, mode)
-    )
+    return lambda laws: [
+        CountDistribution.from_samples(counting.count_samples(lattice, batch.spins, motif, mode))
+        for motif, mode in laws
+    ]
+
+
+#: The laws a target can read, each as a cell's (motif, mode).
+_LAWS = {
+    "count": lambda cell: (cell.motif, cell.config.mode),
+    "ring": lambda cell: (cell.motif.ring(), cell.config.mode),
+    "superset": lambda cell: (cell.motif, counting.SUPERSET_MATCH),
+}
 
 
 class _Cell:
-    """One (n, motif, b) grid cell: what its targets share, and its laws on demand."""
+    """One (n, motif, b) grid cell: what its targets share, and their laws."""
 
     def __init__(self, config: RunConfig, n: int, motif: LocalConfig, b: float):
         self.config, self.n, self.motif, self.b = config, n, motif, b
@@ -398,74 +408,92 @@ class _Cell:
             self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
             self.limit = analysis.poisson_limit(config.c, b, motif)
         self.seed = _derived_seed(config, n, motif, b)
-        self.source = None
-        self._laws: dict[tuple[str, str], CountDistribution] = {}
+        self._laws: dict[str, CountDistribution | Exception] | None = None
 
     def row(self, run_name: str, **values) -> dict:
         return _base_row(self.config, self.n, self.motif, self.b, run_name,
                          a=self.field, lambda_target=self.limit, **values)
 
-    def law(self, motif: LocalConfig, mode: str | None = None) -> CountDistribution:
-        """The law of ``motif`` in ``mode`` (default: the run's), computed once."""
-        mode = mode or self.config.mode
-        key = (motif.motif_hash, mode)
-        if key not in self._laws:
-            if self.source is None:
-                params = ModelParams(self.field, self.b)
-                self.source = _law_source(self.config, self.lattice, params, self.seed)
-            self._laws[key] = self.source(motif, mode)
-        return self._laws[key]
+    def law(self, name: str) -> CountDistribution:
+        """The law ``_LAWS[name]``.  The first call computes every law that the
+        run's targets read, from one measure or batch that it then frees."""
+        if self._laws is None:
+            params = ModelParams(self.field, self.b)
+            source = _law_source(self.config, self.lattice, params, self.seed)
+            read = {law for target in self.config.targets for law in _TARGETS[target].laws}
+            self._laws = _computed(source, {law: _LAWS[law](self) for law in sorted(read)})
+        law = self._laws[name]
+        if isinstance(law, Exception):
+            raise law
+        return law
+
+
+def _computed(source, wanted: dict) -> dict:
+    """``source`` of every distinct law in ``wanted``, in one call.  Should that
+    call raise, each law alone, so that a law that raises fails only its
+    readers; its exception is kept without the frames that hold the source."""
+    laws = list(dict.fromkeys(wanted.values()))
+    try:
+        found = dict(zip(laws, source(laws)))
+    except Exception:
+        found = {}
+    for law in laws:
+        if law not in found:
+            try:
+                found[law] = source([law])[0]
+            except Exception as exc:
+                found[law] = exc.with_traceback(None)
+    return {name: found[law] for name, law in wanted.items()}
 
 
 def _expectation(cell: _Cell, name: str) -> list[dict]:
-    law = cell.law(cell.motif)
+    law = cell.law("count")
     return [cell.row(name, mean=law.mean, var=law.variance)]
 
 
 def _moments(cell: _Cell, name: str) -> list[dict]:
-    law = cell.law(cell.motif)
+    law = cell.law("count")
     return [cell.row(name, mean=law.mean, var=law.variance,
                      M2=law.factorial_moment(2), M3=law.factorial_moment(3))]
 
 
 def _tv(cell: _Cell, name: str) -> list[dict]:
-    law = cell.law(cell.motif)
+    law = cell.law("count")
     tv, budget = tv_distance(law, PoissonTarget(cell.limit), with_budget=True)
     return [cell.row(name, mean=law.mean, var=law.variance,
                      tv_exact_or_empirical=tv, tv_error_budget=budget)]
 
 
 def _stein_chen(cell: _Cell, name: str) -> list[dict]:
-    law = cell.law(cell.motif, counting.SUPERSET_MATCH)
+    law = cell.law("superset")
     bound = analysis.stein_chen_bound(law, cell.lattice.num_sites, cell.b)
     return [cell.row(name, mode=counting.SUPERSET_MATCH, mean=law.mean, var=law.variance,
                      stein_chen_bound=bound)]
 
 
 def _ring_check(cell: _Cell, name: str) -> list[dict]:
-    report = analysis.ring_equivalence_check(cell.law(cell.motif), cell.law(cell.motif.ring()))
+    report = analysis.ring_equivalence_check(cell.law("count"), cell.law("ring"))
     return [cell.row(name, mean=report.mean_difference, tv_exact_or_empirical=report.tv,
                      tv_error_budget=0.0)]
 
 
 def _threshold_sweep(cell: _Cell, name: str) -> list[dict]:
-    # the one target with measures or batches of its own: the cell's goes first
-    # (its laws stay memoized), and each side's as soon as its law is read
-    cell.source = None
+    # the one target with measures or batches of its own, one per side
     config, rows = cell.config, []
     for suffix, super_side, salt in (("/sub", False, 0x5AB), ("/super", True, 0xD1F)):
         field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
-        params = ModelParams(field, cell.b)
-        law = _law_source(config, cell.lattice, params, cell.seed ^ salt)(cell.motif, config.mode)
+        params, seed = ModelParams(field, cell.b), cell.seed ^ salt
+        law, = _law_source(config, cell.lattice, params, seed)([(cell.motif, config.mode)])
         rows.append(_base_row(config, cell.n, cell.motif, cell.b, name + suffix, a=field,
                               mean=law.mean, var=law.variance))
     return rows
 
 
 class _Target(NamedTuple):
-    """One analysis target: its rows, and what the grid must give it."""
+    """One analysis target: its rows, the cell laws it reads, and what the grid must give it."""
 
     rows: Callable[[_Cell, str], list[dict]]
+    laws: tuple[str, ...] = ("count",)  # keys of _LAWS
     engines: tuple[str, ...] = ENGINE_KINDS
     needs_schedule: bool = False  # reads the scheduled limit, which [schedule] a overrides
     needs_k: bool = False  # moves the field through k, so every motif needs k >= 1
@@ -478,10 +506,11 @@ _TARGETS = {
     "expectation": _Target(_expectation),
     "tv": _Target(_tv, needs_schedule=True),
     "moments": _Target(_moments),
-    "stein_chen": _Target(_stein_chen, engines=("exact",), ferromagnetic=True),
+    "stein_chen": _Target(_stein_chen, ("superset",), engines=("exact",), ferromagnetic=True),
     # the ring adds only negative sites, which superset matching ignores
-    "ring_check": _Target(_ring_check, engines=("exact",), modes=(counting.EXACT_MATCH,)),
-    "threshold_sweep": _Target(_threshold_sweep, needs_k=True),
+    "ring_check": _Target(_ring_check, ("count", "ring"), engines=("exact",),
+                          modes=(counting.EXACT_MATCH,)),
+    "threshold_sweep": _Target(_threshold_sweep, (), needs_k=True),
 }
 TARGETS = tuple(_TARGETS)
 

@@ -13,6 +13,7 @@ Two matching modes exist for a motif eta at a site x:
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,44 +156,82 @@ def _add_matches(words: np.ndarray, care: np.ndarray, plus: np.ndarray, out: np.
     return out
 
 
-def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
-    """Counts for every configuration bitmask of the lattice (exact pipeline).
+def _count_blocks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> Iterator[np.ndarray]:
+    """The count of every configuration bitmask, one block of 2**L masks at a time.
 
-    The masks are counted in chunks of 2**L, the largest power of two up to
-    ``exact.MASK_CHUNK`` and 2**sites.  A site whose match reads only the low
-    L bits matches alike in every chunk: its counts are tabulated once over
-    2**L masks.  One that reads only the high bits matches alike across a
-    chunk: one offset per chunk.  Only the sites that read both are matched
-    mask by mask.  The result is uint8: a count never exceeds the number of
-    sites, far below 256 wherever the 2**sites masks can be enumerated.
+    Blocks come in bitmask order, 2**L = ``exact.mask_block(sites)`` masks
+    each, all in one uint8 buffer that the next block overwrites.  A block's
+    counts are the sum of three pieces, tabulated before the first block:
+
+    * a site whose match reads only the low L bits matches alike in every
+      block: their counts over 2**L masks form one table;
+    * a site that reads only the high bits matches in all of a block or in
+      none of it: one offset per block;
+    * a site that reads both straddles the block boundary: its indicator over
+      the low bits of 2**L masks is added to a block whose start matches the
+      site's high bits.
+
+    The arguments are checked at the call, before any block is made.
     """
     care, plus = _site_words(lattice, motif, mode)
-    step = 1 << min(exact.MASK_CHUNK.bit_length() - 1, lattice.num_sites)
+    step = exact.mask_block(lattice.num_sites)
     low_bits = care.dtype.type(step - 1)
-    low = (care & ~low_bits) == 0  # and a site that reads no bit (superset, no positives)
-    high = ~low & ((care & low_bits) == 0)
-    both = ~(low | high)
     masks = np.arange(step, dtype=care.dtype)
     starts = np.arange(0, 1 << lattice.num_sites, step, dtype=care.dtype)
+    low = (care & ~low_bits) == 0  # and a site that reads no bit (superset, no positives)
     table = _add_matches(masks, care[low], plus[low], np.zeros(step, dtype=np.uint8))
-    offsets = _add_matches(starts, care[high], plus[high], np.zeros(len(starts), dtype=np.uint8))
-    counts = np.empty(len(starts) * step, dtype=np.uint8)
-    for start, offset in zip(starts.tolist(), offsets):
-        acc = np.add(table, offset, out=counts[start:start + step])
-        _add_matches(masks | care.dtype.type(start), care[both], plus[both], acc)
+    care, plus = care[~low], plus[~low]
+    # (blocks, sites): the block's start matches the site's high bits
+    matches = (starts[:, None] & (care & ~low_bits)) == (plus & ~low_bits)
+    straddle = (care & low_bits) != 0
+    offsets = matches[:, ~straddle].sum(axis=1, dtype=np.uint8)
+    matches = matches[:, straddle]
+    care, plus = care[straddle] & low_bits, plus[straddle] & low_bits
+    parts = [((masks & c) == p).view(np.uint8) for c, p in zip(care, plus)]
+
+    def blocks():
+        out = np.empty(step, dtype=np.uint8)
+        for offset, match in zip(offsets, matches):
+            np.add(table, offset, out=out)
+            for j in np.flatnonzero(match):
+                out += parts[j]
+            yield out
+
+    return blocks()
+
+
+def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
+    """Counts for every configuration bitmask of the lattice, as one uint8 array.
+
+    The concatenation of the blocks the exact count laws stream without
+    storing (see ``count_laws_exact``), kept for the oracles.  uint8 holds
+    every count: a count never exceeds the number of sites, far below 256
+    wherever the 2**sites masks can be enumerated.
+    """
+    blocks = _count_blocks(lattice, motif, mode)
+    counts = np.empty(1 << lattice.num_sites, dtype=np.uint8)
+    for row, block in zip(counts.reshape(-1, exact.mask_block(lattice.num_sites)), blocks):
+        row[:] = block
     return counts
 
 
-@lru_cache(maxsize=3)  # exact_grid, demo.ini: one cell's motif, ring and superset count
-def _mask_counts(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
-    """Read-only ``count_all_masks``, shared by every measure on the lattice."""
-    return read_only(count_all_masks(lattice, motif, mode))
+def count_laws_exact(
+    measure: ExactMeasure, laws: Sequence[tuple[LocalConfig, str]]
+) -> list[CountDistribution]:
+    """Exact laws of several ``(motif, mode)`` counts under the measure, in one pass.
+
+    Every law's counts are streamed block by block beside the measure's level
+    index, so no count array of one entry per configuration is made.
+    """
+    streams = [_count_blocks(measure.lattice, motif, mode) for motif, mode in laws]
+    return [
+        CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)
+        for pmf in measure.count_pmfs(streams)
+    ]
 
 
 def count_distribution_exact(
     measure: ExactMeasure, motif: LocalConfig, mode: str
 ) -> CountDistribution:
     """Exact law of the motif count under the measure."""
-    counts = _mask_counts(measure.lattice, motif, mode)
-    pmf = measure.count_pmf(counts)
-    return CountDistribution({k: float(p) for k, p in enumerate(pmf) if p > 0.0}, sample_size=0)
+    return count_laws_exact(measure, [(motif, mode)])[0]

@@ -3,12 +3,14 @@
 The measure weights a configuration sigma by exp(a * sum_x sigma(x) +
 b * sum_edges sigma(x) sigma(y)).  Both sums are integers, so each small
 lattice is enumerated once into the (M, E) level of every configuration, and
-every (a, b) on it is a lookup in a table of a*M + b*E.  Count laws are summed
-from the level table, chunk by chunk in bitmask order, without a table of one
-probability per configuration; that table is built on demand only for the
-oracle queries (means, variances, conditionals).  All weights stay in log
-domain; the field a can be strongly negative, which would underflow raw
-weights.
+every (a, b) on it is a lookup in a table of a*M + b*E.  The level index is
+the only table of one entry per configuration that is kept.  Count laws are
+summed block by block in bitmask order, several in one pass over the index,
+from counts that ``counting`` streams in the same blocks: no table of one
+probability or one count per configuration is made.  The probability table is
+built on demand only for the oracle queries (means, variances, conditionals).
+All weights stay in log domain; the field a can be strongly negative, which
+would underflow raw weights.
 
 Configurations are identified with bitmasks: bit i set means site i (row-major
 lexicographic index) carries spin +1.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,12 +33,21 @@ from .motifs import LocalConfig, family_size
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
 
-#: Bitmasks per chunk of the level multiplicities and of ``counting.count_all_masks``.
-MASK_CHUNK = 1 << 16
+#: Bitmasks per block of every pass over the configurations: the level
+#: multiplicities, the count blocks of ``counting`` and the count-law pass.
+#: Timed on 2 vCPUs, on the three-law pass of a d=1, n=22 and a d=2, n=5 cell,
+#: blocks of 2**14, 2**15 and 2**16 masks take the same time within the noise
+#: (medians 57, 57, 53 ms and 555, 520, 535 ms), while at 2**13 the per-block
+#: Python work adds 13-32%.  The smallest of the three keeps the pass's three
+#: intp / float64 buffers at 128 KiB each, well inside a 2 MB L2 cache.
+MASK_CHUNK = 1 << 14
 
-# masks per block of ``ExactMeasure.count_pmf``; each of its three buffers takes
-# 128 KiB, where a new 512 KiB array per block would be mapped and faulted in anew
-_PMF_BLOCK = 1 << 14
+
+def mask_block(num_sites: int) -> int:
+    """Masks per block on ``num_sites`` sites: the largest power of two up to
+    ``MASK_CHUNK`` and 2**num_sites, so the blocks tile the masks exactly."""
+    return 1 << min(MASK_CHUNK.bit_length() - 1, num_sites)
+
 
 # bytes of one (patterns, boundaries) float64 energy block of the sandwich check;
 # unblocked, a cap-sized ball and boundary would need hundreds of MB per temporary
@@ -248,8 +259,8 @@ def _energy_levels(lattice: TorusLattice) -> _Levels:
         for j in lower[k]:
             upper.reshape(-1, 2, 1 << j)[:, 1] += 4
     count = np.zeros(size, dtype=np.intp)
-    for start in range(0, len(index), MASK_CHUNK):
-        count += np.bincount(index[start:start + MASK_CHUNK], minlength=size)
+    for block in index.reshape(-1, mask_block(n_sites)):
+        count += np.bincount(block, minlength=size)
     levels = np.arange(size)
     out = (index, count, levels // width - n_sites, levels % width - n_edges)
     return _Levels(*map(read_only, out))
@@ -288,33 +299,41 @@ class ExactMeasure:
         """Probability of every configuration, indexed by bitmask (read-only).
 
         Built afresh on each call, eight bytes per configuration: for the
-        oracle queries below; count laws come from ``count_pmf``, which never
+        oracle queries below; count laws come from ``count_pmfs``, which never
         builds this table.
         """
         return read_only(self._level_probs[self._index])
 
-    def count_pmf(self, counts: np.ndarray) -> np.ndarray:
-        """Law of a statistic with values in 0..N, given per configuration bitmask.
+    def count_pmfs(self, streams: Sequence[Iterable[np.ndarray]]) -> list[np.ndarray]:
+        """Laws of several statistics with values in 0..N, in one pass over the masks.
 
-        Returns pmf of length N + 1, N the number of sites.  Each block of
-        ``_PMF_BLOCK`` masks copies its levels and counts into two intp
-        buffers, gathers the probabilities of the levels into a third and adds
-        them with ``np.add.at``, which adds in index order; every bin thus
+        Each stream yields its statistic's values block by block in bitmask
+        order, ``mask_block(N)`` masks per block; N is the number of sites, and
+        each law a pmf of length N + 1.  Each block copies its levels into an
+        intp buffer and gathers their probabilities into a second, once for
+        every stream; each stream's block is copied into a third and added to
+        its law with ``np.add.at``, which adds in index order.  Every bin thus
         sums the same terms in the same order as
-        ``np.bincount(counts, weights=self.probabilities())``, bit for bit.
-        The three buffers are made once per call.
+        ``np.bincount(values, weights=self.probabilities())``, bit for bit.
+        The three buffers are made once per pass.
         """
-        if counts.shape != (self.num_configs,):
-            raise ValueError("counts must cover every configuration")
-        pmf = np.zeros(self.lattice.num_sites + 1)
-        size = min(_PMF_BLOCK, self.num_configs)  # both powers of two: every block is full
+        pmfs = [np.zeros(self.lattice.num_sites + 1) for _ in streams]
+        size = mask_block(self.lattice.num_sites)
         level, bins, probs = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size)
-        for start in range(0, self.num_configs, size):
-            level[:], bins[:] = self._index[start:start + size], counts[start:start + size]
+        for levels, blocks in zip(self._index.reshape(-1, size), zip(*streams)):
+            level[:] = levels
             # every level is in range; "clip" spares the copy of ``out`` that "raise" makes
             self._level_probs.take(level, out=probs, mode="clip")
-            np.add.at(pmf, bins, probs)
-        return pmf
+            for pmf, block in zip(pmfs, blocks):
+                bins[:] = block
+                np.add.at(pmf, bins, probs)
+        return pmfs
+
+    def count_pmf(self, counts: np.ndarray) -> np.ndarray:
+        """``count_pmfs`` of one statistic given as an array indexed by bitmask."""
+        if counts.shape != (self.num_configs,):
+            raise ValueError("counts must cover every configuration")
+        return self.count_pmfs([counts.reshape(-1, mask_block(self.lattice.num_sites))])[0]
 
     def expectation(self, values) -> float:
         """Mean of a statistic given as an array indexed by configuration bitmask."""

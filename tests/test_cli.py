@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from importlib.resources import files
 from pathlib import Path
@@ -144,15 +145,18 @@ def test_rerun_byte_identical_modulo_wall_time(workdir):
 
 
 def test_each_law_computed_once_per_cell(workdir, monkeypatch):
-    # stein_chen and ring_check read the laws the cell already holds: one law
-    # per (motif, mode) of the cell, plus one measure and one law per
-    # threshold_sweep side
-    calls = {"count_distribution_exact": 0, "build_exact": 0}
-    for module, name in ((counting, "count_distribution_exact"), (exact, "build_exact")):
+    # a cell sums every law its targets read in one pass over one measure: the
+    # motif, its ring and its superset count (3 laws); each threshold_sweep
+    # side then builds a measure and sums its one law.  Per cell that is
+    # 1 + 2 = 3 builds and 3 passes, which carry 3 + 1 + 1 = 5 laws.
+    calls = {"count_laws_exact": 0, "laws": 0, "build_exact": 0}
+    for module, name in ((counting, "count_laws_exact"), (exact, "build_exact")):
         original = getattr(module, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            if _name == "count_laws_exact":
+                calls["laws"] += len(args[1])
             return _original(*args, **kwargs)
 
         # every module of the package that looks the function up by name
@@ -163,25 +167,27 @@ def test_each_law_computed_once_per_cell(workdir, monkeypatch):
     text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
     cells = 2 * 2
-    assert calls == {"count_distribution_exact": 5 * cells, "build_exact": 3 * cells}
+    assert calls == {"count_laws_exact": 3 * cells, "laws": 5 * cells, "build_exact": 3 * cells}
 
 
 def test_exact_caches_hold_one_cell(workdir):
-    # cells run in (n, motif, b) order: a lattice's cells share one enumeration
-    # and three count arrays (the motif, its ring, its superset count), and
-    # each lattice evicts the last one's tables without any table being
-    # computed twice
+    # cells run in (n, motif, b) order: a lattice's cells share one enumeration,
+    # and each lattice evicts the last one's.  No count array is kept: each
+    # pass streams its counts from the pattern tables of the (lattice, motif,
+    # mode) laws it sums.  Per lattice, 2 cells x (3 laws of the cell's pass +
+    # 1 per threshold_sweep side) = 10 table lookups, of 3 distinct laws (the
+    # motif, its ring, its superset count): 3 misses and 7 hits per lattice.
     text = MINIMAL.replace("n_list = 6 8", "n_list = 6 8 10").replace(
         "b_list = 0.0", "b_list = 0.0 0.3"
     )
     text += "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
     config = parse_config(text, base_dir=workdir)
     _energy_levels.cache_clear()
-    counting._mask_counts.cache_clear()
+    counting._site_tables.cache_clear()
     assert run(config, out_dir=workdir / "out") == 0
-    levels, counts = _energy_levels.cache_info(), counting._mask_counts.cache_info()
+    levels, tables = _energy_levels.cache_info(), counting._site_tables.cache_info()
     assert (levels.currsize, levels.misses) == (1, 3)
-    assert (counts.currsize, counts.misses) == (3, 3 * 3)
+    assert (tables.misses, tables.hits) == (3 * 3, 3 * 7)
 
 
 def track_builds(monkeypatch) -> list[float]:
@@ -214,17 +220,64 @@ def test_one_measure_alive_at_a_time(workdir, monkeypatch, targets):
     assert fields == list(dict.fromkeys(float(row["a"]) for row in rows))
 
 
-def test_new_law_after_threshold_sweep_rebuilds_the_cell_measure(workdir, monkeypatch):
-    # stein_chen reads the superset law, which the cell does not hold yet once
-    # threshold_sweep has freed its measure: the cell's field is built again
+def test_laws_after_threshold_sweep_come_from_the_cell_pass(workdir, monkeypatch):
+    # the cell's first law read sums the count and superset laws together, so
+    # stein_chen after threshold_sweep reads a law the cell already holds: per
+    # cell, the cell's field, then the sub and super sides, each built once
     fields = track_builds(monkeypatch)
     text = MINIMAL + "\n[analysis]\ntargets = expectation threshold_sweep stein_chen\n"
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 0
     rows = read_rows(workdir / "out" / "results.csv")
-    assert fields == [float(row["a"]) for row in rows]  # a measure per row, in row order
+    assert fields == list(dict.fromkeys(float(row["a"]) for row in rows))
     cell_fields = [float(row["a"]) for row in rows if row["run_id"].startswith("expectation/")]
     assert len(cell_fields) == 2
-    assert [fields.count(a) for a in cell_fields] == [2, 2]
+    assert [fields.count(a) for a in cell_fields] == [1, 1]
+
+
+def test_a_failing_law_fails_only_its_readers(workdir, monkeypatch):
+    # the superset law raises: stein_chen, its only reader, writes an error
+    # row; the cell's other laws come from the same measure, built once
+    original = counting._count_blocks
+
+    def failing(lattice, motif, mode):
+        if mode == counting.SUPERSET_MATCH:
+            raise FloatingPointError("superset law")
+        return original(lattice, motif, mode)
+
+    monkeypatch.setattr(counting, "_count_blocks", failing)
+    fields = track_builds(monkeypatch)
+    text = MINIMAL + "\n[analysis]\ntargets = expectation stein_chen ring_check\n"
+    assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 1
+    rows = read_rows(workdir / "out" / "results.csv")
+    errors = {row["run_id"].split("/")[0]: row["error"] for row in rows}
+    assert errors == {"expectation": "", "stein_chen": "FloatingPointError: superset law",
+                      "ring_check": ""}
+    assert len(fields) == len(set(fields)) == 2
+
+
+@pytest.mark.slow
+def test_d2_n5_exact_cell_holds_only_the_level_index(workdir):
+    # 25 sites: the level index takes 2**25 uint16 = 64 MiB and a count array
+    # of the cell's laws 32 MiB each.  The whole cell, its enumeration
+    # included, must stay within the index plus 4 MiB; measured 64 + 2.2 MiB
+    # (with three cached count arrays it was 161.8 MiB)
+    d2 = files("isingmotif") / "data" / "single_plus_d2.motif"
+    (workdir / "single_plus_d2.motif").write_text(d2.read_text(encoding="utf-8"))
+    text = MINIMAL.replace("d = 1", "d = 2").replace("n_list = 6 8", "n_list = 5")
+    text = text.replace("single.motif", "single_plus_d2.motif").replace("b_list = 0.0", "b_list = 0.2")
+    text += "site_cap = 25\n\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
+    config = parse_config(text, base_dir=workdir)
+    _energy_levels.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run(config, out_dir=workdir / "out") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _energy_levels.cache_clear()
+    rows = read_rows(workdir / "out" / "results.csv")
+    assert len(rows) == 7 and not any(row["error"] for row in rows)
+    assert peak < 2 * 2**25 + 4 * 2**20
 
 
 def test_stein_chen_underflowed_mean_run(workdir):

@@ -1,5 +1,7 @@
+import functools
 import re
 import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from isingmotif import (
     EXACT_MATCH,
     SUPERSET_MATCH,
+    FieldSchedule,
     ModelParams,
     SpinConfig,
     TorusLattice,
@@ -16,8 +19,9 @@ from isingmotif import (
     count_distribution_exact,
     indicator,
     local_energy,
+    threshold_field,
 )
-from isingmotif import counting, exact
+from isingmotif import cli, counting, exact
 from isingmotif.counting import count_all_masks, count_samples
 from isingmotif.errors import LatticeTooSmall, SignatureMismatch
 from isingmotif.exact import _spin_matrix
@@ -205,10 +209,12 @@ def test_split_cases_cover_no_some_and_every_site_reading_both_halves():
         for chunk in (1, 100, 1000)
     }
     assert 0.0 in both and 1.0 in both and len(both) > 2
-    # at the default chunk of 2**16 masks, 4 of the 22 sites at d=1, n=22
+    # at the default block of 2**14 masks at d=1, n=22, site x reads bits
+    # x - 1, x, x + 1 (mod 22): sites 1..12 read only the low 14 bits, sites
+    # 15..20 only the high 8, and sites 13, 14, 0 and 21 read both
     lattice = TorusLattice(1, 22, 1, 1)
     sizes = split_sizes(lattice, bundled_motif("single_plus_d1.motif"), EXACT_MATCH, exact.MASK_CHUNK)
-    assert sizes == (14, 4, 4)
+    assert sizes == (12, 6, 4)
 
 
 @pytest.mark.slow
@@ -220,23 +226,118 @@ def test_count_all_masks_on_the_smallest_d2_exact_lattice(mode):
     assert np.array_equal(count_all_masks(lattice, motif, mode), all_mask_counts(lattice, motif, mode))
 
 
-def test_cached_count_arrays_are_read_only_and_shared():
+def test_site_tables_are_read_only_and_shared():
+    # the pattern tables every counter reads are cached, and no caller may write them
     lat = TorusLattice(1, 8, 1, 1)
     motif = bundled_motif("single_plus_d1.motif")
-    for params in (ModelParams(-0.7, 0.3), ModelParams(0.4, -0.2)):
-        measure = build_exact(lat, params)
-        dist = count_distribution_exact(measure, motif, SUPERSET_MATCH)
-        direct = np.bincount(
-            count_all_masks(lat, motif, SUPERSET_MATCH), weights=measure.probabilities()
-        )
-        assert [dist.pmf(k) for k in range(len(direct))] == list(direct)
-    cached = counting._mask_counts(lat, motif, SUPERSET_MATCH)
-    assert cached.dtype == np.uint8
-    # the pattern tables every counter reads are cached too
     tables = counting._site_tables(lat, motif, SUPERSET_MATCH)
-    for array in (cached, *tables):
+    assert counting._site_tables(lat, motif, SUPERSET_MATCH) is tables
+    for array in tables:
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+def indicator_counts(lattice, motif, mode):
+    """The count of every bitmask from ``indicator`` at the origin alone.
+
+    On the torus the match at x in the configuration of mask m is the match at
+    the origin in m translated by -x; the translated masks are built with
+    integer bit moves, and the origin's indicator is looked up per mask.
+    """
+    masks = np.arange(1 << lattice.num_sites, dtype=np.int64)
+    at_origin = np.array([
+        indicator(SpinConfig(lattice, row), (0,) * lattice.d, motif, mode)
+        for row in _spin_matrix(masks.astype(np.uint64), lattice.num_sites)
+    ])
+    vertices = list(lattice.vertices())
+    total = np.zeros(len(masks), dtype=np.int64)
+    for x in vertices:
+        moved = np.zeros_like(masks)
+        for y in vertices:
+            source = lattice.site_index(lattice.add(y, x))
+            moved |= (masks >> source & 1) << lattice.site_index(y)
+        total += at_origin[moved]
+    return total
+
+
+D1_MOTIFS = [bundled_motif("single_plus_d1.motif"), bundled_motif("single_site_d1.motif")]
+BLOCK_CASES = [
+    (TorusLattice(1, n, 1, 1), motif)
+    for n in range(8, 13)
+    for motif in D1_MOTIFS + [m.ring() for m in D1_MOTIFS]
+] + [(TorusLattice(2, 4, 1, 1), bundled_motif("single_plus_d2.motif"))]
+
+
+@pytest.fixture(scope="module")
+def oracle_counts():
+    return functools.lru_cache(maxsize=None)(indicator_counts)
+
+
+@pytest.mark.parametrize("lattice,motif", BLOCK_CASES, ids=repr)
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+@pytest.mark.parametrize("chunk", [1 << 3, 1 << 5])
+def test_count_blocks_match_indicator(lattice, motif, mode, chunk, oracle_counts, monkeypatch):
+    # blocks of 8 and 32 masks: most sites straddle a block boundary
+    monkeypatch.setattr(exact, "MASK_CHUNK", chunk)
+    blocks = [block.copy() for block in counting._count_blocks(lattice, motif, mode)]
+    assert {len(block) for block in blocks} == {chunk}
+    counts = np.concatenate(blocks)
+    assert np.array_equal(counts, oracle_counts(lattice, motif, mode))
+    assert np.array_equal(count_all_masks(lattice, motif, mode), counts)
+
+
+def cell_laws(lattice, motif, b):
+    """(measure, laws) of a cell's pass and of each threshold_sweep side."""
+    d, k = lattice.d, motif.k
+    cell = ModelParams(FieldSchedule(1.0, k, d).field(lattice.n), b)
+    laws = [(motif, EXACT_MATCH), (motif.ring(), EXACT_MATCH), (motif, SUPERSET_MATCH)]
+    yield build_exact(lattice, cell), laws
+    for side in (False, True):
+        field = threshold_field(lattice.n, d, k, 0.5, side)
+        yield build_exact(lattice, ModelParams(field, b)), laws[:1]
+
+
+@pytest.mark.parametrize("lattice,motif", [
+    (TorusLattice(1, 12, 1, 1), bundled_motif("single_plus_d1.motif")),
+    (TorusLattice(1, 16, 1, 1), bundled_motif("single_plus_d1.motif")),
+    (TorusLattice(2, 4, 1, 1), single_positive(0, D2)),  # its ring, of radius 1, fits n = 4
+], ids=repr)
+@pytest.mark.parametrize("b", [-0.3, 0.0, 0.4])
+def test_every_law_of_the_pass_is_bincount_bit_for_bit(lattice, motif, b):
+    for measure, laws in cell_laws(lattice, motif, b):
+        dists = counting.count_laws_exact(measure, laws)
+        assert len(dists) == len(laws)
+        for dist, law in zip(dists, laws):
+            direct = np.bincount(count_all_masks(lattice, *law), weights=measure.probabilities())
+            pmf = [dist.pmf(k) for k in range(lattice.num_sites + 1)]
+            assert np.array_equal(pmf[:len(direct)], direct)
+            assert not any(pmf[len(direct):])
+
+
+def test_a_cell_allocates_less_than_one_count_array():
+    # one d=1, n=22 cell with all six targets, on top of its cached level
+    # index (8 MiB of uint16): the three passes stream every count, so the
+    # cell allocates less than the 4 MiB of one uint8 count array.  Measured:
+    # 1.39 MiB, or 0.71 MiB with the pattern tables already cached (each
+    # law's block tables and its 16 KiB blocks, the pass's three 128 KiB
+    # buffers); the same cell with 2**22-entry count arrays took 13.6 MiB
+    lattice = TorusLattice(1, 22, 1, 1)
+    config = cli.parse_config(
+        "[lattice]\nd = 1\nn_list = 22\n[motifs]\nfiles = single_plus_d1.motif\n"
+        "[schedule]\nc = 1.0\n[model]\nb_list = 0.2\n[engine]\nkind = exact\n"
+        "[analysis]\ntargets = " + " ".join(cli.TARGETS) + "\n",
+        base_dir=files("isingmotif") / "data",
+    )
+    exact._energy_levels(lattice)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        rows = cli._run_cell(config, 22, config.motifs[0], 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row["error"] for row in rows] == [""] * 7
+    assert peak - base < 2**22
 
 
 def test_count_samples_matches_scalar():
@@ -421,7 +522,7 @@ def test_count_law_working_set_is_bounded(n):
     # intp block per chunk 512 KiB; the law's three reused buffers take 384 KiB
     lattice = TorusLattice(1, n, 1, 1)
     motif = bundled_motif("single_plus_d1.motif")
-    counts = counting._mask_counts(lattice, motif, EXACT_MATCH)
+    counts = count_all_masks(lattice, motif, EXACT_MATCH)
     measure = build_exact(lattice, ModelParams(-1.2, 0.3))
     tracemalloc.start()
     try:

@@ -39,10 +39,10 @@ TRACER_BINDS = {
 # every memo table in the package and its maxsize, each hit by a benchmark
 # workload; a new cache names the workload that hits it on its decorator line.
 # The exact caches keep the tables of one cell, since cells run in
-# (n, motif, b) order on one thread: its lattice's enumeration, and the count
-# arrays of its motif, its ring and its superset count.
+# (n, motif, b) order on one thread: its lattice's enumeration only, as every
+# count law streams its counts from the pattern tables.
 CACHES = {
-    "counting._mask_counts": 3, "counting._site_tables": None, "exact._energy_levels": 1,
+    "counting._site_tables": None, "exact._energy_levels": 1,
     "lattice._ball_offsets": None, "lattice.neighbor_offsets": None,
     "sampler._colour_classes": None,
 }
