@@ -371,7 +371,8 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name:
 
 def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
     """``[(motif, mode), ...] -> [CountDistribution, ...]`` at ``params``, from one
-    measure or batch; the exact engine sums all the laws of a call in one pass."""
+    measure, or from one batch per call; either sums all the laws of a call in
+    one pass.  A sampler call keeps the counts of its samples, not the samples."""
     if config.engine == "exact":
         measure = build_exact(lattice, params, site_cap=config.site_cap)
         return lambda laws: counting.count_laws_exact(measure, laws)
@@ -381,11 +382,24 @@ def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, s
         thinning_sweeps=config.thinning_sweeps,
         seed=seed,
     )
-    batch = sample_with_params(lattice, params, spec, config.samples, replicas=config.replicas)
-    return lambda laws: [
-        CountDistribution.from_samples(counting.count_samples(lattice, batch.spins, motif, mode))
-        for motif, mode in laws
-    ]
+
+    def sampled(laws):
+        # the batch is counted block by block as it is drawn: a law that does
+        # not fit the lattice raises here, before any sweep
+        for motif, mode in laws:
+            counting._site_tables(lattice, motif, mode)
+
+        def counts(spins):
+            out = np.empty((len(spins), len(laws)), dtype=np.int32)
+            for column, (motif, mode) in zip(out.T, laws):
+                column[:] = counting.count_samples(lattice, spins, motif, mode)
+            return out
+
+        batch = sample_with_params(lattice, params, spec, config.samples,
+                                   replicas=config.replicas, each=counts)
+        return [CountDistribution.from_samples(column) for column in batch.spins.T]
+
+    return sampled
 
 
 #: The laws a target can read, each as a cell's (motif, mode).
@@ -416,7 +430,8 @@ class _Cell:
 
     def law(self, name: str) -> CountDistribution:
         """The law ``_LAWS[name]``.  The first call computes every law that the
-        run's targets read, from one measure or batch that it then frees."""
+        run's targets read, from one measure that it then frees, or from one
+        batch of which it keeps only the counts."""
         if self._laws is None:
             params = ModelParams(self.field, self.b)
             source = _law_source(self.config, self.lattice, params, self.seed)
@@ -431,12 +446,15 @@ class _Cell:
 def _computed(source, wanted: dict) -> dict:
     """``source`` of every distinct law in ``wanted``, in one call.  Should that
     call raise, each law alone, so that a law that raises fails only its
-    readers; its exception is kept without the frames that hold the source."""
+    readers; its exception is kept without the frames that hold the source.
+    A single law is called once, as a second call would repeat the first."""
     laws = list(dict.fromkeys(wanted.values()))
-    try:
-        found = dict(zip(laws, source(laws)))
-    except Exception:
-        found = {}
+    found = {}
+    if len(laws) > 1:
+        try:
+            found = dict(zip(laws, source(laws)))
+        except Exception:
+            pass
     for law in laws:
         if law not in found:
             try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -16,6 +17,9 @@ from .motifs import LocalConfig
 POISSON_TAIL = 1e-12
 
 _NORMALIZATION_TOL = 1e-9
+
+#: Samples per ``np.unique`` call in ``CountDistribution.from_samples``.
+_SAMPLE_CHUNK = 1 << 16
 
 
 class CountDistribution:
@@ -43,12 +47,19 @@ class CountDistribution:
 
     @classmethod
     def from_samples(cls, counts: Iterable[int]) -> "CountDistribution":
-        """Empirical law of the samples; ``__init__`` checks that they are integers >= 0."""
+        """Empirical law of the samples; ``__init__`` checks that they are integers >= 0.
+
+        The frequencies are summed over chunks of ``_SAMPLE_CHUNK`` samples, so
+        no temporary grows with the number of samples.
+        """
         counts = np.asarray(list(counts) if not isinstance(counts, np.ndarray) else counts)
         if counts.size == 0:
             raise ValueError("no samples")
-        values, freq = np.unique(counts, return_counts=True)
-        pmf = {v: f / counts.size for v, f in zip(values.tolist(), freq)}
+        flat, freq = counts.reshape(-1), Counter()
+        for start in range(0, flat.size, _SAMPLE_CHUNK):
+            values, found = np.unique(flat[start:start + _SAMPLE_CHUNK], return_counts=True)
+            freq.update(dict(zip(values.tolist(), found.tolist())))
+        pmf = {v: f / counts.size for v, f in freq.items()}
         return cls(pmf, sample_size=int(counts.size))
 
     @property

@@ -4,7 +4,11 @@ coupling-from-the-past perfect sampling for the ferromagnetic case.
 There are two ways to draw: ``sample_with_params`` returns a ``SampleBatch``
 from any kernel (replica chains for heat-bath and Metropolis, exact draws for
 kind="cftp"), and ``cftp_batch`` returns a (count, sites) matrix of exact
-draws.
+draws.  Both make their samples in blocks of at most ``_SAMPLE_BLOCK_BYTES``
+(64 KiB) of spins and store each block at its rows of the matrix; given a
+function ``each`` of a block, they store what it makes of the block instead,
+so a caller that needs one count per sample keeps the counts, never the
+samples.
 
 Reproducibility contract: every uniform any sampler reads is a pure function
 of (seed, chain, time, site), so reruns with the same seed are bit-identical,
@@ -53,18 +57,29 @@ contiguous block.  Tables are indexed by k, the number of + neighbors
 in uint8, or in uint16 once the largest index passes 255: heat-bath sets
 up = [w < T(k)] and Metropolis flips up where w < T(k + (degree + 1) up).
 Where every heat-bath threshold is equal (b = 0), the sweep sees so and sets
-up = [w < T] at every site at once, reading no neighbor.
+up = [w < T] at every site at once, reading no neighbor; as that state does
+not depend on the one before, an MCMC chain then sweeps only at its record
+times.
+
 The stream computes the (time, row, chain) words of as many times as fit in
-``_STREAM_BLOCK_BYTES`` per call.  Site order and -1/+1 spins are restored
-only where a sample is recorded or a draw coalesces; the golden runs in
-tests/data pin every sample bit of the three kernels.
+``_STREAM_BLOCK_BYTES`` (256 KiB) per call.  A sampler call makes its large
+temporaries once and reuses them at every time step: the stream's words and
+their scratch, and a sweep's neighbor gather and threshold lookup for the
+largest class.  A recorded sample or coalesced draw is copied into a 64 KiB
+block, which the next block overwrites; site order and -1/+1 spins are
+restored once per block, which stays sites-major.  So a sampler cell's memory
+does not grow with its sample count beyond what ``each`` keeps: heat-bath at
+d=2, n=64, b=0.25 with 10**5 samples on 64 replicas, counted by the runner,
+peaks at 45 MB resident (825 MB when the samples were stored).  The golden
+runs in tests/data pin every sample bit of the three kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,6 +100,12 @@ _READ_LIMIT = 1 << 26
 
 #: Bytes of uint64 words the stream computes in one call, a block of times.
 _STREAM_BLOCK_BYTES = 1 << 18
+
+#: Bytes of int8 spins in one block of recorded samples (rows x sites).
+_SAMPLE_BLOCK_BYTES = 1 << 16
+
+#: Draws whose chain keys ``cftp_batch`` makes at once (64 KiB of uint64 keys).
+_KEY_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -167,36 +188,76 @@ def _metropolis_thresholds(a: float, b: float, degree: int) -> np.ndarray:
     ])
 
 
-def _plus_neighbors(up: np.ndarray, nbr: np.ndarray, top: int) -> np.ndarray:
-    """Number of + neighbors of a class's sites (rows ``nbr``); uint16 once ``top`` > 255."""
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first prod(``shape``) entries of the flat ``buffer``, as an array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+class _Scratch(NamedTuple):
+    """Flat buffers for a sweep's per-class temporaries, made once per sampler call."""
+
+    gather: np.ndarray  # uint8, the neighbor rows of a class
+    table: np.ndarray  # uint64, the threshold of each site of a class
+
+    @classmethod
+    def of(cls, classes, chains: int) -> "_Scratch":
+        """Room for the largest of ``classes`` at ``chains`` spins per row."""
+        cells = max(nbr.shape[1] for _, nbr in classes) * chains
+        degree = classes[0][1].shape[0]
+        return cls(np.empty(degree * cells, dtype=np.uint8), np.empty(cells, dtype=np.uint64))
+
+    def views(self, classes, shape: tuple[int, ...]) -> tuple:
+        """Per class, its (gather, table) arrays for spins of ``shape``."""
+        return tuple((_view(self.gather, nbr.shape + shape[1:]),
+                      _view(self.table, nbr.shape[1:] + shape[1:])) for _, nbr in classes)
+
+
+def _flat(thresholds: np.ndarray) -> bool:
+    """Whether a heat-bath table is flat (b = 0): it is monotone in k, so equal
+    ends mean equal entries, and a site's update reads no neighbor."""
+    return thresholds[0] == thresholds[-1]
+
+
+def _plus_neighbors(up: np.ndarray, nbr: np.ndarray, top: int, gather: np.ndarray) -> np.ndarray:
+    """Number of + neighbors of a class's sites (rows ``nbr``); uint16 once ``top`` > 255.
+
+    The neighbor rows are gathered into ``gather``.
+    """
     dtype = np.uint8 if top <= 255 else np.uint16
-    return np.add.reduce(up.take(nbr, axis=0), axis=0, dtype=dtype)
+    return np.add.reduce(up.take(nbr, axis=0, out=gather, mode="clip"), axis=0, dtype=dtype)
 
 
-def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
+def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray,
+                     views: tuple | None = None):
     """One systematic heat-bath scan, in place, vectorized across chains.
 
     ``up`` is (sites, chains) in the rows of ``_colour_classes(...).classes``,
     or (sites, 2, m) for the stack of coupled top and bottom chains; the
     stream's ``words`` broadcast against it, (sites, 1, m) for the stack.
-    The table is monotone in k, so equal ends mean a flat table (b = 0): no
-    site reads its neighbors, and every class is set at once, as w < T.
+    A flat table sets every class at once, as w < T.  ``views`` holds the
+    temporaries (``_Scratch.views``); without it they are made for this scan.
     """
-    if thresholds[0] == thresholds[-1]:
+    if _flat(thresholds):
         np.less(words, thresholds[0], out=up.view(bool))
         return
-    for rows, nbr in classes:
-        k = _plus_neighbors(up, nbr, thresholds.size - 1)
-        np.less(words[rows], thresholds.take(k), out=up[rows].view(bool))
+    if views is None:
+        views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
+    for (rows, nbr), (gather, table) in zip(classes, views):
+        k = _plus_neighbors(up, nbr, thresholds.size - 1, gather)
+        np.less(words[rows], thresholds.take(k, out=table, mode="clip"),
+                out=up[rows].view(bool))
 
 
-def _sweep_metropolis(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray):
+def _sweep_metropolis(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray,
+                      views: tuple | None = None):
     """One systematic single-flip Metropolis scan of (sites, chains) uint8 spins, in place."""
-    for rows, nbr in classes:
+    if views is None:
+        views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
+    for (rows, nbr), (gather, table) in zip(classes, views):
         old = up[rows]
-        index = _plus_neighbors(up, nbr, thresholds.size - 1)
+        index = _plus_neighbors(up, nbr, thresholds.size - 1, gather)
         index += old * index.dtype.type(thresholds.size // 2)
-        old ^= words[rows] < thresholds.take(index)
+        old ^= words[rows] < thresholds.take(index, out=table, mode="clip")
 
 
 def _plus_minus(up: np.ndarray) -> np.ndarray:
@@ -237,12 +298,13 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finaliser of the uint64 array ``z``, in place.
 
-    Array arithmetic wraps modulo 2**64.
+    Array arithmetic wraps modulo 2**64.  ``tmp``, of z's shape, is the
+    scratch; without it one is made.
     """
-    tmp = np.empty_like(z)
+    tmp = np.empty_like(z) if tmp is None else tmp
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= _MIX_1
@@ -270,20 +332,151 @@ def _block(sites: int, m: int) -> int:
     return max(1, _STREAM_BLOCK_BYTES // (8 * sites * m))
 
 
-def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int = 1) -> np.ndarray:
+def _stream_buffers(sites: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat uint64 buffers for the words and scratch of any ``_words`` call of
+    ``_block(sites, j)`` times of j <= m chains."""
+    size = max(_STREAM_BLOCK_BYTES // 8, sites * m)
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+
+
+def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int = 1,
+           buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The (count, rows, len(keys)) uint64 words w of times t .. t + count - 1.
 
     Row r of each time holds site ``order[r]`` of an ``order.size``-site
-    lattice, column i the chain of ``keys[i]``.
+    lattice, column i the chain of ``keys[i]``.  The words are written into
+    the first of ``buffers`` (see ``_stream_buffers``), which the next call
+    overwrites, and the second is the scratch; without them the words are a
+    fresh array.
     """
+    shape = (count, order.size, keys.size)
+    if buffers is None:
+        words, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    else:
+        words, tmp = (_view(buffer, shape) for buffer in buffers)
     times = np.arange(t, t + count, dtype=np.uint64)[:, None]
-    counter = (times * np.uint64(order.size) + order.astype(np.uint64)) * _GAMMA
-    words = _mix(counter[:, :, None] + keys)
+    counter = tmp.reshape(-1)[:count * order.size].reshape(count, order.size)  # free until _mix
+    np.add(times * np.uint64(order.size), order.astype(np.uint64), out=counter)
+    counter *= _GAMMA
+    np.add(counter[:, :, None], keys, out=words)
+    _mix(words, tmp)
     words >>= np.uint64(11)
     return words
 
 
+# -- recorded samples -------------------------------------------------------------
+
+
+def _blocks(lattice: TorusLattice, records) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The samples of ``records`` as (rows, spins) blocks of ``_SAMPLE_BLOCK_BYTES``.
+
+    ``records`` yields (rows, up) pairs: the batch rows of some samples and
+    their uint8 spins, the (sites, len(rows)) columns of a sampler's state in
+    the rows of ``_colour_classes(lattice)``.  A block holds as many samples
+    as fit, in the order they came, beside the k batch rows they belong to.
+    Its spins are -1/+1 int8 in site order, a (k, sites) view of a
+    sites-major buffer, so that a counter that reads samples sites-major
+    gets them without a transpose.  The last block may be partial, and the
+    next block overwrites both arrays.
+    """
+    row_of = _colour_classes(lattice).row_of
+    size = max(1, _SAMPLE_BLOCK_BYTES // row_of.size)
+    gathered = np.empty((row_of.size, size), dtype=np.uint8)  # in colour-class rows
+    ordered = np.empty(gathered.size, dtype=np.uint8)
+    batch_rows = np.empty(size, dtype=np.intp)
+
+    def block(k: int):
+        spins = gathered[:, :k].take(row_of, axis=0, mode="clip",
+                                     out=_view(ordered, (row_of.size, k)))
+        return batch_rows[:k], _plus_minus(spins).T
+
+    fill = 0
+    for rows, up in records:
+        done = 0
+        while done < rows.size:
+            k = min(rows.size - done, size - fill)
+            gathered[:, fill:fill + k] = up[:, done:done + k]
+            batch_rows[fill:fill + k] = rows[done:done + k]
+            fill, done = fill + k, done + k
+            if fill == size:
+                yield block(fill)
+                fill = 0
+    if fill:
+        yield block(fill)
+
+
+def _stacked(blocks, count: int, each=None) -> np.ndarray:
+    """The spins of every (rows, spins) block, or the rows ``each`` makes of
+    them, stored at their batch rows in one array of ``count`` rows."""
+    out = None
+    for rows, spins in blocks:
+        part = spins if each is None else np.asarray(each(spins))
+        if out is None:
+            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+        out[rows] = part
+    return out
+
+
 # -- coupling from the past -------------------------------------------------------
+
+
+def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: int):
+    """(rows, up) for ``_blocks``, one pair per chunk of draws that coalesce in a round."""
+    sites = lattice.num_sites
+    draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
+    layout = _colour_classes(lattice)
+    degree = layout.classes[0][1].shape[0]
+    thresholds = _heat_bath_thresholds(params.a, params.b, degree)
+    stream = _stream_buffers(sites, draw_chunk)
+    scratch = _Scratch.of(layout.classes, 2 * draw_chunk)
+    stack = np.empty(sites * 2 * draw_chunk, dtype=np.uint8)
+
+    # draws are indexed and keyed a window of whole chunks at a time, so that no
+    # array grows with the number of draws but the few left pending
+    window = draw_chunk * max(1, _KEY_DRAWS // draw_chunk)
+
+    def run_round(windows, horizon: int, left: list):
+        """Sweep the draws of ``windows``, arrays of at most ``window`` draw
+        indices, from time -horizon; yield the coalesced, append the rest to ``left``."""
+        for part in windows:
+            part_keys = _chain_keys(seed, part)
+            for start in range(0, part.size, draw_chunk):
+                active = part[start:start + draw_chunk]
+                active_keys = part_keys[start:start + draw_chunk]
+                chains = _view(stack, (sites, 2, active.size))
+                chains[:, 0] = 1
+                chains[:, 1] = 0
+                views = scratch.views(layout.classes, chains.shape)
+                step = _block(sites, active.size)
+                for top in range(horizon, 0, -step):
+                    low = max(top - step + 1, 1)
+                    block = _words(layout.order, active_keys, low, top - low + 1, stream)
+                    for words in block[::-1]:
+                        _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None],
+                                         views)
+                done = (chains[:, 0] == chains[:, 1]).all(axis=0)
+                left.append(active[~done])
+                if done.any():
+                    yield active[done], chains[:, 0, done]
+
+    pilot = min(draw_chunk, count)
+    pending, rest = np.arange(pilot), range(pilot, count)
+    horizon = 1
+    while pending.size or rest:
+        if horizon * sites * degree > _READ_LIMIT:
+            raise CoalescenceTimeout(
+                f"{pending.size + len(rest)} draws not coalesced after {horizon // 2} sweeps"
+                f" back, the limit of {_READ_LIMIT} neighbor reads per chain"
+            )
+        left = []
+        yield from run_round((pending[i:i + window] for i in range(0, pending.size, window)),
+                             horizon, left)
+        if rest and 2 * sum(map(len, left)) <= pilot:
+            yield from run_round((np.arange(i, min(i + window, count)) for i in rest[::window]),
+                                 horizon, left)
+            rest = rest[:0]
+        pending = np.concatenate(left)
+        horizon *= 2
 
 
 def cftp_batch(
@@ -291,6 +484,7 @@ def cftp_batch(
     params: ModelParams,
     seed: int,
     count: int,
+    each=None,
 ) -> np.ndarray:
     """Exact draws from the Gibbs measure, as a (count, num_sites) spin matrix.
 
@@ -309,6 +503,11 @@ def cftp_batch(
     end in the same state (Propp and Wilson, 1996): the draws do not depend
     on the start horizon, on batching or on chunk size.
 
+    The draws are made in blocks of at most ``_SAMPLE_BLOCK_BYTES`` of
+    spins, as they coalesce.  With ``each``, a function of such a (k, sites)
+    block that returns an array of k rows, the result holds, row for row,
+    what it returns instead of the spins, and no spin matrix is made.
+
     Raises:
         AntiferromagneticUnsupported: if b < 0 (the kernel is not monotone).
         CoalescenceTimeout: if any chain pair fails to coalesce before a
@@ -317,48 +516,8 @@ def cftp_batch(
     if params.b < 0:
         raise AntiferromagneticUnsupported("coupling-from-the-past requires b >= 0")
     seed, count = as_int(seed, "seed"), as_int(count, "count", 1)
-    sites = lattice.num_sites
-    draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
-    layout = _colour_classes(lattice)
-    degree = layout.classes[0][1].shape[0]
-    thresholds = _heat_bath_thresholds(params.a, params.b, degree)
-    keys = _chain_keys(seed, np.arange(count))
-    out = np.empty((count, sites), dtype=np.uint8)
-
-    def run_round(draws: np.ndarray, horizon: int) -> np.ndarray:
-        """Sweep ``draws`` from time -horizon; store the coalesced, return the rest."""
-        left = []
-        for start in range(0, draws.size, draw_chunk):
-            active = draws[start:start + draw_chunk]
-            active_keys = keys[active]
-            chains = np.empty((sites, 2, active.size), dtype=np.uint8)
-            chains[:, 0] = 1
-            chains[:, 1] = 0
-            step = _block(sites, active.size)
-            for top in range(horizon, 0, -step):
-                low = max(top - step + 1, 1)
-                for words in _words(layout.order, active_keys, low, top - low + 1)[::-1]:
-                    _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None])
-            done = (chains[:, 0] == chains[:, 1]).all(axis=0)
-            out[active[done]] = chains[:, 0, done].take(layout.row_of, axis=0).T
-            left.append(active[~done])
-        return np.concatenate(left)
-
-    pilot = min(draw_chunk, count)
-    pending, rest = np.arange(pilot), np.arange(pilot, count)
-    horizon = 1
-    while pending.size or rest.size:
-        if horizon * sites * degree > _READ_LIMIT:
-            raise CoalescenceTimeout(
-                f"{pending.size + rest.size} draws not coalesced after {horizon // 2} sweeps"
-                f" back, the limit of {_READ_LIMIT} neighbor reads per chain"
-            )
-        pending = run_round(pending, horizon)
-        if rest.size and 2 * pending.size <= pilot:
-            pending = np.concatenate([pending, run_round(rest, horizon)])
-            rest = rest[:0]
-        horizon *= 2
-    return _plus_minus(out)
+    records = _cftp_records(lattice, params, seed, count)
+    return _stacked(_blocks(lattice, records), count, each)
 
 
 # -- batch generation -------------------------------------------------------------
@@ -367,19 +526,22 @@ def cftp_batch(
 @dataclass
 class SampleBatch:
     """A batch of sampled configurations as one (count, sites) matrix, and the
-    number of chains that drew it (``count`` for kind="cftp")."""
+    number of chains that drew it (``count`` for kind="cftp").  A batch drawn
+    with ``each`` holds the rows that ``each`` made in ``spins``."""
 
     spins: np.ndarray
     replicas: int
 
 
-def _run_mcmc_batch(
+def _mcmc_records(
     lattice: TorusLattice,
     params: ModelParams,
     spec: SamplerSpec,
     count: int,
     replicas: int,
-) -> np.ndarray:
+):
+    """(rows, up) for ``_blocks``, one pair per record time: the replicas that
+    keep a sample then, and their batch rows."""
     sweep, table = _KERNELS[spec.kind]
     quota = -(-count // replicas)
     # sample j is the state after sweep first + j * thinning
@@ -388,20 +550,30 @@ def _run_mcmc_batch(
     layout = _colour_classes(lattice)
     thresholds = table(params.a, params.b, layout.classes[0][1].shape[0])
     keys = _chain_keys(spec.seed, np.arange(replicas))
+    stream = _stream_buffers(lattice.num_sites, replicas)
     # +1 where u < 1/2, that is w < 2**52
-    up = (_words(layout.order, keys, 0)[0] < np.uint64(1 << 52)).view(np.uint8)
-    samples = np.empty((quota, lattice.num_sites, replicas), dtype=np.uint8)
-    step = _block(lattice.num_sites, replicas)
-    for start in range(1, last + 1, step):
-        block = _words(layout.order, keys, start, min(step, last + 1 - start))
+    up = (_words(layout.order, keys, 0, 1, stream)[0] < np.uint64(1 << 52)).view(np.uint8)
+    views = _Scratch.of(layout.classes, replicas).views(layout.classes, up.shape)
+    # replica i keeps its first ceil((count - i) / replicas) samples, replica-major:
+    # its sample j is row i (quota - 1) + min(i, full) + j, where the first
+    # ``full`` replicas keep all quota samples
+    full = count - (quota - 1) * replicas
+    chains = np.arange(replicas)
+    offsets = chains * (quota - 1) + np.minimum(chains, full)
+    if spec.kind == "heat_bath" and _flat(thresholds):
+        # a flat sweep sets every site from its own word: only recorded sweeps matter
+        step, starts = 1, range(first, last + 1, spec.thinning_sweeps)
+    else:
+        step = _block(lattice.num_sites, replicas)
+        starts = range(1, last + 1, step)
+    for start in starts:
+        block = _words(layout.order, keys, start, min(step, last + 1 - start), stream)
         for t, words in enumerate(block, start):
-            sweep(up, layout.classes, thresholds, words)
+            sweep(up, layout.classes, thresholds, words, views)
             j, offset = divmod(t - first, spec.thinning_sweeps)
             if j >= 0 and offset == 0:
-                up.take(layout.row_of, axis=0, out=samples[j])
-    # replica i keeps its first ceil((count - i) / replicas) samples, replica-major
-    keep = np.arange(quota) * replicas + np.arange(replicas)[:, None] < count
-    return _plus_minus(samples.transpose(2, 0, 1)[keep])
+                kept = replicas if j < quota - 1 else full
+                yield offsets[:kept] + j, up[:, :kept]
 
 
 def sample_with_params(
@@ -410,6 +582,7 @@ def sample_with_params(
     spec: SamplerSpec,
     count: int,
     replicas: int | None = None,
+    each=None,
 ) -> SampleBatch:
     """Draw ``count`` configurations at explicitly given model parameters.
 
@@ -421,12 +594,15 @@ def sample_with_params(
     the batch bit for bit.  For kind="cftp" every row is an independent exact
     draw (burn-in and thinning are ignored).  For the field of a
     ``FieldSchedule``, pass ``schedule.params(lattice.n, b)``.
+
+    Samples are made in blocks of at most ``_SAMPLE_BLOCK_BYTES`` of spins.
+    With ``each``, a function of such a (k, sites) block that returns an
+    array of k rows, ``spins`` holds, row for row, what it returns instead
+    of the samples, and no spin matrix is made.
     """
     count = as_int(count, "count", 1)
     if spec.kind == "cftp":
-        spins = cftp_batch(lattice, params, spec.seed, count)
-        used = count
-    else:
-        used = as_int(min(count, 64) if replicas is None else replicas, "replicas", 1)
-        spins = _run_mcmc_batch(lattice, params, spec, count, used)
-    return SampleBatch(spins=spins, replicas=used)
+        return SampleBatch(cftp_batch(lattice, params, spec.seed, count, each), count)
+    used = as_int(min(count, 64) if replicas is None else replicas, "replicas", 1)
+    records = _mcmc_records(lattice, params, spec, count, used)
+    return SampleBatch(_stacked(_blocks(lattice, records), count, each), used)

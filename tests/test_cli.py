@@ -10,13 +10,15 @@ import weakref
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isingmotif
-from isingmotif import cli, counting, exact
+from isingmotif import cli, counting, exact, sampler
 from isingmotif.cli import _KEYS, ENGINE_KINDS, TARGETS, main, parse_config, run
-from isingmotif.errors import ConfigError, ParseError, ValidationError
-from isingmotif.exact import _energy_levels
+from isingmotif.errors import ConfigError, LatticeTooSmall, ParseError, ValidationError
+from isingmotif.exact import ModelParams, _energy_levels
+from isingmotif.lattice import TorusLattice
 
 MINIMAL = """\
 [lattice]
@@ -369,6 +371,105 @@ targets = expectation tv moments
     assert len(healthy) == len(broken) == 3
     assert all(r["error"] == "" for r in healthy)
     assert all(r["error"].startswith("NonFiniteLimit") for r in broken)
+
+
+def sampler_config(workdir, kind, samples, targets="expectation"):
+    text = MINIMAL.replace("kind = exact", f"kind = {kind}\nsamples = {samples}")
+    if kind != "cftp":
+        text += "replicas = 64\nburn_in_sweeps = 7\nthinning_sweeps = 3\n"
+    return parse_config(text + f"\n[analysis]\ntargets = {targets}\n", base_dir=workdir)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
+def test_streamed_counts_equal_stored_counts(workdir, monkeypatch, kind):
+    # the runner counts each block of samples as it is drawn; its counts, row
+    # for row, are those of the stored batch.  Blocks of 5 samples split every
+    # record of 64 replicas, and 200 samples leave the last record partial.
+    # CFTP in chunks of 4 draws spans the pilot, rounds at several horizons
+    # and many chunks
+    monkeypatch.setattr(sampler, "_SAMPLE_BLOCK_BYTES", 5 * 8)
+    monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * 8 * 4)
+    records, cftp_records = [], sampler._cftp_records
+
+    def kept_rows(*args):
+        for rows, up in cftp_records(*args):
+            records.append(rows.copy())
+            yield rows, up
+
+    monkeypatch.setattr(sampler, "_cftp_records", kept_rows)
+    calls, draw = [], cli.sample_with_params
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_with_params", recorded)
+    config, lattice = sampler_config(workdir, kind, 200), TorusLattice(1, 8, 1, 1)
+    laws = [(config.motifs[0], mode) for mode in counting.MODES]
+    found = cli._law_source(config, lattice, ModelParams(-0.5, 0.4), 9)(laws)
+    runner_records = list(records)
+    (args, kwargs), = calls
+    counts = draw(*args, **kwargs).spins
+    assert counts.shape == (200, 2) and counts.dtype == np.int32
+    del kwargs["each"]
+    spins = draw(*args, **kwargs).spins
+    for column, (motif, mode), law in zip(counts.T, laws, found):
+        stored = counting.count_samples(lattice, spins, motif, mode)
+        assert np.array_equal(column, stored)
+        assert law.support == tuple(np.unique(stored)) and law.sample_size == 200
+    if kind == "cftp":
+        # the pilot's 4 draws coalesce first; later rounds return draws of
+        # earlier chunks after those of later ones
+        rows = np.concatenate(runner_records)
+        assert len(runner_records) > 50 and sorted(rows) == list(range(200))
+        assert (np.diff(rows) < 0).any()
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
+def test_sampler_law_source_keeps_counts_not_samples(workdir, kind):
+    # d=2, n=8: a stored sample is 64 bytes, its count 4.  From 10^4 to 10^5
+    # samples the source's peak grows by the 4 bytes of each count and at
+    # most a quarter more, where stored samples would add 16 times that
+    d2 = files("isingmotif") / "data" / "single_plus_d2.motif"
+    (workdir / "single_plus_d2.motif").write_text(d2.read_text(encoding="utf-8"))
+    lattice = TorusLattice(2, 8, 1, 1)
+
+    def peak(samples):
+        text = MINIMAL.replace("d = 1", "d = 2").replace("n_list = 6 8", "n_list = 8")
+        text = text.replace("single.motif", "single_plus_d2.motif")
+        text = text.replace("kind = exact", f"kind = {kind}\nsamples = {samples}")
+        config = parse_config(text, base_dir=workdir)
+        tracemalloc.start()
+        try:
+            source = cli._law_source(config, lattice, ModelParams(-2.0, 0.25), 3)
+            law, = source([(config.motifs[0], config.mode)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert law.sample_size == samples
+        return peak
+
+    peak(1000)  # the lattice's tables are cached outside the measured calls
+    grown = peak(100_000) - peak(10_000)
+    assert grown <= 1.25 * 4 * 90_000
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "cftp"])
+def test_a_law_that_does_not_fit_draws_nothing(workdir, monkeypatch, kind):
+    # validation rejects n = 2 for a radius-1 motif, so the cell is run by
+    # hand: each target writes the fit error, and no sample is drawn
+    drawn = []
+    monkeypatch.setattr(cli, "sample_with_params", lambda *args, **kwargs: drawn.append(args))
+    config = sampler_config(workdir, kind, 50, targets="expectation tv moments")
+    motif = config.motifs[0]
+    with pytest.raises(LatticeTooSmall) as error:
+        motif.check_fits(TorusLattice(1, 2, 1, 1))
+    rows = cli._run_cell(config, 2, motif, 0.0)
+    for row, name in zip(rows, config.targets, strict=True):
+        del row["wall_time_ms"]
+        assert row == cli._base_row(config, 2, motif, 0.0, name,
+                                    error=f"LatticeTooSmall: {error.value}")
+    assert drawn == []
 
 
 def test_sampler_engine_rows(workdir):

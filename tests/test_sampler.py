@@ -565,9 +565,9 @@ def test_cftp_pooled_rounds_match_reference(pooled_reference, block_bytes, monke
 def test_cftp_sweep_count(pooled_reference, monkeypatch):
     widths = []
 
-    def counting_sweep(up, classes, thresholds, words):
+    def counting_sweep(up, classes, thresholds, words, views=None):
         widths.append(up.shape[-1])
-        _sweep_heat_bath(up, classes, thresholds, words)
+        _sweep_heat_bath(up, classes, thresholds, words, views)
 
     monkeypatch.setattr(sampler, "_sweep_heat_bath", counting_sweep)
     patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
@@ -602,6 +602,26 @@ def test_flat_heat_bath_table_reads_no_neighbors(lat, kind, monkeypatch):
     assert np.array_equal(sample_with_params(lat, params, spec, count=6, replicas=3).spins, want)
     with pytest.raises(AssertionError, match="neighbor"):
         sample_with_params(lat, ModelParams(-0.4, 0.1), spec, count=6, replicas=3)
+
+
+def test_flat_heat_bath_sweeps_only_at_record_times(monkeypatch):
+    # at b = 0 a sweep sets every site from its own word, whatever state came
+    # before, so only the recorded sweeps run: burn-in 5 and thinning 3 record
+    # after sweeps 5, 8 and 11, and of 7 samples on 3 replicas only replica 0
+    # keeps the third
+    lat = TorusLattice(2, 4, 1, 1)
+    params = ModelParams(-0.4, 0.0)
+    spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=3, seed=8)
+    times, words = [], sampler._words
+
+    def recorded(order, keys, t, count=1, buffers=None):
+        times.extend(range(t, t + count))
+        return words(order, keys, t, count, buffers)
+
+    monkeypatch.setattr(sampler, "_words", recorded)
+    got = sample_with_params(lat, params, spec, count=7, replicas=3).spins
+    assert times == [0, 5, 8, 11]
+    assert np.array_equal(got, reference_mcmc(lat, params, spec, 7, 3))
 
 
 # -- batch contract -----------------------------------------------------------------
