@@ -13,7 +13,7 @@ Two matching modes exist for a motif eta at a site x:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
     shape = (lattice.n,) * lattice.d
     sites = np.indices(shape).reshape(lattice.d, -1, 1)  # site index order is row-major
     idx = np.ravel_multi_index(tuple(sites + offsets.T[:, None, :]), shape, mode="wrap")
-    word = np.uint32 if lattice.num_sites <= 32 else np.uint64
+    word = exact.mask_word(lattice.num_sites)
     bits = np.left_shift(word(1), idx.astype(word))
     care = np.bitwise_or.reduce(bits, axis=1)
     return care, np.bitwise_or.reduce(bits[:, want == 1], axis=1)
@@ -146,58 +146,16 @@ def count_samples(
     return totals
 
 
-def _add_matches(words: np.ndarray, care: np.ndarray, plus: np.ndarray, out: np.ndarray):
-    """Add to ``out`` the number of sites x with words & care[x] == plus[x]."""
-    selected = np.empty_like(words)
-    hit = np.empty(len(words), dtype=bool)
-    for care_x, plus_x in zip(care, plus):
-        np.bitwise_and(words, care_x, out=selected)
-        out += np.equal(selected, plus_x, out=hit)
-    return out
+def _count_blocks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> exact.PatternBlocks:
+    """The count of every configuration bitmask, one uint8 block at a time.
 
-
-def _count_blocks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> Iterator[np.ndarray]:
-    """The count of every configuration bitmask, one block of 2**L masks at a time.
-
-    Blocks come in bitmask order, 2**L = ``exact.mask_block(sites)`` masks
-    each, all in one uint8 buffer that the next block overwrites.  A block's
-    counts are the sum of three pieces, tabulated before the first block:
-
-    * a site whose match reads only the low L bits matches alike in every
-      block: their counts over 2**L masks form one table;
-    * a site that reads only the high bits matches in all of a block or in
-      none of it: one offset per block;
-    * a site that reads both straddles the block boundary: its indicator over
-      the low bits of 2**L masks is added to a block whose start matches the
-      site's high bits.
-
-    The arguments are checked at the call, before any block is made.
+    The blocks of ``exact.PatternBlocks`` whose patterns are the sites' match
+    words, each of weight 1.  The arguments are checked at the call, before
+    any block is made.
     """
     care, plus = _site_words(lattice, motif, mode)
-    step = exact.mask_block(lattice.num_sites)
-    low_bits = care.dtype.type(step - 1)
-    masks = np.arange(step, dtype=care.dtype)
-    starts = np.arange(0, 1 << lattice.num_sites, step, dtype=care.dtype)
-    low = (care & ~low_bits) == 0  # and a site that reads no bit (superset, no positives)
-    table = _add_matches(masks, care[low], plus[low], np.zeros(step, dtype=np.uint8))
-    care, plus = care[~low], plus[~low]
-    # (blocks, sites): the block's start matches the site's high bits
-    matches = (starts[:, None] & (care & ~low_bits)) == (plus & ~low_bits)
-    straddle = (care & low_bits) != 0
-    offsets = matches[:, ~straddle].sum(axis=1, dtype=np.uint8)
-    matches = matches[:, straddle]
-    care, plus = care[straddle] & low_bits, plus[straddle] & low_bits
-    parts = [((masks & c) == p).view(np.uint8) for c, p in zip(care, plus)]
-
-    def blocks():
-        out = np.empty(step, dtype=np.uint8)
-        for offset, match in zip(offsets, matches):
-            np.add(table, offset, out=out)
-            for j in np.flatnonzero(match):
-                out += parts[j]
-            yield out
-
-    return blocks()
+    sites = lattice.num_sites
+    return exact.PatternBlocks(sites, exact.mask_block(sites), care, plus, 1, np.uint8)
 
 
 def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
@@ -208,11 +166,7 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
     every count: a count never exceeds the number of sites, far below 256
     wherever the 2**sites masks can be enumerated.
     """
-    blocks = _count_blocks(lattice, motif, mode)
-    counts = np.empty(1 << lattice.num_sites, dtype=np.uint8)
-    for row, block in zip(counts.reshape(-1, exact.mask_block(lattice.num_sites)), blocks):
-        row[:] = block
-    return counts
+    return _count_blocks(lattice, motif, mode).concatenated()
 
 
 def count_laws_exact(
@@ -221,7 +175,7 @@ def count_laws_exact(
     """Exact laws of several ``(motif, mode)`` counts under the measure, in one pass.
 
     Every law's counts are streamed block by block beside the measure's level
-    index, so no count array of one entry per configuration is made.
+    blocks, so no array of one entry per configuration is made.
     """
     streams = [_count_blocks(measure.lattice, motif, mode) for motif, mode in laws]
     return [

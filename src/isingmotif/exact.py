@@ -1,14 +1,16 @@
 """Exact Gibbs measures by full enumeration, local energies, and conditional motif laws.
 
 The measure weights a configuration sigma by exp(a * sum_x sigma(x) +
-b * sum_edges sigma(x) sigma(y)).  Both sums are integers, so each small
-lattice is enumerated once into the (M, E) level of every configuration, and
-every (a, b) on it is a lookup in a table of a*M + b*E.  The level index is
-the only table of one entry per configuration that is kept.  Count laws are
-summed block by block in bitmask order, several in one pass over the index,
-from counts that ``counting`` streams in the same blocks: no table of one
-probability or one count per configuration is made.  The probability table is
-built on demand only for the oracle queries (means, variances, conditionals).
+b * sum_edges sigma(x) sigma(y)).  Both sums are integers, so the
+configurations of each small lattice fall into (M, E) levels, and every
+(a, b) on it is a lookup in a table of a*M + b*E.  The level of every
+configuration is streamed block by block in bitmask order from a few tables
+of one block each (``PatternBlocks``), as ``counting`` streams the motif
+counts; only those tables and each level's multiplicity are kept.  Count laws
+are summed in one pass over the level blocks, several at a time, so no table
+of one level, probability or count per configuration is made.  The level
+and probability tables are built on demand only for the oracle queries
+(means, variances, conditionals).
 All weights stay in log domain; the field a can be strongly negative, which
 would underflow raw weights.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +43,12 @@ DEFAULT_SITE_CAP = 24
 #: Python work adds 13-32%.  The smallest of the three keeps the pass's three
 #: intp / float64 buffers at 128 KiB each, well inside a 2 MB L2 cache.
 MASK_CHUNK = 1 << 14
+
+
+#: High bits that one group of straddling patterns of ``PatternBlocks`` may
+#: read: a group keeps at most 2**_GROUP_BITS tables of one block each, and
+#: costs one add per block.
+_GROUP_BITS = 4
 
 
 def mask_block(num_sites: int) -> int:
@@ -219,51 +227,149 @@ def _logsumexp(x: np.ndarray, weights=None, axis: int | None = None) -> np.ndarr
     return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
 
 
+class PatternBlocks:
+    """Weighted pattern counts of every configuration bitmask, block by block.
+
+    The value of mask m is the sum over patterns t of
+    ``weight[t] * (m & care[t] == plus[t])``; ``dtype`` must hold the largest.
+    Iterating yields the values in bitmask order, ``step`` = 2**L masks per
+    block (``mask_block(num_sites)``), all in one buffer that the next block
+    overwrites; each iteration makes its own buffer.  A block is the sum of
+    three pieces, tabulated here:
+
+    * a pattern that reads only the low L bits matches alike in every block:
+      together they form one table;
+    * a pattern that reads only high bits matches in all of a block or in
+      none of it: one offset per block;
+    * a pattern that reads both straddles the block boundary: its low-bit
+      indicator is added to the blocks whose start matches its high bits.
+
+    Straddling patterns are grouped, in order of their high bits, while the
+    high bits a group reads number at most ``_GROUP_BITS``; a pattern that
+    reads more is a group of its own.  A group keeps one table for each set
+    of its patterns that some block start matches, and the first group's
+    tables hold the low table too.  A block is thus one table plus its
+    offset, plus one table for each further group that it matches.
+    """
+
+    def __init__(self, num_sites: int, step: int, care: np.ndarray, plus: np.ndarray,
+                 weight, dtype):
+        low_bits = care.dtype.type(step - 1)
+        masks = np.arange(step, dtype=care.dtype)
+        starts = np.arange(0, 1 << num_sites, step, dtype=care.dtype)
+        weight = np.broadcast_to(np.asarray(weight, dtype=dtype), care.shape)
+        high = care & ~low_bits
+        reads_low = (care & low_bits) != 0
+
+        selected, hit = np.empty_like(masks), np.empty(step, dtype=bool)
+
+        def indicator(t) -> np.ndarray:  # weight of pattern t where its low bits match
+            np.bitwise_and(masks, care[t] & low_bits, out=selected)
+            np.equal(selected, plus[t] & low_bits, out=hit)
+            return np.multiply(hit, weight[t], dtype=dtype)
+
+        def total(tables, start: np.ndarray) -> np.ndarray:
+            out = start.copy()
+            for table in tables:
+                out += table
+            return read_only(out)
+
+        on_high = np.flatnonzero((high != 0) & ~reads_low)
+        matches = (starts[:, None] & care[on_high]) == plus[on_high]
+        self._offsets = (matches * weight[on_high]).sum(axis=1, dtype=dtype)
+        zeros = np.zeros(step, dtype)
+        base = total(map(indicator, np.flatnonzero(high == 0)), zeros)  # and those reading no bit
+        straddle = np.flatnonzero((high != 0) & reads_low)
+        parts = {t: indicator(t) for t in straddle}
+        groups: list[list[int]] = []
+        for t in sorted(straddle, key=lambda t: int(high[t])):
+            if groups and (union | int(high[t])).bit_count() <= _GROUP_BITS:
+                groups[-1].append(t)
+                union |= int(high[t])
+            else:
+                groups.append([t])
+                union = int(high[t])
+
+        def group_tables(group: list[int], first: bool) -> list:
+            """Per block, the group's table for the patterns that the block start matches."""
+            reads = care.dtype.type(np.bitwise_or.reduce(high[group]))
+            keys, inverse = np.unique(starts & reads, return_inverse=True)
+            made = {(): base if first else None}
+            per_key = []
+            for key in keys:
+                matched = tuple(t for t in group if (key & high[t]) == (plus[t] & high[t]))
+                if matched not in made:
+                    made[matched] = total(map(parts.get, matched), base if first else zeros)
+                per_key.append(made[matched])
+            return list(map(per_key.__getitem__, inverse.tolist()))
+
+        # per block: the first group's table (or the low table), then one
+        # table or None for each further group
+        self._tables = [group_tables(group, g == 0) for g, group in enumerate(groups)]
+        self._tables = self._tables or [[base] * len(starts)]
+        self._step, self._dtype = step, dtype
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        out = np.empty(self._step, dtype=self._dtype)
+        for first, offset, *rest in zip(self._tables[0], self._offsets, *self._tables[1:]):
+            np.add(first, offset, out=out)
+            for table in rest:
+                if table is not None:
+                    out += table
+            yield out
+
+    def concatenated(self) -> np.ndarray:
+        """The value of every mask, as one array indexed by bitmask (for the oracles)."""
+        out = np.empty((len(self._offsets), self._step), dtype=self._dtype)
+        for row, block in zip(out, self):
+            row[:] = block
+        return out.reshape(-1)
+
+
+def mask_word(num_sites: int) -> type:
+    """The unsigned integer type of one bitmask of ``num_sites`` bits."""
+    return np.uint32 if num_sites <= 32 else np.uint64
+
+
 class _Levels(NamedTuple):
     """One lattice's enumeration, shared by every (a, b) on it."""
 
-    index: np.ndarray  # level of every configuration, indexed by bitmask
+    blocks: PatternBlocks  # level of every configuration, streamed in bitmask order
     count: np.ndarray  # multiplicity of every level
     field: np.ndarray  # magnetisation M of every level
     pair: np.ndarray  # pair sum E of every level
 
 
 @lru_cache(maxsize=1)  # exact_grid, demo.ini: one cell's lattice; cells run in (n, motif, b) order
-def _energy_levels(lattice: TorusLattice) -> _Levels:
-    """Enumerate the lattice once: the (M, E) level of every configuration.
+def _energy_levels(lattice: TorusLattice, step: int) -> _Levels:
+    """Enumerate the lattice once: the (M, E) level of every configuration, in blocks of ``step``.
 
     M = sum_x sigma(x) and E = sum_edges sigma(x) sigma(y) are integers, so
-    the level (M + N) * (2|E| + 1) + (E + |E|) is a dense index.  The index is
-    built in place by doubling: the masks with top bit k are the masks below
-    2**k with site k turned from -1 to +1 (the sites above k still -1), which
-    adds 2 to M and twice the neighbours' spin sum to E.
+    the level (M + N) * (2|E| + 1) + (E + |E|) is a dense index.  As
+    M + N = 2 #plus and E + |E| = 2 #agree, it is a weighted count of
+    patterns: 2 (2|E| + 1) for each site at +1, and 2 for each edge whose two
+    spins agree (both -1 or both +1).  Its blocks are ``PatternBlocks``, whose
+    tables are all that is kept; one pass over them counts every level's
+    multiplicity.  ``step`` is ``mask_block(N)``.
     """
     n_sites = lattice.num_sites
-    edges = lattice.edges()
-    n_edges = len(edges)
-    width = 2 * n_edges + 1
+    edges = np.array(lattice.edges(), dtype=np.intp).reshape(-1, 2)
+    width = 2 * len(edges) + 1
     size = (2 * n_sites + 1) * width
-    lower: list[list[int]] = [[] for _ in range(n_sites)]
-    degree = [0] * n_sites
-    for i, j in edges:  # i < j
-        lower[j].append(i)
-        degree[i] += 1
-        degree[j] += 1
-    index = np.empty(1 << n_sites, dtype=np.uint16 if size <= 1 << 16 else np.uint32)
-    index[0] = 2 * n_edges  # all minus: M = -N, E = |E|
-    for k in range(n_sites):
-        half = 1 << k
-        upper = index[half:2 * half]
-        # every lower neighbour at -1; each one at +1 (bit j set) adds 4
-        np.add(index[:half], 2 * width - 2 * degree[k], out=upper)
-        for j in lower[k]:
-            upper.reshape(-1, 2, 1 << j)[:, 1] += 4
+    word = mask_word(n_sites)
+    bit = np.left_shift(word(1), np.arange(n_sites, dtype=word))
+    pair = bit[edges[:, 0]] | bit[edges[:, 1]]
+    care = np.concatenate([bit, pair, pair])
+    plus = np.concatenate([bit, np.zeros_like(pair), pair])
+    weight = np.repeat([2 * width, 2], [n_sites, 2 * len(edges)])
+    dtype = np.uint16 if size <= 1 << 16 else np.uint32
+    blocks = PatternBlocks(n_sites, step, care, plus, weight, dtype)
     count = np.zeros(size, dtype=np.intp)
-    for block in index.reshape(-1, mask_block(n_sites)):
+    for block in blocks:
         count += np.bincount(block, minlength=size)
     levels = np.arange(size)
-    out = (index, count, levels // width - n_sites, levels % width - n_edges)
-    return _Levels(*map(read_only, out))
+    out = (count, levels // width - n_sites, levels % width - len(edges))
+    return _Levels(blocks, *map(read_only, out))
 
 
 class ExactMeasure:
@@ -278,8 +384,8 @@ class ExactMeasure:
     def __init__(self, lattice: TorusLattice, params: ModelParams):
         self.lattice = lattice
         self.params = params
-        levels = _energy_levels(lattice)
-        self._index = levels.index
+        levels = _energy_levels(lattice, mask_block(lattice.num_sites))
+        self._levels = levels.blocks
         table = params.a * levels.field + params.b * levels.pair
         # empty levels are never looked up; -inf keeps exp from overflowing on them
         self._table = np.where(levels.count > 0, table, -np.inf)
@@ -288,39 +394,40 @@ class ExactMeasure:
 
     @property
     def num_configs(self) -> int:
-        return len(self._index)
+        return 1 << self.lattice.num_sites
 
     @property
     def log_weights(self) -> np.ndarray:
         """Energy exponent of every configuration, indexed by bitmask."""
-        return self._table[self._index]
+        return self._table[self._levels.concatenated()]
 
     def probabilities(self) -> np.ndarray:
         """Probability of every configuration, indexed by bitmask (read-only).
 
-        Built afresh on each call, eight bytes per configuration: for the
-        oracle queries below; count laws come from ``count_pmfs``, which never
-        builds this table.
+        Built afresh on each call, with the level of every configuration, for
+        the oracle queries below; count laws come from ``count_pmfs``, which
+        builds neither table.
         """
-        return read_only(self._level_probs[self._index])
+        return read_only(self._level_probs[self._levels.concatenated()])
 
     def count_pmfs(self, streams: Sequence[Iterable[np.ndarray]]) -> list[np.ndarray]:
         """Laws of several statistics with values in 0..N, in one pass over the masks.
 
         Each stream yields its statistic's values block by block in bitmask
         order, ``mask_block(N)`` masks per block; N is the number of sites, and
-        each law a pmf of length N + 1.  Each block copies its levels into an
-        intp buffer and gathers their probabilities into a second, once for
-        every stream; each stream's block is copied into a third and added to
-        its law with ``np.add.at``, which adds in index order.  Every bin thus
-        sums the same terms in the same order as
+        each law a pmf of length N + 1.  The lattice's level blocks come in the
+        same order: each is copied into an intp buffer, whose levels'
+        probabilities are gathered into a second, once for every stream; each
+        stream's block is copied into a third and added to its law with
+        ``np.add.at``, which adds in index order.  Every bin thus sums the same
+        terms in the same order as
         ``np.bincount(values, weights=self.probabilities())``, bit for bit.
         The three buffers are made once per pass.
         """
         pmfs = [np.zeros(self.lattice.num_sites + 1) for _ in streams]
         size = mask_block(self.lattice.num_sites)
         level, bins, probs = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size)
-        for levels, blocks in zip(self._index.reshape(-1, size), zip(*streams)):
+        for levels, blocks in zip(self._levels, zip(*streams)):
             level[:] = levels
             # every level is in range; "clip" spares the copy of ``out`` that "raise" makes
             self._level_probs.take(level, out=probs, mode="clip")

@@ -316,11 +316,11 @@ def test_every_law_of_the_pass_is_bincount_bit_for_bit(lattice, motif, b):
 
 def test_a_cell_allocates_less_than_one_count_array():
     # one d=1, n=22 cell with all six targets, on top of its cached level
-    # index (8 MiB of uint16): the three passes stream every count, so the
-    # cell allocates less than the 4 MiB of one uint8 count array.  Measured:
-    # 1.39 MiB, or 0.71 MiB with the pattern tables already cached (each
-    # law's block tables and its 16 KiB blocks, the pass's three 128 KiB
-    # buffers); the same cell with 2**22-entry count arrays took 13.6 MiB
+    # tables (four blocks of uint16, 128 KiB): the three passes stream every
+    # count, so the cell allocates less than the 4 MiB of one uint8 count
+    # array.  Measured: 1.50 MiB (each law's block tables and its 16 KiB
+    # blocks, the pass's three 128 KiB buffers); the same cell with 2**22-entry
+    # count arrays took 13.6 MiB
     lattice = TorusLattice(1, 22, 1, 1)
     config = cli.parse_config(
         "[lattice]\nd = 1\nn_list = 22\n[motifs]\nfiles = single_plus_d1.motif\n"
@@ -328,7 +328,7 @@ def test_a_cell_allocates_less_than_one_count_array():
         "[analysis]\ntargets = " + " ".join(cli.TARGETS) + "\n",
         base_dir=files("isingmotif") / "data",
     )
-    exact._energy_levels(lattice)
+    exact._energy_levels(lattice, exact.mask_block(lattice.num_sites))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

@@ -159,18 +159,22 @@ def test_cached_levels_match_hamiltonian(lat):
 
 
 @pytest.mark.parametrize("lat", [
+    TorusLattice(1, 2, 1, 1),  # both neighbours of a site are the other site: one edge
+    TorusLattice(1, 3, 1, 1),
     TorusLattice(1, 6, 1, 1),
     TorusLattice(1, 9, 1, 1),
     TorusLattice(2, 3, 1, 1),
     TorusLattice(2, 4, 1, INFINITY),
     TorusLattice(1, 11, 2, 1),
 ], ids=repr)
-@pytest.mark.parametrize("chunk", [exact.MASK_CHUNK, 100])
+@pytest.mark.parametrize("chunk", [exact.MASK_CHUNK, 100, 8])
 def test_energy_levels_match_per_mask_levels(lat, chunk, monkeypatch):
-    # (M, E) of every mask straight from its spins, against the doubling build
+    # every streamed level block against (M, E) straight from each mask's
+    # spins; at blocks of 8 masks most edges straddle a block boundary
     monkeypatch.setattr(exact, "MASK_CHUNK", chunk)
-    levels = _energy_levels.__wrapped__(lat)
     n_sites, edges = lat.num_sites, lat.edges()
+    step = exact.mask_block(n_sites)
+    levels = _energy_levels.__wrapped__(lat, step)
     spins = _spin_matrix(np.arange(1 << n_sites, dtype=np.uint64), n_sites).astype(np.int64)
     ii, jj = np.array(edges, dtype=np.intp).T
     field = spins.sum(axis=1)
@@ -178,31 +182,43 @@ def test_energy_levels_match_per_mask_levels(lat, chunk, monkeypatch):
     width = 2 * len(edges) + 1
     size = (2 * n_sites + 1) * width
     level = (field + n_sites) * width + pair + len(edges)
-    assert levels.index.dtype == (np.uint16 if size <= 1 << 16 else np.uint32)
-    assert np.array_equal(levels.index, level)
+    blocks = [block.copy() for block in levels.blocks]
+    assert [len(block) for block in blocks] == [step] * ((1 << n_sites) // step)
+    assert np.array_equal(np.concatenate(blocks), level)
+    assert np.array_equal(levels.blocks.concatenated(), level)
     assert levels.count.dtype == np.intp
     assert np.array_equal(levels.count, np.bincount(level, minlength=size))
     assert levels.field.dtype == levels.pair.dtype == np.intp
     assert len(levels.field) == len(levels.pair) == size
     assert np.array_equal(levels.field[level], field)
     assert np.array_equal(levels.pair[level], pair)
-    for array in levels:
+    for array in levels[1:]:
         with pytest.raises(ValueError):
             array[0] = 1
 
 
 def test_energy_levels_working_set_is_bounded():
-    # the index is built in place, in its own dtype: 1M masks take 2 MiB of
-    # uint16 index, and every full-length int64 temporary would add 8 MiB
+    # no level of every mask is kept or made: 1M masks would take 2 MiB as
+    # uint16, while the level tables and one block's temporaries of the
+    # multiplicity pass stay below half a MiB
     lat = TorusLattice(1, 20, 1, 1)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        levels = _energy_levels.__wrapped__(lat)
+        _energy_levels.__wrapped__(lat, exact.mask_block(lat.num_sites))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < levels.index.nbytes + 2 * 2**20
+    assert peak - base < 2**19
+
+
+def test_level_block_at_d1_n22_is_one_table_plus_an_offset():
+    # the two edges across the block boundary read two high bits: one group,
+    # whose four tables hold the low table too, so no block adds a second table
+    lat = TorusLattice(1, 22, 1, 1)
+    levels = _energy_levels.__wrapped__(lat, exact.mask_block(lat.num_sites))
+    (first,) = levels.blocks._tables
+    assert len({id(table) for table in first}) == 4
 
 
 def test_probabilities_are_read_only():
