@@ -422,12 +422,13 @@ class ExactMeasure:
         ``np.add.at``, which adds in index order.  Every bin thus sums the same
         terms in the same order as
         ``np.bincount(values, weights=self.probabilities())``, bit for bit.
-        The three buffers are made once per pass.
+        The three buffers are made once per pass.  A stream with more or fewer
+        blocks than the levels raises ``ValueError``.
         """
         pmfs = [np.zeros(self.lattice.num_sites + 1) for _ in streams]
         size = mask_block(self.lattice.num_sites)
         level, bins, probs = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size)
-        for levels, blocks in zip(self._levels, zip(*streams)):
+        for levels, *blocks in zip(self._levels, *streams, strict=True):
             level[:] = levels
             # every level is in range; "clip" spares the copy of ``out`` that "raise" makes
             self._level_probs.take(level, out=probs, mode="clip")

@@ -63,15 +63,16 @@ times.
 
 The stream computes the (time, row, chain) words of as many times as fit in
 ``_STREAM_BLOCK_BYTES`` (256 KiB) per call.  A sampler call makes its large
-temporaries once and reuses them at every time step: the stream's words and
-their scratch, and a sweep's neighbor gather and threshold lookup for the
-largest class.  A recorded sample or coalesced draw is copied into a 64 KiB
-block, which the next block overwrites; site order and -1/+1 spins are
-restored once per block, which stays sites-major.  So a sampler cell's memory
-does not grow with its sample count beyond what ``each`` keeps: heat-bath at
-d=2, n=64, b=0.25 with 10**5 samples on 64 replicas, counted by the runner,
-peaks at 45 MB resident (825 MB when the samples were stored).  The golden
-runs in tests/data pin every sample bit of the three kernels.
+temporaries once, and ``_words`` and the sweeps take them as required
+arguments: the stream's words and their scratch, and a sweep's neighbor
+gather and threshold lookup for the largest class.  One stage, ``_stacked``,
+copies each recorded sample or coalesced draw into a 64 KiB block, which the
+next block overwrites, restores site order and -1/+1 spins once per block,
+which stays sites-major, and stores the block, or what ``each`` makes of it,
+at its batch rows.  So a sampler cell's memory does not grow with its sample
+count beyond what ``each`` keeps: heat-bath at d=2, n=64, b=0.25 with 10**5
+samples on 64 replicas, counted by the runner, peaks at 45 MB resident.  The
+golden runs in tests/data pin every sample bit of the three kernels.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,20 +229,18 @@ def _plus_neighbors(up: np.ndarray, nbr: np.ndarray, top: int, gather: np.ndarra
 
 
 def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray,
-                     views: tuple | None = None):
+                     views: tuple):
     """One systematic heat-bath scan, in place, vectorized across chains.
 
     ``up`` is (sites, chains) in the rows of ``_colour_classes(...).classes``,
     or (sites, 2, m) for the stack of coupled top and bottom chains; the
     stream's ``words`` broadcast against it, (sites, 1, m) for the stack.
     A flat table sets every class at once, as w < T.  ``views`` holds the
-    temporaries (``_Scratch.views``); without it they are made for this scan.
+    temporaries, ``_Scratch.views`` of ``classes`` at ``up.shape``.
     """
     if _flat(thresholds):
         np.less(words, thresholds[0], out=up.view(bool))
         return
-    if views is None:
-        views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
     for (rows, nbr), (gather, table) in zip(classes, views):
         k = _plus_neighbors(up, nbr, thresholds.size - 1, gather)
         np.less(words[rows], thresholds.take(k, out=table, mode="clip"),
@@ -249,10 +248,8 @@ def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.
 
 
 def _sweep_metropolis(up: np.ndarray, classes, thresholds: np.ndarray, words: np.ndarray,
-                      views: tuple | None = None):
+                      views: tuple):
     """One systematic single-flip Metropolis scan of (sites, chains) uint8 spins, in place."""
-    if views is None:
-        views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
     for (rows, nbr), (gather, table) in zip(classes, views):
         old = up[rows]
         index = _plus_neighbors(up, nbr, thresholds.size - 1, gather)
@@ -339,21 +336,17 @@ def _stream_buffers(sites: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
 
 
-def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int = 1,
-           buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int,
+           buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The (count, rows, len(keys)) uint64 words w of times t .. t + count - 1.
 
     Row r of each time holds site ``order[r]`` of an ``order.size``-site
     lattice, column i the chain of ``keys[i]``.  The words are written into
     the first of ``buffers`` (see ``_stream_buffers``), which the next call
-    overwrites, and the second is the scratch; without them the words are a
-    fresh array.
+    overwrites, and the second is the scratch.
     """
     shape = (count, order.size, keys.size)
-    if buffers is None:
-        words, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-    else:
-        words, tmp = (_view(buffer, shape) for buffer in buffers)
+    words, tmp = (_view(buffer, shape) for buffer in buffers)
     times = np.arange(t, t + count, dtype=np.uint64)[:, None]
     counter = tmp.reshape(-1)[:count * order.size].reshape(count, order.size)  # free until _mix
     np.add(times * np.uint64(order.size), order.astype(np.uint64), out=counter)
@@ -367,28 +360,33 @@ def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int = 1,
 # -- recorded samples -------------------------------------------------------------
 
 
-def _blocks(lattice: TorusLattice, records) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The samples of ``records`` as (rows, spins) blocks of ``_SAMPLE_BLOCK_BYTES``.
+def _stacked(lattice: TorusLattice, records, count: int, each) -> np.ndarray:
+    """The samples of ``records``, or the rows ``each`` makes of them unless it
+    is None, stored at their batch rows in one array of ``count`` rows.
 
     ``records`` yields (rows, up) pairs: the batch rows of some samples and
     their uint8 spins, the (sites, len(rows)) columns of a sampler's state in
-    the rows of ``_colour_classes(lattice)``.  A block holds as many samples
-    as fit, in the order they came, beside the k batch rows they belong to.
-    Its spins are -1/+1 int8 in site order, a (k, sites) view of a
-    sites-major buffer, so that a counter that reads samples sites-major
-    gets them without a transpose.  The last block may be partial, and the
-    next block overwrites both arrays.
+    the rows of ``_colour_classes(lattice)``.  The samples are copied, in the
+    order they came, into blocks of ``_SAMPLE_BLOCK_BYTES``, the last one
+    maybe partial.  A block's spins are -1/+1 int8 in site order, a (k, sites)
+    view of a sites-major buffer, so that a counter that reads samples
+    sites-major gets them without a transpose; the next block overwrites it.
     """
     row_of = _colour_classes(lattice).row_of
     size = max(1, _SAMPLE_BLOCK_BYTES // row_of.size)
     gathered = np.empty((row_of.size, size), dtype=np.uint8)  # in colour-class rows
     ordered = np.empty(gathered.size, dtype=np.uint8)
     batch_rows = np.empty(size, dtype=np.intp)
+    out = None
 
-    def block(k: int):
-        spins = gathered[:, :k].take(row_of, axis=0, mode="clip",
-                                     out=_view(ordered, (row_of.size, k)))
-        return batch_rows[:k], _plus_minus(spins).T
+    def store(k: int):
+        nonlocal out
+        spins = _plus_minus(gathered[:, :k].take(row_of, axis=0, mode="clip",
+                                                 out=_view(ordered, (row_of.size, k)))).T
+        part = spins if each is None else np.asarray(each(spins))
+        if out is None:
+            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+        out[batch_rows[:k]] = part
 
     fill = 0
     for rows, up in records:
@@ -399,21 +397,10 @@ def _blocks(lattice: TorusLattice, records) -> Iterator[tuple[np.ndarray, np.nda
             batch_rows[fill:fill + k] = rows[done:done + k]
             fill, done = fill + k, done + k
             if fill == size:
-                yield block(fill)
+                store(fill)
                 fill = 0
     if fill:
-        yield block(fill)
-
-
-def _stacked(blocks, count: int, each=None) -> np.ndarray:
-    """The spins of every (rows, spins) block, or the rows ``each`` makes of
-    them, stored at their batch rows in one array of ``count`` rows."""
-    out = None
-    for rows, spins in blocks:
-        part = spins if each is None else np.asarray(each(spins))
-        if out is None:
-            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
-        out[rows] = part
+        store(fill)
     return out
 
 
@@ -421,7 +408,7 @@ def _stacked(blocks, count: int, each=None) -> np.ndarray:
 
 
 def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: int):
-    """(rows, up) for ``_blocks``, one pair per chunk of draws that coalesce in a round."""
+    """(rows, up) for ``_stacked``, one pair per chunk of draws that coalesce in a round."""
     sites = lattice.num_sites
     draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
     layout = _colour_classes(lattice)
@@ -517,7 +504,7 @@ def cftp_batch(
         raise AntiferromagneticUnsupported("coupling-from-the-past requires b >= 0")
     seed, count = as_int(seed, "seed"), as_int(count, "count", 1)
     records = _cftp_records(lattice, params, seed, count)
-    return _stacked(_blocks(lattice, records), count, each)
+    return _stacked(lattice, records, count, each)
 
 
 # -- batch generation -------------------------------------------------------------
@@ -540,7 +527,7 @@ def _mcmc_records(
     count: int,
     replicas: int,
 ):
-    """(rows, up) for ``_blocks``, one pair per record time: the replicas that
+    """(rows, up) for ``_stacked``, one pair per record time: the replicas that
     keep a sample then, and their batch rows."""
     sweep, table = _KERNELS[spec.kind]
     quota = -(-count // replicas)
@@ -586,8 +573,9 @@ def sample_with_params(
 ) -> SampleBatch:
     """Draw ``count`` configurations at explicitly given model parameters.
 
-    For the approximate kernels the batch is produced by ``replicas``
-    (default min(count, 64)) independent chains, replica i reading chain i of
+    For the approximate kernels the batch is produced by min(count,
+    ``replicas``) independent chains (``replicas`` defaults to 64, and a chain
+    beyond ``count`` would keep no sample), replica i reading chain i of
     the module's stream and starting from its time-0 random configuration;
     every chain burns in, then records a sample every ``thinning_sweeps``.
     Rows are ordered replica-major, so a rerun with the same seed reproduces
@@ -603,6 +591,6 @@ def sample_with_params(
     count = as_int(count, "count", 1)
     if spec.kind == "cftp":
         return SampleBatch(cftp_batch(lattice, params, spec.seed, count, each), count)
-    used = as_int(min(count, 64) if replicas is None else replicas, "replicas", 1)
+    used = min(count, as_int(64 if replicas is None else replicas, "replicas", 1))
     records = _mcmc_records(lattice, params, spec, count, used)
-    return SampleBatch(_stacked(_blocks(lattice, records), count, each), used)
+    return SampleBatch(_stacked(lattice, records, count, each), used)

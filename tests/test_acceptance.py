@@ -39,7 +39,7 @@ from isingmotif import (
 )
 from isingmotif.counting import count_samples
 from isingmotif.motifs import LocalConfig, bundled_motif
-from isingmotif.sampler import _colour_classes, _heat_bath_thresholds, _sweep_heat_bath
+from isingmotif.sampler import _Scratch, _colour_classes, _heat_bath_thresholds, _sweep_heat_bath
 
 
 class Criterion:
@@ -513,6 +513,7 @@ def test_criterion_9_reversibility_and_monotonicity():
         sites = lattice.num_sites
         classes = _colour_classes(lattice).classes
         thresholds = _heat_bath_thresholds(params.a, params.b, classes[0][1].shape[0])
+        views = _Scratch.of(classes, 1).views(classes, (sites, 1))
         bad = 0
         for _ in range(300):
             low = rng.choice((-1, 1), size=(sites, 1)).astype(np.int8)
@@ -520,8 +521,8 @@ def test_criterion_9_reversibility_and_monotonicity():
             # the sweep reads uint8 {0, 1} spins and the words w = u 2**53
             words = (rng.random((sites, 1)) * 2.0**53).astype(np.uint64)
             low2, high2 = (low > 0).astype(np.uint8), (high > 0).astype(np.uint8)
-            _sweep_heat_bath(low2, classes, thresholds, words)
-            _sweep_heat_bath(high2, classes, thresholds, words)
+            _sweep_heat_bath(low2, classes, thresholds, words, views)
+            _sweep_heat_bath(high2, classes, thresholds, words, views)
             if not np.all(low2 <= high2):
                 bad += 1
         crit.check(bad == 0, f"{bad}/300 order-breaking sweeps (d={lattice.d})")

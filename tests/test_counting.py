@@ -515,6 +515,18 @@ def test_count_law_needs_every_configuration():
         measure.count_pmf(np.zeros(63, dtype=np.uint8))
 
 
+def test_count_laws_reject_a_stream_of_another_lattice():
+    # a count stream of n = 14 has one block where the n = 16 levels have four;
+    # zipped short, it would give a law 3.4e-11 short of mass that passes as one
+    measure = build_exact(TorusLattice(1, 16, 1, 1), ModelParams(-12.0, 0.2))
+    motif = bundled_motif("single_plus_d1.motif")
+    short = counting._count_blocks(TorusLattice(1, 14, 1, 1), motif, EXACT_MATCH)
+    full = counting._count_blocks(measure.lattice, motif, EXACT_MATCH)
+    for streams in ([short], [full, short], [short, full]):
+        with pytest.raises(ValueError, match="zip"):
+            measure.count_pmfs(streams)
+
+
 @pytest.mark.parametrize("n", [16, 20])
 def test_count_law_working_set_is_bounded(n):
     # no table of one probability per configuration and no intp copy of the

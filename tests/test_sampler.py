@@ -27,11 +27,13 @@ from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
     _KERNELS,
     _STREAM_BLOCK_BYTES,
+    _Scratch,
     _block,
     _chain_keys,
     _colour_classes,
     _heat_bath_thresholds,
     _metropolis_thresholds,
+    _stream_buffers,
     _sweep_heat_bath,
     _sweep_metropolis,
     _thresholds,
@@ -73,7 +75,8 @@ def block_sweep(kind, lat, params, up, words):
     """One sweep of ``kind`` over sites-major uint8 rows, with the batch's table."""
     sweep, table = _KERNELS[kind]
     classes = _colour_classes(lat).classes
-    sweep(up, classes, table(params.a, params.b, classes[0][1].shape[0]), words)
+    views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
+    sweep(up, classes, table(params.a, params.b, classes[0][1].shape[0]), words, views)
 
 
 # -- per-site kernels --------------------------------------------------------------
@@ -350,7 +353,9 @@ def reference_uniform(seed, chain, t, x, sites):
 def stream_block(seed, draws, times, sites):
     """(len(draws), len(times), sites) uniforms w * 2**-53 from the sampler's stream."""
     keys = _chain_keys(seed, np.asarray(draws))
-    return np.stack([_words(np.arange(sites), keys, t)[0].T * 2.0**-53 for t in times], axis=1)
+    buffers = _stream_buffers(sites, keys.size)
+    return np.stack([_words(np.arange(sites), keys, t, 1, buffers)[0].T * 2.0**-53
+                     for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
@@ -369,9 +374,10 @@ def test_cftp_stream_independent_of_active_set():
         assert np.array_equal(part, full[active])
     # a later start leaves the values unchanged too
     keys = _chain_keys(seed, np.arange(12))
+    buffers = _stream_buffers(sites, 8)
     for t in (8, 3, 1):
-        assert np.array_equal(_words(np.arange(sites), keys[4:], t)[0].T * 2.0**-53,
-                              full[4:, t - 1])
+        words = _words(np.arange(sites), keys[4:], t, 1, buffers)[0]
+        assert np.array_equal(words.T * 2.0**-53, full[4:, t - 1])
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(2, 4, 1, 1), TorusLattice(1, 13, 2, 1)])
@@ -381,16 +387,17 @@ def test_stream_time_blocks_in_row_order(lat):
     full = stream_block(seed, np.arange(5), range(1, 41), sites)
     order = _colour_classes(lat).order
     keys = _chain_keys(seed, np.arange(5))
+    buffers = _stream_buffers(sites, 5)
     assert _block(sites, 5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
     for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
-        block = _words(order, keys, start, count)
+        block = _words(order, keys, start, count, buffers)
         assert block.shape == (count, sites, 5) and block.dtype == np.uint64
         want = full[:, start - 1:start - 1 + count][:, :, order].transpose(1, 2, 0)
         assert np.array_equal(block * 2.0**-53, want)
-    # every call returns a fresh array, which a later call leaves as it was
-    first = _words(order, keys, 1, 2)
-    _words(order, keys, 3, 2)
-    assert np.array_equal(first * 2.0**-53, full[:, :2][:, :, order].transpose(1, 2, 0))
+    # every call writes its words into the buffer, which the next call overwrites
+    first = _words(order, keys, 1, 2, buffers)
+    _words(order, keys, 3, 2, buffers)
+    assert np.array_equal(first * 2.0**-53, full[:, 2:4][:, :, order].transpose(1, 2, 0))
 
 
 def assert_cells_uniform(cells):
@@ -565,7 +572,7 @@ def test_cftp_pooled_rounds_match_reference(pooled_reference, block_bytes, monke
 def test_cftp_sweep_count(pooled_reference, monkeypatch):
     widths = []
 
-    def counting_sweep(up, classes, thresholds, words, views=None):
+    def counting_sweep(up, classes, thresholds, words, views):
         widths.append(up.shape[-1])
         _sweep_heat_bath(up, classes, thresholds, words, views)
 
@@ -614,7 +621,7 @@ def test_flat_heat_bath_sweeps_only_at_record_times(monkeypatch):
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=3, seed=8)
     times, words = [], sampler._words
 
-    def recorded(order, keys, t, count=1, buffers=None):
+    def recorded(order, keys, t, count, buffers):
         times.extend(range(t, t + count))
         return words(order, keys, t, count, buffers)
 
@@ -684,6 +691,26 @@ def test_sample_batch_replica_layout():
     batch = sample_with_params(lat, ModelParams(-0.5, 0.0), spec, count=10, replicas=3)
     assert batch.replicas == 3
     assert batch.spins.shape == (10, 6)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis"])
+def test_replicas_past_count_run_count_chains(kind, monkeypatch):
+    # a chain beyond the sample count would keep no sample: 64 replicas for 10
+    # samples run 10 chains, and draw the rows of 10 replicas bit for bit
+    lat = TorusLattice(2, 4, 1, 1)
+    params = ModelParams(-0.3, 0.2)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=4, thinning_sweeps=2, seed=9)
+    want = sample_with_params(lat, params, spec, count=10, replicas=10).spins
+    chains, words = [], sampler._words
+
+    def recorded(order, keys, t, count, buffers):
+        chains.append(keys.size)
+        return words(order, keys, t, count, buffers)
+
+    monkeypatch.setattr(sampler, "_words", recorded)
+    batch = sample_with_params(lat, params, spec, count=10, replicas=64)
+    assert np.array_equal(batch.spins, want)
+    assert batch.replicas == 10 and set(chains) == {10}
 
 
 def test_cftp_sample_batch_kind():
