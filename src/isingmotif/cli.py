@@ -181,7 +181,7 @@ def _bounded(spec: _Key, value):
 
 def _value(spec: _Key, raw: str):
     """The key's raw text read as its type and checked against its lower bound."""
-    tokens = raw.split() if spec.type.many else [raw]
+    tokens = raw.split() if spec.type.many else [raw] if raw else []
     if not tokens:
         raise ParseError(f"[{spec.section}] {spec.key}: need at least one value")
     values = []
@@ -369,37 +369,33 @@ def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name:
     }
 
 
-def _law_source(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int):
-    """``[(motif, mode), ...] -> [CountDistribution, ...]`` at ``params``, from one
-    measure, or from one batch per call; either sums all the laws of a call in
-    one pass.  A sampler call keeps the counts of its samples, not the samples."""
+def _laws(config: RunConfig, lattice: TorusLattice, params: ModelParams, seed: int,
+          laws: list) -> list[CountDistribution]:
+    """The laws ``[(motif, mode), ...]`` at ``params``, summed in one pass over
+    one measure or one batch.  A batch keeps the counts of its samples, not
+    the samples, and a law that does not fit the lattice raises before any
+    sweep."""
     if config.engine == "exact":
         measure = build_exact(lattice, params, site_cap=config.site_cap)
-        return lambda laws: counting.count_laws_exact(measure, laws)
+        return counting.count_laws_exact(measure, laws)
+    for motif, mode in laws:
+        counting._site_tables(lattice, motif, mode)
+
+    def counts(spins):
+        out = np.empty((len(spins), len(laws)), dtype=np.int32)
+        for column, (motif, mode) in zip(out.T, laws):
+            column[:] = counting.count_samples(lattice, spins, motif, mode)
+        return out
+
     spec = SamplerSpec(
         kind=config.engine,
         burn_in_sweeps=config.burn_in_sweeps,
         thinning_sweeps=config.thinning_sweeps,
         seed=seed,
     )
-
-    def sampled(laws):
-        # the batch is counted block by block as it is drawn: a law that does
-        # not fit the lattice raises here, before any sweep
-        for motif, mode in laws:
-            counting._site_tables(lattice, motif, mode)
-
-        def counts(spins):
-            out = np.empty((len(spins), len(laws)), dtype=np.int32)
-            for column, (motif, mode) in zip(out.T, laws):
-                column[:] = counting.count_samples(lattice, spins, motif, mode)
-            return out
-
-        batch = sample_with_params(lattice, params, spec, config.samples,
-                                   replicas=config.replicas, each=counts)
-        return [CountDistribution.from_samples(column) for column in batch.spins.T]
-
-    return sampled
+    batch = sample_with_params(lattice, params, spec, config.samples,
+                               replicas=config.replicas, each=counts)
+    return [CountDistribution.from_samples(column) for column in batch.spins.T]
 
 
 #: The laws a target can read, each as a cell's (motif, mode).
@@ -422,46 +418,31 @@ class _Cell:
             self.field = FieldSchedule(config.c, motif.k, config.d).field(n)
             self.limit = analysis.poisson_limit(config.c, b, motif)
         self.seed = _derived_seed(config, n, motif, b)
-        self._laws: dict[str, CountDistribution | Exception] | None = None
+        # the cell's pass: its laws by (motif, mode), or what it raised
+        self._pass: dict[tuple, CountDistribution] | Exception | None = None
 
     def row(self, run_name: str, **values) -> dict:
         return _base_row(self.config, self.n, self.motif, self.b, run_name,
                          a=self.field, lambda_target=self.limit, **values)
 
     def law(self, name: str) -> CountDistribution:
-        """The law ``_LAWS[name]``.  The first call computes every law that the
-        run's targets read, from one measure that it then frees, or from one
-        batch of which it keeps only the counts."""
-        if self._laws is None:
-            params = ModelParams(self.field, self.b)
-            source = _law_source(self.config, self.lattice, params, self.seed)
+        """The law ``_LAWS[name]``.  The first call sums every distinct law that
+        the run's targets read in one pass, over one measure that it then frees
+        or one batch of which it keeps only the counts.  Should that pass
+        raise, its exception, kept without the frames that hold the measure,
+        is raised to every reader; the pass is not run again."""
+        if self._pass is None:
             read = {law for target in self.config.targets for law in _TARGETS[target].laws}
-            self._laws = _computed(source, {law: _LAWS[law](self) for law in sorted(read)})
-        law = self._laws[name]
-        if isinstance(law, Exception):
-            raise law
-        return law
-
-
-def _computed(source, wanted: dict) -> dict:
-    """``source`` of every distinct law in ``wanted``, in one call.  Should that
-    call raise, each law alone, so that a law that raises fails only its
-    readers; its exception is kept without the frames that hold the source.
-    A single law is called once, as a second call would repeat the first."""
-    laws = list(dict.fromkeys(wanted.values()))
-    found = {}
-    if len(laws) > 1:
-        try:
-            found = dict(zip(laws, source(laws)))
-        except Exception:
-            pass
-    for law in laws:
-        if law not in found:
+            laws = list(dict.fromkeys(_LAWS[law](self) for law in sorted(read)))
             try:
-                found[law] = source([law])[0]
+                params = ModelParams(self.field, self.b)
+                self._pass = dict(zip(laws, _laws(self.config, self.lattice, params,
+                                                  self.seed, laws)))
             except Exception as exc:
-                found[law] = exc.with_traceback(None)
-    return {name: found[law] for name, law in wanted.items()}
+                self._pass = exc.with_traceback(None)
+        if isinstance(self._pass, Exception):
+            raise self._pass
+        return self._pass[_LAWS[name](self)]
 
 
 def _expectation(cell: _Cell, name: str) -> list[dict]:
@@ -501,7 +482,7 @@ def _threshold_sweep(cell: _Cell, name: str) -> list[dict]:
     for suffix, super_side, salt in (("/sub", False, 0x5AB), ("/super", True, 0xD1F)):
         field = threshold_field(cell.n, config.d, cell.motif.k, config.epsilon, super_side)
         params, seed = ModelParams(field, cell.b), cell.seed ^ salt
-        law, = _law_source(config, cell.lattice, params, seed)([(cell.motif, config.mode)])
+        law, = _laws(config, cell.lattice, params, seed, [(cell.motif, config.mode)])
         rows.append(_base_row(config, cell.n, cell.motif, cell.b, name + suffix, a=field,
                               mean=law.mean, var=law.variance))
     return rows
@@ -567,7 +548,9 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
     """Execute the grid and write results.csv / results.json.
 
     Cells run one at a time on the calling thread, in canonical (n, motif, b)
-    order, so the exact caches hold the tables of one cell.
+    order, so the exact caches hold the tables of one cell.  A cell's targets
+    read the laws of one pass; if it raises, each of them writes its error
+    row, while threshold_sweep, whose sides have passes of their own, does not.
 
     Returns 0 when every cell succeeded, 1 when any cell recorded an error.
     Raises ValidationError for a ``jobs`` other than 1, as ``[run] jobs``

@@ -236,9 +236,10 @@ def test_laws_after_threshold_sweep_come_from_the_cell_pass(workdir, monkeypatch
     assert [fields.count(a) for a in cell_fields] == [1, 1]
 
 
-def test_a_failing_law_fails_only_its_readers(workdir, monkeypatch):
-    # the superset law raises: stein_chen, its only reader, writes an error
-    # row; the cell's other laws come from the same measure, built once
+def test_a_failing_cell_pass_fails_each_of_its_readers(workdir, monkeypatch):
+    # the superset law raises, so the cell's one pass raises: every target that
+    # reads the cell's laws writes that error, and the pass is not run again;
+    # the threshold_sweep sides sum the motif's law in passes of their own
     original = counting._count_blocks
 
     def failing(lattice, motif, mode):
@@ -247,14 +248,27 @@ def test_a_failing_law_fails_only_its_readers(workdir, monkeypatch):
         return original(lattice, motif, mode)
 
     monkeypatch.setattr(counting, "_count_blocks", failing)
+    passes, count_laws = [], counting.count_laws_exact
+
+    def recorded(measure, laws):
+        passes.append(len(laws))
+        return count_laws(measure, laws)
+
+    monkeypatch.setattr(counting, "count_laws_exact", recorded)
     fields = track_builds(monkeypatch)
-    text = MINIMAL + "\n[analysis]\ntargets = expectation stein_chen ring_check\n"
+    text = MINIMAL + "\n[analysis]\ntargets = expectation stein_chen ring_check threshold_sweep\n"
     assert run(parse_config(text, base_dir=workdir), out_dir=workdir / "out") == 1
     rows = read_rows(workdir / "out" / "results.csv")
-    errors = {row["run_id"].split("/")[0]: row["error"] for row in rows}
-    assert errors == {"expectation": "", "stein_chen": "FloatingPointError: superset law",
-                      "ring_check": ""}
-    assert len(fields) == len(set(fields)) == 2
+    errors = {(row["run_id"].rsplit("/", 3)[0], row["error"]) for row in rows}
+    fails = "FloatingPointError: superset law"
+    assert len(rows) == 2 * 5 and errors == {
+        ("expectation", fails), ("stein_chen", fails), ("ring_check", fails),
+        ("threshold_sweep/sub", ""), ("threshold_sweep/super", ""),
+    }
+    # per cell: its field once, then each side's; one pass of the cell's 3 laws
+    # and one of each side's law
+    assert len(fields) == len(set(fields)) == 2 * 3
+    assert passes == [3, 1, 1] * 2
 
 
 @pytest.mark.slow
@@ -407,7 +421,7 @@ def test_streamed_counts_equal_stored_counts(workdir, monkeypatch, kind):
     monkeypatch.setattr(cli, "sample_with_params", recorded)
     config, lattice = sampler_config(workdir, kind, 200), TorusLattice(1, 8, 1, 1)
     laws = [(config.motifs[0], mode) for mode in counting.MODES]
-    found = cli._law_source(config, lattice, ModelParams(-0.5, 0.4), 9)(laws)
+    found = cli._laws(config, lattice, ModelParams(-0.5, 0.4), 9, laws)
     runner_records = list(records)
     (args, kwargs), = calls
     counts = draw(*args, **kwargs).spins
@@ -429,7 +443,7 @@ def test_streamed_counts_equal_stored_counts(workdir, monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
 def test_sampler_law_source_keeps_counts_not_samples(workdir, kind):
     # d=2, n=8: a stored sample is 64 bytes, its count 4.  From 10^4 to 10^5
-    # samples the source's peak grows by the 4 bytes of each count and at
+    # samples one pass's peak grows by the 4 bytes of each count and at
     # most a quarter more, where stored samples would add 16 times that
     d2 = files("isingmotif") / "data" / "single_plus_d2.motif"
     (workdir / "single_plus_d2.motif").write_text(d2.read_text(encoding="utf-8"))
@@ -442,8 +456,8 @@ def test_sampler_law_source_keeps_counts_not_samples(workdir, kind):
         config = parse_config(text, base_dir=workdir)
         tracemalloc.start()
         try:
-            source = cli._law_source(config, lattice, ModelParams(-2.0, 0.25), 3)
-            law, = source([(config.motifs[0], config.mode)])
+            law, = cli._laws(config, lattice, ModelParams(-2.0, 0.25), 3,
+                             [(config.motifs[0], config.mode)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -709,6 +723,8 @@ def test_target_named_twice_rejected(workdir):
     ("files = single.motif", "files = absent.motif", ParseError, "absent.motif"),
     ("kind = exact", "kind = gibbs", ValidationError, "gibbs"),
     ("kind = exact", "kind = exact\n[analysis]\nmode = fuzzy_match", ValidationError, "fuzzy_match"),
+    # an empty dir wrote the results into the working directory
+    ("kind = exact", "kind = exact\n[output]\ndir =", ParseError, "[output] dir"),
 ])
 def test_bad_section_file_or_choice_rejected(workdir, old, new, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
