@@ -554,10 +554,12 @@ def run(config: RunConfig, jobs: int | None = None, out_dir: str | None = None) 
 
     Returns 0 when every cell succeeded, 1 when any cell recorded an error.
     Raises ValidationError for a ``jobs`` other than 1, as ``[run] jobs``
-    would.
+    would, and for an empty ``out_dir``, which would name the working directory.
     """
     if jobs is not None:
         _one_job(jobs)
+    if out_dir == "":
+        raise ValidationError("--out: must name a directory, got ''")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

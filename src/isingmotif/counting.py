@@ -38,12 +38,13 @@ def _check_mode(mode: str) -> None:
 
 @lru_cache(maxsize=None)  # mcmc_grid, cftp_grid: every b on a lattice reuses it
 def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
-    """The offsets each site's match inspects, and the spin each must carry.
+    """The sites each site's match reads, and the spin each must carry.
 
-    Returns (offsets, want) with shapes (m, d) and (m,): the rows of
-    ``offsets`` are the positives, then, in exact mode only, the rest of the
-    ball; ``want`` holds the matching +1 / -1 spins.  The match at x inspects
-    the sites x + offsets.  Every counter reads this table.
+    Returns (index, want) with shapes (m, n^d) and (m,): column j of the match
+    at site x reads the wrapped site ``index[j, x]``, x + offset_j on the
+    torus, and wants the spin ``want[j]``.  The offsets are the positives,
+    then, in exact mode only, the rest of the ball.  Every counter reads this
+    table.
 
     Raises:
         ValueError: unknown mode.
@@ -54,20 +55,11 @@ def _site_tables(lattice: TorusLattice, motif: LocalConfig, mode: str):
     plus = sorted(motif.positives)
     rest = sorted(set(motif.ball_sites) - motif.positives) if mode == EXACT_MATCH else []
     offsets = np.array(plus + rest, dtype=np.int64).reshape(-1, lattice.d)
-    want = np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
-    return read_only(offsets), read_only(want)
-
-
-def _site_words(lattice: TorusLattice, motif: LocalConfig, mode: str):
-    """``_site_tables`` as bitmask words: a mask matches at x iff mask & care[x] == plus[x]."""
-    offsets, want = _site_tables(lattice, motif, mode)
     shape = (lattice.n,) * lattice.d
-    sites = np.indices(shape).reshape(lattice.d, -1, 1)  # site index order is row-major
-    idx = np.ravel_multi_index(tuple(sites + offsets.T[:, None, :]), shape, mode="wrap")
-    word = exact.mask_word(lattice.num_sites)
-    bits = np.left_shift(word(1), idx.astype(word))
-    care = np.bitwise_or.reduce(bits, axis=1)
-    return care, np.bitwise_or.reduce(bits[:, want == 1], axis=1)
+    sites = np.indices(shape).reshape(lattice.d, 1, lattice.num_sites)  # row-major site order
+    index = np.ravel_multi_index(tuple(sites + offsets.T[:, :, None]), shape, mode="wrap")
+    want = np.array([1] * len(plus) + [-1] * len(rest), dtype=np.int8)
+    return read_only(index), read_only(want)
 
 
 def indicator(cfg: SpinConfig, x: Vertex, motif: LocalConfig, mode: str) -> int:
@@ -102,47 +94,35 @@ def count_samples(
     """Counts for a whole (num_samples, n^d) matrix of +1 / -1 configurations.
 
     Works through the samples in chunks of about ``_SAMPLE_CHUNK_BYTES``.  Each
-    chunk is copied once into an int8 sites-major buffer of shape
-    (n + 2R, ..., n + 2R, chunk), R the largest offset component of the
-    pattern, whose border is filled by wrap-around one axis at a time (so the
-    corners too).  A pattern column with offset o is then the slice
-    [R + o_1 : R + o_1 + n, ...] of that buffer; the columns, signed by the
-    wanted spin, add up in an accumulator, and a site matches where the sum is
-    the number of columns.
+    chunk is made an int8 sites-major (n^d, chunk) block, without a copy when
+    the rows are the transpose of such a block, as the samplers' are.  Row x of
+    the gather ``block.take(index[j], axis=0)`` holds the spins that column j
+    of the ``_site_tables`` match at x reads; the gathers, signed by the wanted
+    spin, add up in an accumulator, and a site matches where the sum is the
+    number of columns.
 
     Raises:
         ValueError: ``spins`` is not 2-D with n^d columns, or holds an entry
             other than +1 and -1; or an unknown mode.
         SignatureMismatch, LatticeTooSmall: motif and lattice do not fit.
     """
-    offsets, want = _site_tables(lattice, motif, mode)
+    index, want = _site_tables(lattice, motif, mode)
     spins = np.asarray(spins)
     if spins.ndim != 2 or spins.shape[1] != lattice.num_sites:
         raise ValueError(
             f"spins must have shape (samples, {lattice.num_sites}), got {spins.shape}"
         )
-    n, d, columns = lattice.n, lattice.d, len(want)
-    halo = int(np.abs(offsets).max(initial=0))  # below n / 2, as n > 2 * rho * radius
+    columns = len(want)
     step = max(1, min(len(spins), _SAMPLE_CHUNK_BYTES // lattice.num_sites))
-    pad = np.empty((n + 2 * halo,) * d + (step,), dtype=np.int8)
-    acc = np.empty((n,) * d + (step,), dtype=np.int8 if columns <= 127 else np.int16)
-    windows = [tuple(slice(halo + o, halo + o + n) for o in off) for off in offsets]
-    core = (slice(halo, halo + n),) * d
+    acc = np.empty((lattice.num_sites, step), dtype=np.int8 if columns <= 127 else np.int16)
     totals = np.empty(len(spins), dtype=np.int64)
     for start in range(0, len(spins), step):
-        block = as_spins(spins[start:start + step])
-        k = len(block)
-        part, total = pad[..., :k], acc[..., :k]
-        part[core] = np.moveaxis(block.reshape((k,) + (n,) * d), 0, -1)
-        for axis in range(d):
-            lead = (slice(None),) * axis
-            part[lead + (slice(0, halo),)] = part[lead + (slice(n, n + halo),)]
-            part[lead + (slice(n + halo, None),)] = part[lead + (slice(halo, 2 * halo),)]
+        block = np.ascontiguousarray(as_spins(spins[start:start + step]).T)
+        total = acc[:, :block.shape[1]]
         total.fill(0)
-        for window, spin in zip(windows, want):
-            (np.add if spin == 1 else np.subtract)(total, part[window], out=total)
-        hits = (total == columns).reshape(lattice.num_sites, k)
-        totals[start:start + k] = hits.sum(axis=0, dtype=np.int32)
+        for sites, spin in zip(index, want):
+            (np.add if spin == 1 else np.subtract)(total, block.take(sites, axis=0), out=total)
+        totals[start:start + block.shape[1]] = (total == columns).sum(axis=0, dtype=np.int32)
     return totals
 
 
@@ -150,11 +130,17 @@ def _count_blocks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> exact
     """The count of every configuration bitmask, one uint8 block at a time.
 
     The blocks of ``exact.PatternBlocks`` whose patterns are the sites' match
-    words, each of weight 1.  The arguments are checked at the call, before
-    any block is made.
+    words, each of weight 1: a mask matches at x iff mask & care[x] ==
+    plus[x], where care[x] has the bits of the sites ``_site_tables`` reads
+    at x, and plus[x] those of them that want +1.  The arguments are checked
+    at the call, before any block is made.
     """
-    care, plus = _site_words(lattice, motif, mode)
+    index, want = _site_tables(lattice, motif, mode)
     sites = lattice.num_sites
+    word = exact.mask_word(sites)
+    bits = np.left_shift(word(1), index.astype(word))
+    care = np.bitwise_or.reduce(bits, axis=0)
+    plus = np.bitwise_or.reduce(bits[want == 1], axis=0)
     return exact.PatternBlocks(sites, exact.mask_block(sites), care, plus, 1, np.uint8)
 
 

@@ -105,9 +105,6 @@ _STREAM_BLOCK_BYTES = 1 << 18
 #: Bytes of int8 spins in one block of recorded samples (rows x sites).
 _SAMPLE_BLOCK_BYTES = 1 << 16
 
-#: Draws whose chain keys ``cftp_batch`` makes at once (64 KiB of uint64 keys).
-_KEY_DRAWS = 1 << 13
-
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -418,33 +415,25 @@ def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: 
     scratch = _Scratch.of(layout.classes, 2 * draw_chunk)
     stack = np.empty(sites * 2 * draw_chunk, dtype=np.uint8)
 
-    # draws are indexed and keyed a window of whole chunks at a time, so that no
-    # array grows with the number of draws but the few left pending
-    window = draw_chunk * max(1, _KEY_DRAWS // draw_chunk)
-
-    def run_round(windows, horizon: int, left: list):
-        """Sweep the draws of ``windows``, arrays of at most ``window`` draw
+    def run_round(chunks, horizon: int, left: list):
+        """Sweep the draws of ``chunks``, arrays of at most ``draw_chunk`` draw
         indices, from time -horizon; yield the coalesced, append the rest to ``left``."""
-        for part in windows:
-            part_keys = _chain_keys(seed, part)
-            for start in range(0, part.size, draw_chunk):
-                active = part[start:start + draw_chunk]
-                active_keys = part_keys[start:start + draw_chunk]
-                chains = _view(stack, (sites, 2, active.size))
-                chains[:, 0] = 1
-                chains[:, 1] = 0
-                views = scratch.views(layout.classes, chains.shape)
-                step = _block(sites, active.size)
-                for top in range(horizon, 0, -step):
-                    low = max(top - step + 1, 1)
-                    block = _words(layout.order, active_keys, low, top - low + 1, stream)
-                    for words in block[::-1]:
-                        _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None],
-                                         views)
-                done = (chains[:, 0] == chains[:, 1]).all(axis=0)
-                left.append(active[~done])
-                if done.any():
-                    yield active[done], chains[:, 0, done]
+        for active in chunks:
+            active_keys = _chain_keys(seed, active)
+            chains = _view(stack, (sites, 2, active.size))
+            chains[:, 0] = 1
+            chains[:, 1] = 0
+            views = scratch.views(layout.classes, chains.shape)
+            step = _block(sites, active.size)
+            for top in range(horizon, 0, -step):
+                low = max(top - step + 1, 1)
+                block = _words(layout.order, active_keys, low, top - low + 1, stream)
+                for words in block[::-1]:
+                    _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None], views)
+            done = (chains[:, 0] == chains[:, 1]).all(axis=0)
+            left.append(active[~done])
+            if done.any():
+                yield active[done], chains[:, 0, done]
 
     pilot = min(draw_chunk, count)
     pending, rest = np.arange(pilot), range(pilot, count)
@@ -456,11 +445,13 @@ def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: 
                 f" back, the limit of {_READ_LIMIT} neighbor reads per chain"
             )
         left = []
-        yield from run_round((pending[i:i + window] for i in range(0, pending.size, window)),
-                             horizon, left)
+        yield from run_round((pending[i:i + draw_chunk]
+                              for i in range(0, pending.size, draw_chunk)), horizon, left)
         if rest and 2 * sum(map(len, left)) <= pilot:
-            yield from run_round((np.arange(i, min(i + window, count)) for i in rest[::window]),
-                                 horizon, left)
+            # the draws not yet swept are indexed and keyed a chunk at a time, so that
+            # no array grows with the number of draws but the few left pending
+            yield from run_round((np.arange(i, min(i + draw_chunk, count))
+                                  for i in rest[::draw_chunk]), horizon, left)
             rest = rest[:0]
         pending = np.concatenate(left)
         horizon *= 2

@@ -753,6 +753,18 @@ def test_jobs_other_than_one_rejected(workdir, capsys, jobs):
     assert not (workdir / "out").exists()
 
 
+def test_empty_out_rejected(workdir, capsys, monkeypatch):
+    # an empty --out named the working directory, where the results were written
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(MINIMAL)
+    cwd = workdir / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(cfg_path), "--out", ""]) == 2
+    assert capsys.readouterr().err == "ValidationError: --out: must name a directory, got ''\n"
+    assert list(cwd.iterdir()) == []
+
+
 def test_missing_key_report_does_not_depend_on_hash_seed(workdir):
     cfg_path = workdir / "run.ini"
     cfg_path.write_text(MINIMAL.replace("d = 1\n", "").replace("n_list = 6 8\n", ""))

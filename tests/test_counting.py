@@ -171,11 +171,11 @@ def all_mask_counts(lattice, motif, mode):
 
 def split_sizes(lattice, motif, mode, chunk):
     """Sites whose match reads only the low bits of a chunk, only the high bits, both."""
-    care, _ = counting._site_words(lattice, motif, mode)
-    low_bits = (1 << min(chunk.bit_length() - 1, lattice.num_sites)) - 1
-    low = [int(c) & ~low_bits == 0 for c in care]
-    high = [not lo and int(c) & low_bits == 0 for lo, c in zip(low, care)]
-    return sum(low), sum(high), len(care) - sum(low) - sum(high)
+    index, _ = counting._site_tables(lattice, motif, mode)
+    low_bits = min(chunk.bit_length() - 1, lattice.num_sites)
+    low = [all(index[:, x] < low_bits) for x in range(lattice.num_sites)]
+    high = [all(index[:, x] >= low_bits) and not lo for x, lo in enumerate(low)]
+    return sum(low), sum(high), lattice.num_sites - sum(low) - sum(high)
 
 
 SPLIT_CASES = [
@@ -351,7 +351,8 @@ def test_count_samples_matches_scalar():
 
 
 CORNER_CASE = (
-    # offsets reach the corners of the halo: R = rho * radius = 4 on n = 9
+    # offsets reach four sites from x along both axes (rho * radius = 4 on n = 9), so
+    # the table's columns wrap along either axis and along both at once
     TorusLattice(2, 9, 2, INFINITY),
     LocalConfig(2, frozenset({(0, 0), (4, -4), (-4, 4), (-3, -4)}), (2, 2, INFINITY)),
 )
@@ -362,11 +363,14 @@ CORNER_CASE = (
     (TorusLattice(2, 5, 1, 1), bundled_motif("single_plus_d2.motif")),
     (TorusLattice(1, 11, 2, 1), LocalConfig(1, frozenset({(0,), (1,)}), (1, 2, 1))),
     (TorusLattice(2, 7, 1, INFINITY), bundled_motif("blob_k10.motif")),
-    # d=3: the halo is filled along three axes in turn
+    # d=3: the table's columns wrap along three axes
     (TorusLattice(3, 4, 1, 1), single_positive(1, (3, 1, 1))),
-    # the null motif: R = 1 in exact mode, and no offsets at all in superset mode
+    # the null motif: the ball's 5 columns in exact mode, and no column in superset mode
     (TorusLattice(2, 5, 1, 1), null_config(1, D2)),
     CORNER_CASE,
+    # 169 columns in exact mode: the int16 accumulator
+    (TorusLattice(2, 13, 1, INFINITY),
+     LocalConfig(6, frozenset({(0, 0), (1, 1)}), (2, 1, INFINITY))),
 ])
 @pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
 def test_count_samples_matches_count_and_indicator(lattice, motif, mode, monkeypatch):
@@ -385,6 +389,23 @@ def test_count_samples_matches_count_and_indicator(lattice, motif, mode, monkeyp
         assert value == count(cfg, motif, mode)
         assert value == sum(indicator(cfg, x, motif, mode) for x in lattice.vertices())
     assert got.any()
+
+
+@pytest.mark.parametrize("lattice,motif,mode", [
+    CORNER_CASE + (EXACT_MATCH,),
+    (TorusLattice(3, 4, 1, 1), single_positive(1, (3, 1, 1)), EXACT_MATCH),
+    (TorusLattice(2, 5, 1, 1), null_config(1, D2), SUPERSET_MATCH),
+], ids=["corner", "d3", "null-superset"])
+def test_site_table_reads_the_wrapped_site_of_each_offset(lattice, motif, mode):
+    index, want = counting._site_tables(lattice, motif, mode)
+    plus = sorted(motif.positives)
+    rest = sorted(set(motif.ball_sites) - motif.positives) if mode == EXACT_MATCH else []
+    assert index.shape == (len(plus) + len(rest), lattice.num_sites)
+    assert want.tolist() == [1] * len(plus) + [-1] * len(rest)
+    for j, offset in enumerate(plus + rest):
+        for x in range(lattice.num_sites):
+            site = lattice.site_index(lattice.add(lattice.vertex_at(x), offset))
+            assert index[j, x] == site
 
 
 def test_count_samples_accepts_any_layout_and_integer_width():
@@ -462,7 +483,7 @@ def test_spins_other_than_plus_minus_one_are_rejected(entry, spins):
 
 
 def test_count_samples_working_set_is_bounded():
-    # the int8 halo buffer, the accumulator and the per-chunk temporaries stay
+    # the sites-major int8 block, the accumulator and each column's 128 KiB row gather stay
     # well below the 3 MiB that a per-column gather of 1 MiB chunks reaches
     lattice = TorusLattice(2, 16, 1, 1)
     motif = bundled_motif("single_plus_d2.motif")
