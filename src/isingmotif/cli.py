@@ -113,6 +113,7 @@ class _Key(NamedTuple):
     required: bool = False
     engines: tuple[str, ...] = ENGINE_KINDS  # the engines it is echoed for
     lower: float | None = None
+    upper: int | None = None
 
 
 _SAMPLERS = ("heat_bath", "metropolis", "cftp")
@@ -138,7 +139,8 @@ _KEYS = (
     _Key("analysis", "epsilon", "epsilon", _REAL, "0.5", lower=0),
     _Key("analysis", "mode", "mode", _TEXT, counting.EXACT_MATCH),
     _Key("output", "dir", "out_dir", _TEXT, "results"),
-    _Key("run", "seed", "seed", _INT, "0"),
+    # a cell's seed reads the run seed as 64 bits
+    _Key("run", "seed", "seed", _INT, "0", lower=0, upper=(1 << 64) - 1),
     _Key("run", "jobs", "jobs", _INT, "1", engines=()),  # 1 is its only value
 )
 _BY_NAME = {(spec.section, spec.key): spec for spec in _KEYS}
@@ -169,18 +171,22 @@ RunConfig = make_dataclass(
 
 
 def _bounded(spec: _Key, value):
-    """``value``, unless it is below the key's lower bound."""
-    strict, low = spec.type.strict, spec.lower
+    """``value``, unless it is below the key's lower bound or above its upper one."""
+    strict, low, high = spec.type.strict, spec.lower, spec.upper
     if low is not None and (value <= low if strict else value < low):
         raise ValidationError(
             f"[{spec.section}] {spec.key}: must be {'>' if strict else '>='} {low}, "
             f"got {spec.type.show(value)}"
         )
+    if high is not None and value > high:
+        raise ValidationError(
+            f"[{spec.section}] {spec.key}: must be <= {high}, got {spec.type.show(value)}"
+        )
     return value
 
 
 def _value(spec: _Key, raw: str):
-    """The key's raw text read as its type and checked against its lower bound."""
+    """The key's raw text read as its type and checked against its bounds."""
     tokens = raw.split() if spec.type.many else [raw] if raw else []
     if not tokens:
         raise ParseError(f"[{spec.section}] {spec.key}: need at least one value")
@@ -342,9 +348,46 @@ def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
+_M32 = 0xFFFFFFFF
+
+
 def _derived_seed(config: RunConfig, n: int, motif: LocalConfig, b: float) -> int:
-    entropy = [config.seed & ((1 << 64) - 1), n, int(motif.motif_hash, 16), _float_bits(b)]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    """The cell's seed, ``np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]``
+    computed in plain integers, so a run never loads ``numpy.random``.
+
+    The entropy is the run seed, n, the motif hash and the bits of b, each split into
+    little-endian 32-bit words (0 into one zero word).  They are hashed into a pool of
+    4 words, and two words drawn from the pool are joined low word first.
+    """
+    words = [value >> shift & _M32
+             for value in (config.seed, n, int(motif.motif_hash, 16), _float_bits(b))
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]  # four values make at least four words
+    for src, dst in product(range(4), repeat=2):
+        if src != dst:
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = 0x8B51F9DD, 0
+    for i in range(2):
+        value = pool[i] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        state |= (value ^ value >> 16) << 32 * i
+    return state
 
 
 def _base_row(config: RunConfig, n: int, motif: LocalConfig, b: float, run_name: str,

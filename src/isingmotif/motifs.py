@@ -9,8 +9,9 @@ because the perimeter depends on the per-vertex neighbor count.
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FamilyTooLarge, MotifFileError, SignatureMismatch
 from .lattice import (
@@ -41,6 +42,57 @@ def family_size(sites: int, what: str) -> int:
     if total > DEFAULT_FAMILY_CAP:
         raise FamilyTooLarge(f"{what} has 2^{sites} members, cap is {DEFAULT_FAMILY_CAP}")
     return total
+
+
+# -- SHA-256 (FIPS 180-4), in plain integers: hashlib would load OpenSSL ------------
+
+_M32 = 0xFFFFFFFF
+_PRIMES = [p for p in range(2, 312) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+# the first 32 bits of the fractional parts of the square roots of the first 8 primes
+# and of the cube roots of the first 64 (sections 5.3.3 and 4.2.2)
+_H0 = tuple(math.isqrt(p << 64) & _M32 for p in _PRIMES[:8])
+
+
+def _icbrt(x: int) -> int:
+    r = round(x ** (1 / 3))
+    while r**3 > x:
+        r -= 1
+    while (r + 1) ** 3 <= x:
+        r += 1
+    return r
+
+
+_K = tuple(_icbrt(p << 96) & _M32 for p in _PRIMES)
+
+
+def _rotr(x: int, s: int) -> int:
+    return (x >> s | x << (32 - s)) & _M32
+
+
+def _sha256(data: bytes) -> bytes:
+    """The SHA-256 digest of ``data``, equal to ``hashlib.sha256(data).digest()``."""
+    size = len(data)
+    data += b"\x80" + bytes((55 - size) % 64) + (8 * size).to_bytes(8, "big")
+    state = _H0
+    for start in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M32)
+        a, b, c, d, e, f, g, h = state
+        for t in range(64):
+            t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + (e & f ^ ~e & g)
+                  + _K[t] + w[t])
+            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, h = (t1 + t2) & _M32, a, b, c, (d + t1) & _M32, e, f, g
+        state = tuple((x + y) & _M32 for x, y in zip(state, (a, b, c, d, e, f, g, h)))
+    return b"".join(x.to_bytes(4, "big") for x in state)
+
+
+@lru_cache(maxsize=None)  # exact_grid, mcmc_grid, cftp_grid: each row reads the hash twice
+def _short_hash(text: str) -> str:
+    return _sha256(text.encode()).hex()[:12]
 
 
 @dataclass(frozen=True)
@@ -154,7 +206,7 @@ class LocalConfig:
     @property
     def motif_hash(self) -> str:
         """Stable short hash of the canonical text (n_hint excluded)."""
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
+        return _short_hash(self.canonical_text())
 
     def __repr__(self) -> str:
         d, rho, p = self.signature

@@ -71,7 +71,7 @@ next block overwrites, restores site order and -1/+1 spins once per block,
 which stays sites-major, and stores the block, or what ``each`` makes of it,
 at its batch rows.  So a sampler cell's memory does not grow with its sample
 count beyond what ``each`` keeps: heat-bath at d=2, n=64, b=0.25 with 10**5
-samples on 64 replicas, counted by the runner, peaks at 45 MB resident.  The
+samples on 64 replicas, counted by the runner, peaks at 40 MB resident.  The
 golden runs in tests/data pin every sample bit of the three kernels.
 """
 

@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -90,21 +92,26 @@ def test_tv_exact_law_vs_poisson_sup_oracle():
     assert 0.0 <= got <= 1.0
 
 
-# the log-domain recursion adds lam * 1e-16 of drift per step up to the mode
+POISSON_LAMS = (1e-3, 0.5, 3.2, 50.0, 1e4, 1e9)
+GAPPED_PMFS = (
+    {0: 0.5, 3: 0.25, 7: 0.25},
+    {1: 0.125, 40: 0.375, 60: 0.5},
+    {2: 0.25, 300: 0.25, 900: 0.5},
+    {2: 0.25, 9_000: 0.25, 10_000: 0.25, 20_000: 0.25},
+)
+
+# scipy's pmf is exp(k log lam - lgamma(k + 1) - lam), which rounds at the scale
+# of k log lam: against 40-digit masses it is off by 1.4e-11 in L1 through the
+# mode of Poisson(1e4), where pmf_upto is off by 1e-16
 MODE_DRIFT = pytest.mark.xfail(
-    strict=True, reason="the pmf recursion drifts by 1e-11 in L1 through a mode at 1e4"
+    strict=True, reason="scipy's pmf drifts by 1.4e-11 in L1 through a mode at 1e4"
 )
 
 
 @pytest.mark.parametrize("lam, pmf", [
     pytest.param(lam, pmf, marks=[MODE_DRIFT] if lam == 1e4 and max(pmf) > lam else [])
-    for lam in (1e-3, 0.5, 3.2, 50.0, 1e4, 1e9)
-    for pmf in (
-        {0: 0.5, 3: 0.25, 7: 0.25},
-        {1: 0.125, 40: 0.375, 60: 0.5},
-        {2: 0.25, 300: 0.25, 900: 0.5},
-        {2: 0.25, 9_000: 0.25, 10_000: 0.25, 20_000: 0.25},
-    )
+    for lam in POISSON_LAMS
+    for pmf in GAPPED_PMFS
 ])
 def test_tv_to_poisson_matches_scipy(lam, pmf):
     # supports with gaps, most of them running past lam; every Poisson mass
@@ -115,6 +122,34 @@ def test_tv_to_poisson_matches_scipy(lam, pmf):
     want = 0.5 * (np.abs([law.pmf(i) for i in k] - stats.poisson.pmf(k, lam)).sum()
                   + stats.poisson.sf(kmax, lam))
     assert tv_distance(law, PoissonTarget(lam)) == pytest.approx(want, abs=1e-12)
+
+
+def poisson_masses_40_digits(lam, kmax):
+    """Masses of 0..kmax by p_k = p_{k-1} lam / k in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin = 40, decimal.MIN_EMIN
+        lam = Decimal(lam)
+        masses = [(-lam).exp()]
+        for k in range(1, kmax + 1):
+            masses.append(masses[-1] * lam / k)
+        return masses
+
+
+@pytest.mark.parametrize("lam", POISSON_LAMS)
+def test_poisson_masses_and_tv_match_a_40_digit_reference(lam):
+    # each mass is computed on its own, so none drifts with k or lam: a
+    # log-domain recursion drifted by 2e-11 in L1 through the mode of Poisson(1e4)
+    want = poisson_masses_40_digits(lam, 20_000)
+    got = PoissonTarget(lam).pmf_upto(20_000)
+    assert math.fsum(abs(float(Decimal(g) - w)) for g, w in zip(got, want)) < 2e-15
+    for pmf in GAPPED_PMFS:
+        law = CountDistribution(pmf)
+        kmax = max(law.support)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            tail = 1 - sum(want[:kmax + 1])
+            l1 = sum(abs(Decimal(law.pmf(k)) - want[k]) for k in range(kmax + 1)) + tail
+        assert tv_distance(law, PoissonTarget(lam)) == pytest.approx(float(l1 / 2), abs=2e-15)
 
 
 def test_tv_to_huge_poisson_reads_only_the_support():

@@ -2,6 +2,7 @@ import configparser
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import tracemalloc
 import weakref
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -794,8 +796,21 @@ sys.exit(f"scipy modules loaded: {leaked}" if leaked else 0)
 """
 
 
-def test_runtime_loads_no_scipy(workdir):
-    # numpy is the only runtime dependency: scipy is for the tests alone
+# numpy 1.x imports numpy.random, and with it hashlib, on ``import numpy``; there
+# nothing is newly loaded and the check passes trivially
+FOOTPRINT_SCRIPT = """\
+import sys
+import numpy
+before = set(sys.modules)
+import isingmotif.cli
+for name in ("exact.ini", "cftp.ini"):
+    assert isingmotif.cli.main(["run", name, "--out", name + ".out"]) == 0
+loaded = sorted({"numpy.random", "secrets", "hashlib", "_hashlib"} & (set(sys.modules) - before))
+sys.exit(f"loaded by the run: {loaded}" if loaded else 0)
+"""
+
+
+def run_exact_and_cftp_in_subprocess(workdir, script):
     (workdir / "exact.ini").write_text(
         MINIMAL + "\n[analysis]\ntargets = " + " ".join(TARGETS) + "\n"
     )
@@ -807,12 +822,51 @@ def test_runtime_loads_no_scipy(workdir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        [sys.executable, "-c", script],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert read_rows(workdir / "exact.ini.out" / "results.csv")
     assert read_rows(workdir / "cftp.ini.out" / "results.csv")
+
+
+def test_runtime_loads_no_scipy(workdir):
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    run_exact_and_cftp_in_subprocess(workdir, NO_SCIPY_SCRIPT)
+
+
+def test_run_loads_neither_numpy_random_nor_openssl(workdir):
+    # cell seeds and motif hashes are computed in plain integers, so a run
+    # loads neither numpy.random (and secrets) nor hashlib (and OpenSSL)
+    run_exact_and_cftp_in_subprocess(workdir, FOOTPRINT_SCRIPT)
+
+
+def test_derived_seed_matches_numpy_seed_sequence():
+    # zero words (seed 0, hash 0, b = 0.0 and the low word of -0.0), seeds near
+    # 2^64, and entropies of 4 to 7 words, so the pool takes extra words too
+    rng = random.Random(11)
+    specials = [0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    for i in range(10_000):
+        seed = specials[i % len(specials)] if i % 2 else rng.getrandbits(rng.choice([8, 32, 64]))
+        n = rng.choice([1, 2, 64, rng.getrandbits(31) + 1])
+        motif_hash = rng.choice(["000000000000", "00000000ffff", f"{rng.getrandbits(48):012x}"])
+        b = rng.choice([0.0, -0.0, 0.25, -0.3, rng.uniform(-2.0, 2.0)])
+        entropy = [seed, n, int(motif_hash, 16), cli._float_bits(b)]
+        want = np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
+        motif = SimpleNamespace(motif_hash=motif_hash)
+        got = cli._derived_seed(SimpleNamespace(seed=seed), n, motif, b)
+        assert got == int(want), entropy
+    assert cli._float_bits(-0.0) == 1 << 63 and cli._float_bits(0.0) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64) - 1])
+def test_seed_outside_64_bits_rejected(workdir, seed):
+    # a cell's seed reads the run seed as 64 bits: -1 wrote the rows of 2^64 - 1,
+    # while each row recorded its own seed
+    with pytest.raises(ValidationError, match=re.escape("[run] seed")):
+        parse_config(MINIMAL + f"\n[run]\nseed = {seed}\n", base_dir=workdir)
+    for ok in (0, (1 << 64) - 1):
+        assert parse_config(MINIMAL + f"\n[run]\nseed = {ok}\n", base_dir=workdir).seed == ok
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"

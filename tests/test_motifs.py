@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from isingmotif import INFINITY, LocalConfig, TorusLattice
 from isingmotif.errors import FamilyTooLarge, MotifFileError
 from isingmotif.motifs import (
+    _sha256,
     bundled_motif,
     enumerate_superset_family,
     load_motif,
@@ -174,6 +178,21 @@ def test_motif_hash_stable_and_order_free():
     b = LocalConfig(1, frozenset({(1, 0), (0, 0)}), D2)
     assert a.motif_hash == b.motif_hash
     assert a.motif_hash != single_positive(1, D2).motif_hash
+
+
+def test_sha256_matches_hashlib():
+    # lengths 0..200 cross the padding edges at 55, 56 and 64 bytes (mod 64)
+    rng = random.Random(7)
+    for size in range(201):
+        data = rng.randbytes(size)
+        assert _sha256(data) == hashlib.sha256(data).digest(), size
+    names = sorted(p.name for p in (files("isingmotif") / "data").iterdir()
+                   if p.name.endswith(".motif"))
+    assert len(names) == 4
+    for motif in [bundled_motif(name) for name in names] + [null_config(2, D2)]:
+        text = motif.canonical_text().encode()
+        assert _sha256(text) == hashlib.sha256(text).digest()
+        assert motif.motif_hash == hashlib.sha256(text).hexdigest()[:12]
 
 
 def test_rho_two_ball_membership():

@@ -40,11 +40,12 @@ TRACER_BINDS = {
 # workload; a new cache names the workload that hits it on its decorator line.
 # The exact caches keep the tables of one cell, since cells run in
 # (n, motif, b) order on one thread: its lattice's enumeration only, as every
-# count law streams its counts from the pattern tables.
+# count law streams its counts from the pattern tables. The motif hash is
+# computed once per distinct canonical text: every workload's rows read it twice.
 CACHES = {
     "counting._site_tables": None, "exact._energy_levels": 1,
     "lattice._ball_offsets": None, "lattice.neighbor_offsets": None,
-    "sampler._colour_classes": None,
+    "motifs._short_hash": None, "sampler._colour_classes": None,
 }
 
 
