@@ -4,7 +4,10 @@ Reads a sectioned key=value run configuration, sweeps the (n, motif, b) grid
 with the requested engine, and writes one row per (n, motif, b, target) cell
 to CSV and JSON result files.  Reruns with the same seed are byte-identical
 except for the wall_time_ms column.  Cells run one at a time on the
-calling thread, and rows are written in canonical sorted order.
+calling thread.  Rows follow ``n_list``, which validation keeps increasing,
+then ``files``, ``b_list`` and ``targets`` in the order the configuration
+writes them: with ``b_list = 0.4 0.0`` the b = 0.4 rows of each (n, motif)
+come first.
 
 Subcommands:
     run <config> [--jobs 1] [--out DIR]   execute the grid

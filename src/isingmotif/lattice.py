@@ -15,13 +15,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import LatticeTooSmall
+from .errors import FamilyTooLarge, LatticeTooSmall
 
 Vertex = tuple[int, ...]
 
 #: Distinguished selector for the L-infinity norm (exact comparisons only;
 #: no floating-point norm arithmetic is ever performed).
 INFINITY = math.inf
+
+#: Cap on enumerated family sizes: offset candidates, ball sites and motif families.
+DEFAULT_FAMILY_CAP = 1 << 20
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -66,7 +69,15 @@ def neighbor_offsets(d: int, rho: int, p) -> tuple[Vertex, ...]:
 
     All comparisons are integer-exact: for finite p the test is
     sum(|v_i|^p) <= rho^p, for p = INFINITY it is max(|v_i|) <= rho.
+
+    Raises:
+        FamilyTooLarge: the (2 rho + 1)^d candidates pass DEFAULT_FAMILY_CAP.
     """
+    # 2 rho + 1 > 2, so at d = bit_length(cap) the candidates already pass the cap
+    if (2 * rho + 1) ** min(d, DEFAULT_FAMILY_CAP.bit_length()) > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLarge(
+            f"neighbor offsets have (2*{rho}+1)^{d} candidates, cap is {DEFAULT_FAMILY_CAP}"
+        )
     offsets = []
     for v in product(range(-rho, rho + 1), repeat=d):
         if all(c == 0 for c in v):
@@ -85,6 +96,7 @@ def ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
 
     Raises:
         ValueError: radius is not an integer >= 0.
+        FamilyTooLarge: the neighbor offsets or the ball pass DEFAULT_FAMILY_CAP.
     """
     return _ball_offsets(d, rho, p, as_int(radius, "radius", 0))
 
@@ -97,6 +109,8 @@ def _ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
     dist = {origin: 0}
     frontier = deque([origin])
     while frontier:
+        if len(dist) > DEFAULT_FAMILY_CAP:
+            raise FamilyTooLarge(f"ball of radius {radius} passes {DEFAULT_FAMILY_CAP} sites")
         v = frontier.popleft()
         dv = dist[v]
         if dv == radius:

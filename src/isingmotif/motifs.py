@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .errors import FamilyTooLarge, MotifFileError, SignatureMismatch
 from .lattice import (
+    DEFAULT_FAMILY_CAP,
     TorusLattice,
     Vertex,
     as_int,
@@ -27,9 +28,6 @@ from .lattice import (
 
 #: (d, rho, p) a motif was built against.
 LatticeSignature = tuple
-
-#: Cap on enumerated family sizes.
-DEFAULT_FAMILY_CAP = 1 << 20
 
 
 def family_size(sites: int, what: str) -> int:
@@ -282,7 +280,7 @@ def parse_motif_text(text: str) -> tuple[LocalConfig, int]:
             raise MotifFileError(f"bad coordinate line {line!r}") from exc
     try:
         cfg = LocalConfig(radius, frozenset(positives), (d, rho, p))
-    except ValueError as exc:
+    except (ValueError, FamilyTooLarge) as exc:
         raise MotifFileError(str(exc)) from exc
     if len(positives) != cfg.k:
         raise MotifFileError("duplicate positive vertex in motif file")

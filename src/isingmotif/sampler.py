@@ -61,18 +61,22 @@ up = [w < T] at every site at once, reading no neighbor; as that state does
 not depend on the one before, an MCMC chain then sweeps only at its record
 times.
 
-The stream computes the (time, row, chain) words of as many times as fit in
-``_STREAM_BLOCK_BYTES`` (256 KiB) per call.  A sampler call makes its large
-temporaries once, and ``_words`` and the sweeps take them as required
-arguments: the stream's words and their scratch, and a sweep's neighbor
-gather and threshold lookup for the largest class.  One stage, ``_stacked``,
-copies each recorded sample or coalesced draw into a 64 KiB block, which the
-next block overwrites, restores site order and -1/+1 spins once per block,
-which stays sites-major, and stores the block, or what ``each`` makes of it,
-at its batch rows.  So a sampler cell's memory does not grow with its sample
-count beyond what ``each`` keeps: heat-bath at d=2, n=64, b=0.25 with 10**5
-samples on 64 replicas, counted by the runner, peaks at 40 MB resident.  The
-golden runs in tests/data pin every sample bit of the three kernels.
+A sampler call makes one ``_Kernel``, whose buffers every sweep of the call
+reuses: the kind's threshold table on the lattice's layout, the stream's words
+and scratch for the call's chains (a chunk of draws for coupling-from-the-past),
+and a sweep's neighbor gather and threshold lookup for the largest class.  It
+sweeps an array of chains over a range of times, forward from 1 for MCMC and
+back from the horizon for coupling-from-the-past, through ``_words``, which
+computes a range of step 1 or -1 in calls of as many times as fit in
+``_STREAM_BLOCK_BYTES`` (256 KiB) and any other range one time per call.  One
+stage, ``_stacked``, copies each recorded sample or coalesced draw into a 64
+KiB block, which the next block overwrites, restores site order and -1/+1
+spins once per block, which stays sites-major, and stores the block, or what
+``each`` makes of it, at its batch rows.  So a sampler cell's memory does not
+grow with its sample count beyond what ``each`` keeps: heat-bath at d=2, n=64,
+b=0.25 with 10**5 samples on 64 replicas, counted by the runner, peaks at 40
+MB resident.  The golden runs in tests/data pin every sample bit of the three
+kernels.
 """
 
 from __future__ import annotations
@@ -191,25 +195,6 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-class _Scratch(NamedTuple):
-    """Flat buffers for a sweep's per-class temporaries, made once per sampler call."""
-
-    gather: np.ndarray  # uint8, the neighbor rows of a class
-    table: np.ndarray  # uint64, the threshold of each site of a class
-
-    @classmethod
-    def of(cls, classes, chains: int) -> "_Scratch":
-        """Room for the largest of ``classes`` at ``chains`` spins per row."""
-        cells = max(nbr.shape[1] for _, nbr in classes) * chains
-        degree = classes[0][1].shape[0]
-        return cls(np.empty(degree * cells, dtype=np.uint8), np.empty(cells, dtype=np.uint64))
-
-    def views(self, classes, shape: tuple[int, ...]) -> tuple:
-        """Per class, its (gather, table) arrays for spins of ``shape``."""
-        return tuple((_view(self.gather, nbr.shape + shape[1:]),
-                      _view(self.table, nbr.shape[1:] + shape[1:])) for _, nbr in classes)
-
-
 def _flat(thresholds: np.ndarray) -> bool:
     """Whether a heat-bath table is flat (b = 0): it is monotone in k, so equal
     ends mean equal entries, and a site's update reads no neighbor."""
@@ -233,7 +218,7 @@ def _sweep_heat_bath(up: np.ndarray, classes, thresholds: np.ndarray, words: np.
     or (sites, 2, m) for the stack of coupled top and bottom chains; the
     stream's ``words`` broadcast against it, (sites, 1, m) for the stack.
     A flat table sets every class at once, as w < T.  ``views`` holds the
-    temporaries, ``_Scratch.views`` of ``classes`` at ``up.shape``.
+    temporaries, ``_Kernel.views`` at ``up.shape``.
     """
     if _flat(thresholds):
         np.less(words, thresholds[0], out=up.view(bool))
@@ -321,37 +306,63 @@ def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
     return _mix(keys)
 
 
-def _block(sites: int, m: int) -> int:
-    """Times per ``_words`` call for m chains: all that fit in ``_STREAM_BLOCK_BYTES``, or 1."""
-    return max(1, _STREAM_BLOCK_BYTES // (8 * sites * m))
+def _words(order: np.ndarray, keys: np.ndarray, times: range, buffers: tuple):
+    """Yield (t, words) for each time t of ``times``, in its order: the (rows,
+    len(keys)) uint64 words w of time t, row r at site ``order[r]`` and column
+    i in the chain of ``keys[i]``.  A range of step 1 or -1 is computed in calls
+    of as many times as fit in ``_STREAM_BLOCK_BYTES``, any other one time per
+    call.  A call writes its words into the first of ``buffers``, two flat uint64
+    arrays of max(_STREAM_BLOCK_BYTES // 8, rows * len(keys)) entries or more,
+    which the next call overwrites; the second is the scratch."""
+    per_call = max(1, _STREAM_BLOCK_BYTES // (8 * order.size * keys.size))
+    step = per_call if abs(times.step) == 1 else 1
+    for i in range(0, len(times), step):
+        part = times[i:i + step]
+        low, count = min(part[0], part[-1]), len(part)
+        words, tmp = (_view(buffer, (count, order.size, keys.size)) for buffer in buffers)
+        counter = _view(buffers[1], (count, order.size))  # free until _mix
+        np.add(np.arange(low, low + count, dtype=np.uint64)[:, None] * np.uint64(order.size),
+               order.astype(np.uint64), out=counter)
+        counter *= _GAMMA
+        np.add(counter[:, :, None], keys, out=words)
+        _mix(words, tmp)
+        words >>= np.uint64(11)
+        for t in part:
+            yield t, words[t - low]
 
 
-def _stream_buffers(sites: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat uint64 buffers for the words and scratch of any ``_words`` call of
-    ``_block(sites, j)`` times of j <= m chains."""
-    size = max(_STREAM_BLOCK_BYTES // 8, sites * m)
-    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-
-
-def _words(order: np.ndarray, keys: np.ndarray, t: int, count: int,
-           buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The (count, rows, len(keys)) uint64 words w of times t .. t + count - 1.
-
-    Row r of each time holds site ``order[r]`` of an ``order.size``-site
-    lattice, column i the chain of ``keys[i]``.  The words are written into
-    the first of ``buffers`` (see ``_stream_buffers``), which the next call
-    overwrites, and the second is the scratch.
+class _Kernel:
+    """One sampler call's sweeps of one kind on a lattice, and the buffers they
+    reuse: the stream's for up to ``chains`` chains, and a sweep's neighbor
+    gather and threshold lookup for the largest class at ``width`` spins per row.
     """
-    shape = (count, order.size, keys.size)
-    words, tmp = (_view(buffer, shape) for buffer in buffers)
-    times = np.arange(t, t + count, dtype=np.uint64)[:, None]
-    counter = tmp.reshape(-1)[:count * order.size].reshape(count, order.size)  # free until _mix
-    np.add(times * np.uint64(order.size), order.astype(np.uint64), out=counter)
-    counter *= _GAMMA
-    np.add(counter[:, :, None], keys, out=words)
-    _mix(words, tmp)
-    words >>= np.uint64(11)
-    return words
+
+    def __init__(self, lattice: TorusLattice, kind: str, params: ModelParams,
+                 chains: int, width: int):
+        self.layout = _colour_classes(lattice)
+        self.sweep, table = _KERNELS[kind]
+        self.degree = self.layout.classes[0][1].shape[0]
+        cells = max(nbr.shape[1] for _, nbr in self.layout.classes) * width
+        self.thresholds = table(params.a, params.b, self.degree)
+        size = max(_STREAM_BLOCK_BYTES // 8, lattice.num_sites * chains)
+        self.stream = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        self.gather = np.empty(self.degree * cells, dtype=np.uint8)
+        self.table = np.empty(cells, dtype=np.uint64)
+
+    def views(self, shape: tuple[int, ...]) -> tuple:
+        """Per class, its (gather, table) temporaries for spins of ``shape``."""
+        return tuple((_view(self.gather, nbr.shape + shape[1:]),
+                      _view(self.table, nbr.shape[1:] + shape[1:]))
+                     for _, nbr in self.layout.classes)
+
+    def sweeps(self, up: np.ndarray, keys: np.ndarray, times: range):
+        """Sweep ``up``, the chains of ``keys`` as (sites, chains) or the (sites,
+        2, chains) stack of coupled chains, in place at each time of ``times``,
+        and yield the time after its sweep."""
+        views, shape = self.views(up.shape), up.shape[:1] + (1,) * (up.ndim - 2) + keys.shape
+        for t, words in _words(self.layout.order, keys, times, self.stream):
+            self.sweep(up, self.layout.classes, self.thresholds, words.reshape(shape), views)
+            yield t
 
 
 # -- recorded samples -------------------------------------------------------------
@@ -408,28 +419,17 @@ def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: 
     """(rows, up) for ``_stacked``, one pair per chunk of draws that coalesce in a round."""
     sites = lattice.num_sites
     draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
-    layout = _colour_classes(lattice)
-    degree = layout.classes[0][1].shape[0]
-    thresholds = _heat_bath_thresholds(params.a, params.b, degree)
-    stream = _stream_buffers(sites, draw_chunk)
-    scratch = _Scratch.of(layout.classes, 2 * draw_chunk)
+    kernel = _Kernel(lattice, "heat_bath", params, draw_chunk, 2 * draw_chunk)
     stack = np.empty(sites * 2 * draw_chunk, dtype=np.uint8)
 
     def run_round(chunks, horizon: int, left: list):
         """Sweep the draws of ``chunks``, arrays of at most ``draw_chunk`` draw
         indices, from time -horizon; yield the coalesced, append the rest to ``left``."""
         for active in chunks:
-            active_keys = _chain_keys(seed, active)
             chains = _view(stack, (sites, 2, active.size))
-            chains[:, 0] = 1
-            chains[:, 1] = 0
-            views = scratch.views(layout.classes, chains.shape)
-            step = _block(sites, active.size)
-            for top in range(horizon, 0, -step):
-                low = max(top - step + 1, 1)
-                block = _words(layout.order, active_keys, low, top - low + 1, stream)
-                for words in block[::-1]:
-                    _sweep_heat_bath(chains, layout.classes, thresholds, words[:, None], views)
+            chains[:, 0], chains[:, 1] = 1, 0
+            for _ in kernel.sweeps(chains, _chain_keys(seed, active), range(horizon, 0, -1)):
+                pass
             done = (chains[:, 0] == chains[:, 1]).all(axis=0)
             left.append(active[~done])
             if done.any():
@@ -439,7 +439,7 @@ def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: 
     pending, rest = np.arange(pilot), range(pilot, count)
     horizon = 1
     while pending.size or rest:
-        if horizon * sites * degree > _READ_LIMIT:
+        if horizon * sites * kernel.degree > _READ_LIMIT:
             raise CoalescenceTimeout(
                 f"{pending.size + len(rest)} draws not coalesced after {horizon // 2} sweeps"
                 f" back, the limit of {_READ_LIMIT} neighbor reads per chain"
@@ -520,38 +520,30 @@ def _mcmc_records(
 ):
     """(rows, up) for ``_stacked``, one pair per record time: the replicas that
     keep a sample then, and their batch rows."""
-    sweep, table = _KERNELS[spec.kind]
     quota = -(-count // replicas)
     # sample j is the state after sweep first + j * thinning
     first = spec.burn_in_sweeps or spec.thinning_sweeps
     last = first + spec.thinning_sweeps * (quota - 1)
-    layout = _colour_classes(lattice)
-    thresholds = table(params.a, params.b, layout.classes[0][1].shape[0])
+    kernel = _Kernel(lattice, spec.kind, params, replicas, replicas)
     keys = _chain_keys(spec.seed, np.arange(replicas))
-    stream = _stream_buffers(lattice.num_sites, replicas)
     # +1 where u < 1/2, that is w < 2**52
-    up = (_words(layout.order, keys, 0, 1, stream)[0] < np.uint64(1 << 52)).view(np.uint8)
-    views = _Scratch.of(layout.classes, replicas).views(layout.classes, up.shape)
+    (_, words), = _words(kernel.layout.order, keys, range(1), kernel.stream)
+    up = (words < np.uint64(1 << 52)).view(np.uint8)
     # replica i keeps its first ceil((count - i) / replicas) samples, replica-major:
     # its sample j is row i (quota - 1) + min(i, full) + j, where the first
     # ``full`` replicas keep all quota samples
     full = count - (quota - 1) * replicas
     chains = np.arange(replicas)
     offsets = chains * (quota - 1) + np.minimum(chains, full)
-    if spec.kind == "heat_bath" and _flat(thresholds):
+    times = range(1, last + 1)
+    if spec.kind == "heat_bath" and _flat(kernel.thresholds):
         # a flat sweep sets every site from its own word: only recorded sweeps matter
-        step, starts = 1, range(first, last + 1, spec.thinning_sweeps)
-    else:
-        step = _block(lattice.num_sites, replicas)
-        starts = range(1, last + 1, step)
-    for start in starts:
-        block = _words(layout.order, keys, start, min(step, last + 1 - start), stream)
-        for t, words in enumerate(block, start):
-            sweep(up, layout.classes, thresholds, words, views)
-            j, offset = divmod(t - first, spec.thinning_sweeps)
-            if j >= 0 and offset == 0:
-                kept = replicas if j < quota - 1 else full
-                yield offsets[:kept] + j, up[:, :kept]
+        times = range(first, last + 1, spec.thinning_sweeps)
+    for t in kernel.sweeps(up, keys, times):
+        j, offset = divmod(t - first, spec.thinning_sweeps)
+        if j >= 0 and offset == 0:
+            kept = replicas if j < quota - 1 else full
+            yield offsets[:kept] + j, up[:, :kept]
 
 
 def sample_with_params(

@@ -39,7 +39,7 @@ from isingmotif import (
 )
 from isingmotif.counting import count_samples
 from isingmotif.motifs import LocalConfig, bundled_motif
-from isingmotif.sampler import _Scratch, _colour_classes, _heat_bath_thresholds, _sweep_heat_bath
+from isingmotif.sampler import _Kernel, _sweep_heat_bath
 
 
 class Criterion:
@@ -511,9 +511,9 @@ def test_criterion_9_reversibility_and_monotonicity():
         (TorusLattice(2, 4, 1, 1), ModelParams(0.1, 0.35)),
     ):
         sites = lattice.num_sites
-        classes = _colour_classes(lattice).classes
-        thresholds = _heat_bath_thresholds(params.a, params.b, classes[0][1].shape[0])
-        views = _Scratch.of(classes, 1).views(classes, (sites, 1))
+        kernel = _Kernel(lattice, "heat_bath", params, 1, 1)
+        classes, thresholds = kernel.layout.classes, kernel.thresholds
+        views = kernel.views((sites, 1))
         bad = 0
         for _ in range(300):
             low = rng.choice((-1, 1), size=(sites, 1)).astype(np.int8)

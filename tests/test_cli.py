@@ -636,6 +636,21 @@ def test_motif_file_that_is_not_utf8_is_one_line_and_exit_2(workdir, capsys, com
     assert "not UTF-8" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "motif-info"])
+def test_motif_header_past_the_offset_cap_is_one_line_and_exit_2(workdir, capsys, command):
+    # d = 13, rho = 1, p = inf has 3^13 candidate neighbor offsets, past the
+    # 2^20 cap: refused before they are enumerated, which took seconds
+    (workdir / "single.motif").write_text("13 0 1 inf 1\n")
+    (workdir / "run.ini").write_text(MINIMAL)
+    target = "single.motif" if command == "motif-info" else "run.ini"
+    assert main([command, str(workdir / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = "MotifFileError: " if command == "motif-info" else "ParseError: bad motif file "
+    assert captured.err.startswith(first)
+    assert "^13 candidates, cap is 1048576" in captured.err and captured.err.count("\n") == 1
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -722,6 +737,7 @@ def test_target_named_twice_rejected(workdir):
 
 @pytest.mark.parametrize("old, new, error, fragment", [
     ("[model]\nb_list = 0.0\n", "", ParseError, "[model]"),
+    ("d = 1\n", "", ParseError, "missing required key 'd' in section [lattice]"),
     ("files = single.motif", "files = absent.motif", ParseError, "absent.motif"),
     ("kind = exact", "kind = gibbs", ValidationError, "gibbs"),
     ("kind = exact", "kind = exact\n[analysis]\nmode = fuzzy_match", ValidationError, "fuzzy_match"),

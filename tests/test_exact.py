@@ -82,6 +82,7 @@ def test_spin_config_equality():
     assert cfg != SpinConfig.from_mask(lat, 0b0111)
     assert cfg != SpinConfig.from_mask(TorusLattice(2, 2), 0b0110)
     assert cfg != 0b0110
+    assert repr(cfg) == "SpinConfig(TorusLattice(d=1, n=4, rho=1, p=1), mask=0x6)"
 
 
 @pytest.mark.parametrize("make, fragment", [

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from isingmotif import INFINITY, LocalConfig, TorusLattice
-from isingmotif.errors import LatticeTooSmall
+from isingmotif import INFINITY, LocalConfig, TorusLattice, lattice
+from isingmotif.errors import FamilyTooLarge, LatticeTooSmall
+from isingmotif.lattice import _ball_offsets, neighbor_offsets
 
 
 def test_square_lattice_neighbors():
@@ -45,6 +46,25 @@ def test_ball_sizes():
     assert len(lat1.ball((0, 0), 1).members) == 5
     lat2 = TorusLattice(2, 8, rho=1, p=INFINITY)
     assert len(lat2.ball((0, 0), 1).members) == 9
+
+
+def test_offset_enumerations_are_capped(monkeypatch):
+    # 3^13 candidate vectors pass the 2^20 cap: refused before any is made
+    with pytest.raises(FamilyTooLarge, match=r"\(2\*1\+1\)\^13 candidates"):
+        neighbor_offsets(13, 1, INFINITY)
+    # a dimension read from a motif header is refused without computing 3^d
+    with pytest.raises(FamilyTooLarge, match=r"\^1000000000 candidates"):
+        neighbor_offsets(10**9, 1, 1)
+    # the most candidates of any lattice in use, 13^2
+    assert len(neighbor_offsets(2, 6, INFINITY)) == 168
+    # a ball is refused once its search passes the cap
+    monkeypatch.setattr(lattice, "DEFAULT_FAMILY_CAP", 100)
+    assert len(_ball_offsets.__wrapped__(1, 1, 1, 49)) == 99
+    with pytest.raises(FamilyTooLarge, match="ball of radius 50 passes 100 sites"):
+        _ball_offsets.__wrapped__(1, 1, 1, 50)
+    assert len(neighbor_offsets.__wrapped__(1, 49, 1)) == 98
+    with pytest.raises(FamilyTooLarge, match="candidates"):
+        neighbor_offsets.__wrapped__(1, 50, 1)
 
 
 def test_ball_rejects_small_lattice():

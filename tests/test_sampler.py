@@ -27,13 +27,11 @@ from isingmotif.motifs import bundled_motif
 from isingmotif.sampler import (
     _KERNELS,
     _STREAM_BLOCK_BYTES,
-    _Scratch,
-    _block,
+    _Kernel,
     _chain_keys,
     _colour_classes,
     _heat_bath_thresholds,
     _metropolis_thresholds,
-    _stream_buffers,
     _sweep_heat_bath,
     _sweep_metropolis,
     _thresholds,
@@ -72,11 +70,9 @@ def as_spins(up):
 
 
 def block_sweep(kind, lat, params, up, words):
-    """One sweep of ``kind`` over sites-major uint8 rows, with the batch's table."""
-    sweep, table = _KERNELS[kind]
-    classes = _colour_classes(lat).classes
-    views = _Scratch.of(classes, up[0].size).views(classes, up.shape)
-    sweep(up, classes, table(params.a, params.b, classes[0][1].shape[0]), words, views)
+    """One sweep of ``kind`` over sites-major uint8 rows, with a sampler call's table."""
+    kernel = _Kernel(lat, kind, params, 1, up[0].size)
+    kernel.sweep(up, kernel.layout.classes, kernel.thresholds, words, kernel.views(up.shape))
 
 
 # -- per-site kernels --------------------------------------------------------------
@@ -350,12 +346,18 @@ def reference_uniform(seed, chain, t, x, sites):
     return (_splitmix64((key + (t * sites + x) * _G) & _M64) >> 11) * 2.0**-53
 
 
+def stream_buffers(sites, chains):
+    """The two flat buffers ``_words`` needs for ``chains`` chains of ``sites`` sites."""
+    size = max(_STREAM_BLOCK_BYTES // 8, sites * chains)
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+
+
 def stream_block(seed, draws, times, sites):
     """(len(draws), len(times), sites) uniforms w * 2**-53 from the sampler's stream."""
     keys = _chain_keys(seed, np.asarray(draws))
-    buffers = _stream_buffers(sites, keys.size)
-    return np.stack([_words(np.arange(sites), keys, t, 1, buffers)[0].T * 2.0**-53
-                     for t in times], axis=1)
+    buffers = stream_buffers(sites, keys.size)
+    return np.stack([next(_words(np.arange(sites), keys, range(t, t + 1), buffers))[1].T
+                     * 2.0**-53 for t in times], axis=1)
 
 
 def test_cftp_stream_matches_reference_formula():
@@ -374,30 +376,49 @@ def test_cftp_stream_independent_of_active_set():
         assert np.array_equal(part, full[active])
     # a later start leaves the values unchanged too
     keys = _chain_keys(seed, np.arange(12))
-    buffers = _stream_buffers(sites, 8)
+    buffers = stream_buffers(sites, 8)
     for t in (8, 3, 1):
-        words = _words(np.arange(sites), keys[4:], t, 1, buffers)[0]
+        (_, words), = _words(np.arange(sites), keys[4:], range(t, t + 1), buffers)
         assert np.array_equal(words.T * 2.0**-53, full[4:, t - 1])
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(2, 4, 1, 1), TorusLattice(1, 13, 2, 1)])
-def test_stream_time_blocks_in_row_order(lat):
-    # one call for a block of times gives each time's uniforms, row r at site order[r]
+@pytest.mark.parametrize("per_call", [None, 3])
+@pytest.mark.parametrize("times", [
+    range(1, 41), range(40, 0, -1), range(7, 20), range(40, 41), range(1, 2),
+    range(3, 41, 4), range(38, 0, -5),
+], ids=str)
+def test_stream_walks_a_range_of_times(lat, per_call, times, monkeypatch):
+    # the words of each time of the range, in its order and row r at site
+    # order[r]; a unit-step range is computed in calls of as many times as fit
+    # in the block, any other one time per call, each call into the one buffer
     seed, sites = 3, lat.num_sites
     full = stream_block(seed, np.arange(5), range(1, 41), sites)
     order = _colour_classes(lat).order
     keys = _chain_keys(seed, np.arange(5))
-    buffers = _stream_buffers(sites, 5)
-    assert _block(sites, 5) == _STREAM_BLOCK_BYTES // (8 * sites * 5) >= 40
-    for start, count in ((1, 40), (1, 1), (7, 13), (40, 1)):
-        block = _words(order, keys, start, count, buffers)
-        assert block.shape == (count, sites, 5) and block.dtype == np.uint64
-        want = full[:, start - 1:start - 1 + count][:, :, order].transpose(1, 2, 0)
-        assert np.array_equal(block * 2.0**-53, want)
-    # every call writes its words into the buffer, which the next call overwrites
-    first = _words(order, keys, 1, 2, buffers)
-    _words(order, keys, 3, 2, buffers)
-    assert np.array_equal(first * 2.0**-53, full[:, 2:4][:, :, order].transpose(1, 2, 0))
+    buffers = stream_buffers(sites, 5)
+    if per_call:
+        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", 8 * sites * 5 * per_call)
+    else:
+        per_call = _STREAM_BLOCK_BYTES // (8 * sites * 5)
+        assert per_call >= 40
+    calls, mix = [], sampler._mix
+
+    def recorded(z, tmp=None):
+        calls.append(z.shape[0])
+        return mix(z, tmp)
+
+    monkeypatch.setattr(sampler, "_mix", recorded)
+    got = []
+    for t, words in _words(order, keys, times, buffers):
+        assert words.shape == (sites, 5) and words.dtype == np.uint64
+        assert np.shares_memory(words, buffers[0])
+        got.append((t, words.copy()))
+    assert [t for t, _ in got] == list(times)
+    for t, words in got:
+        assert np.array_equal(words * 2.0**-53, full[:, t - 1][:, order].T)
+    step = per_call if abs(times.step) == 1 else 1
+    assert calls == [len(times[i:i + step]) for i in range(0, len(times), step)]
 
 
 def assert_cells_uniform(cells):
@@ -576,7 +597,7 @@ def test_cftp_sweep_count(pooled_reference, monkeypatch):
         widths.append(up.shape[-1])
         _sweep_heat_bath(up, classes, thresholds, words, views)
 
-    monkeypatch.setattr(sampler, "_sweep_heat_bath", counting_sweep)
+    monkeypatch.setitem(_KERNELS, "heat_bath", (counting_sweep, _KERNELS["heat_bath"][1]))
     patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
     cftp_batch(POOLED_LATTICE, POOLED_PARAMS, seed=1, count=12)
     # pilot 1 + 2 + 4 + 8, the other 9 draws at 8 in three chunks, then the
@@ -588,6 +609,25 @@ def test_cftp_sweep_count(pooled_reference, monkeypatch):
     per_chunk = sum(2 * max(horizons[i:i + POOLED_CHUNK]) - 1
                     for i in range(0, 12, POOLED_CHUNK))
     assert per_chunk == 284 > len(widths)
+
+
+@pytest.mark.parametrize("kind", ["heat_bath", "metropolis", "cftp"])
+def test_one_kernel_per_sampler_call(kind, monkeypatch):
+    # the table, the stream buffers and the sweep temporaries are made once per
+    # call, not per chunk, round or record: CFTP here sweeps four chunks over
+    # five rounds, and MCMC records 4 samples on each of 3 replicas
+    made = []
+
+    class Counted(_Kernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sampler, "_Kernel", Counted)
+    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    spec = SamplerSpec(kind=kind, burn_in_sweeps=4, thinning_sweeps=2, seed=1)
+    sample_with_params(POOLED_LATTICE, POOLED_PARAMS, spec, count=12, replicas=3)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("lat", [TorusLattice(2, 6, 1, 1), TorusLattice(1, 13, 2, 1)])
@@ -621,9 +661,9 @@ def test_flat_heat_bath_sweeps_only_at_record_times(monkeypatch):
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=3, seed=8)
     times, words = [], sampler._words
 
-    def recorded(order, keys, t, count, buffers):
-        times.extend(range(t, t + count))
-        return words(order, keys, t, count, buffers)
+    def recorded(order, keys, swept, buffers):
+        times.extend(swept)
+        return words(order, keys, swept, buffers)
 
     monkeypatch.setattr(sampler, "_words", recorded)
     got = sample_with_params(lat, params, spec, count=7, replicas=3).spins
@@ -703,9 +743,9 @@ def test_replicas_past_count_run_count_chains(kind, monkeypatch):
     want = sample_with_params(lat, params, spec, count=10, replicas=10).spins
     chains, words = [], sampler._words
 
-    def recorded(order, keys, t, count, buffers):
+    def recorded(order, keys, times, buffers):
         chains.append(keys.size)
-        return words(order, keys, t, count, buffers)
+        return words(order, keys, times, buffers)
 
     monkeypatch.setattr(sampler, "_words", recorded)
     batch = sample_with_params(lat, params, spec, count=10, replicas=64)
