@@ -67,8 +67,8 @@ and scratch for the call's chains (a chunk of draws for coupling-from-the-past),
 and a sweep's neighbor gather and threshold lookup for the largest class.  It
 sweeps an array of chains over a range of times, forward from 1 for MCMC and
 back from the horizon for coupling-from-the-past, through ``_words``, which
-computes a range of step 1 or -1 in calls of as many times as fit in
-``_STREAM_BLOCK_BYTES`` (256 KiB) and any other range one time per call.  One
+computes any range about ``_STREAM_BLOCK_BYTES`` (256 KiB) of words at a time;
+a chunk of coupling-from-the-past draws fills that block at one time step.  One
 stage, ``_stacked``, copies each recorded sample or coalesced draw into a 64
 KiB block, which the next block overwrites, restores site order and -1/+1
 spins once per block, which stays sites-major, and stores the block, or what
@@ -96,14 +96,11 @@ KINDS = ("heat_bath", "metropolis", "cftp")
 
 _U64 = (1 << 64) - 1
 
-#: Bytes of one time step's (sites, draws) uint64 words in ``cftp_batch``.
-_CFTP_CHUNK_BYTES = 1 << 18
-
 #: Neighbor reads per chain, horizon * sites * degree, past which ``cftp_batch``
 #: gives up on a draw (2**20 sweeps back on a 16-site lattice of degree 4).
 _READ_LIMIT = 1 << 26
 
-#: Bytes of uint64 words the stream computes in one call, a block of times.
+#: Bytes of uint64 words in one stream call; a CFTP chunk fills it at one time.
 _STREAM_BLOCK_BYTES = 1 << 18
 
 #: Bytes of int8 spins in one block of recorded samples (rows x sites).
@@ -309,26 +306,23 @@ def _chain_keys(seed: int, chains: np.ndarray) -> np.ndarray:
 def _words(order: np.ndarray, keys: np.ndarray, times: range, buffers: tuple):
     """Yield (t, words) for each time t of ``times``, in its order: the (rows,
     len(keys)) uint64 words w of time t, row r at site ``order[r]`` and column
-    i in the chain of ``keys[i]``.  A range of step 1 or -1 is computed in calls
-    of as many times as fit in ``_STREAM_BLOCK_BYTES``, any other one time per
-    call.  A call writes its words into the first of ``buffers``, two flat uint64
-    arrays of max(_STREAM_BLOCK_BYTES // 8, rows * len(keys)) entries or more,
-    which the next call overwrites; the second is the scratch."""
+    i in the chain of ``keys[i]``.  Any range is computed in calls of as many of
+    its times as fit in ``_STREAM_BLOCK_BYTES``, each into the first of
+    ``buffers``, two flat uint64 arrays of max(_STREAM_BLOCK_BYTES // 8, rows *
+    len(keys)) entries or more, which the next call overwrites; the second is
+    the scratch."""
     per_call = max(1, _STREAM_BLOCK_BYTES // (8 * order.size * keys.size))
-    step = per_call if abs(times.step) == 1 else 1
-    for i in range(0, len(times), step):
-        part = times[i:i + step]
-        low, count = min(part[0], part[-1]), len(part)
-        words, tmp = (_view(buffer, (count, order.size, keys.size)) for buffer in buffers)
-        counter = _view(buffers[1], (count, order.size))  # free until _mix
-        np.add(np.arange(low, low + count, dtype=np.uint64)[:, None] * np.uint64(order.size),
+    for i in range(0, len(times), per_call):
+        part = times[i:i + per_call]
+        words, tmp = (_view(buffer, (len(part), order.size, keys.size)) for buffer in buffers)
+        counter = _view(buffers[1], (len(part), order.size))  # free until _mix
+        np.add(np.fromiter(part, np.uint64, len(part))[:, None] * np.uint64(order.size),
                order.astype(np.uint64), out=counter)
         counter *= _GAMMA
         np.add(counter[:, :, None], keys, out=words)
         _mix(words, tmp)
         words >>= np.uint64(11)
-        for t in part:
-            yield t, words[t - low]
+        yield from zip(part, words)
 
 
 class _Kernel:
@@ -418,7 +412,7 @@ def _stacked(lattice: TorusLattice, records, count: int, each) -> np.ndarray:
 def _cftp_records(lattice: TorusLattice, params: ModelParams, seed: int, count: int):
     """(rows, up) for ``_stacked``, one pair per chunk of draws that coalesce in a round."""
     sites = lattice.num_sites
-    draw_chunk = max(1, _CFTP_CHUNK_BYTES // (8 * sites))
+    draw_chunk = max(1, _STREAM_BLOCK_BYTES // (8 * sites))
     kernel = _Kernel(lattice, "heat_bath", params, draw_chunk, 2 * draw_chunk)
     stack = np.empty(sites * 2 * draw_chunk, dtype=np.uint8)
 
@@ -473,13 +467,13 @@ def cftp_batch(
     site x) is a pure function of (seed, i, t, x), the counter-based stream
     of the module docstring.  A pilot chunk of the first draws doubles h
     from 1 until at least half of them have coalesced; every other draw
-    starts at that h.  Each round then sweeps every pending draw of the call, in chunks
-    of about ``_CFTP_CHUNK_BYTES`` of words per time step, each chunk's top
-    and bottom chains swept as one (sites, 2, m) stack.  For b >= 0 the
-    thresholds are nondecreasing in the number of + neighbors, so the scan
-    is monotone and chains from any horizon past a draw's coalescence time
-    end in the same state (Propp and Wilson, 1996): the draws do not depend
-    on the start horizon, on batching or on chunk size.
+    starts at that h.  Each round then sweeps every pending draw of the call,
+    in chunks whose words for one time step fill one ``_STREAM_BLOCK_BYTES``
+    block, each chunk's top and bottom chains swept as one (sites, 2, m)
+    stack.  For b >= 0 the thresholds are nondecreasing in the number of +
+    neighbors, so the scan is monotone and chains from any horizon past a
+    draw's coalescence time end in the same state (Propp and Wilson, 1996):
+    the draws do not depend on the start horizon, on batching or on chunk size.
 
     The draws are made in blocks of at most ``_SAMPLE_BLOCK_BYTES`` of
     spins, as they coalesce.  With ``each``, a function of such a (k, sites)

@@ -181,6 +181,9 @@ def test_tv_budget_for_empirical():
     exact = CountDistribution({0: 0.5, 1: 0.375, 2: 0.125})
     _, budget2 = tv_distance(exact, p, with_budget=True)
     assert budget2 >= math.sqrt(3 / 8)
+    assert exact.is_exact and not p.is_exact
+    assert repr(exact) == "CountDistribution(exact, mean=0.625, support=(0, 1, 2))"
+    assert repr(p) == "CountDistribution(empirical(m=8), mean=0.625, support=(0, 1, 2))"
 
 
 def test_count_distribution_validation():

@@ -402,10 +402,10 @@ def test_streamed_counts_equal_stored_counts(workdir, monkeypatch, kind):
     # the runner counts each block of samples as it is drawn; its counts, row
     # for row, are those of the stored batch.  Blocks of 5 samples split every
     # record of 64 replicas, and 200 samples leave the last record partial.
-    # CFTP in chunks of 4 draws spans the pilot, rounds at several horizons
-    # and many chunks
+    # CFTP in chunks of 4 draws, a stream block of 4 draws' words at one time,
+    # spans the pilot, rounds at several horizons and many chunks
     monkeypatch.setattr(sampler, "_SAMPLE_BLOCK_BYTES", 5 * 8)
-    monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * 8 * 4)
+    monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", 8 * 8 * 4)
     records, cftp_records = [], sampler._cftp_records
 
     def kept_rows(*args):

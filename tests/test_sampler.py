@@ -390,8 +390,8 @@ def test_cftp_stream_independent_of_active_set():
 ], ids=str)
 def test_stream_walks_a_range_of_times(lat, per_call, times, monkeypatch):
     # the words of each time of the range, in its order and row r at site
-    # order[r]; a unit-step range is computed in calls of as many times as fit
-    # in the block, any other one time per call, each call into the one buffer
+    # order[r]; every range, ascending, descending or strided, is computed in
+    # calls of as many times as fit in the block, each call into the one buffer
     seed, sites = 3, lat.num_sites
     full = stream_block(seed, np.arange(5), range(1, 41), sites)
     order = _colour_classes(lat).order
@@ -417,8 +417,7 @@ def test_stream_walks_a_range_of_times(lat, per_call, times, monkeypatch):
     assert [t for t, _ in got] == list(times)
     for t, words in got:
         assert np.array_equal(words * 2.0**-53, full[:, t - 1][:, order].T)
-    step = per_call if abs(times.step) == 1 else 1
-    assert calls == [len(times[i:i + step]) for i in range(0, len(times), step)]
+    assert calls == [len(times[i:i + per_call]) for i in range(0, len(times), per_call)]
 
 
 def assert_cells_uniform(cells):
@@ -540,6 +539,13 @@ def reference_cftp(lat, params, seed, draw):
 SMALL_BLOCK = [None, 8 * 36]
 
 
+def patch_cftp_chunk(monkeypatch, lat, draws):
+    """CFTP chunks of ``draws`` draws on ``lat``: one time step of a chunk fills a
+    stream block, so the chunk sets the block, and a block holds more times as
+    the chunk's draws coalesce."""
+    monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", 8 * lat.num_sites * draws)
+
+
 @pytest.mark.parametrize("block_bytes", SMALL_BLOCK)
 def test_cftp_draw_independent_of_batching(block_bytes, monkeypatch):
     if block_bytes:
@@ -553,10 +559,11 @@ def test_cftp_draw_independent_of_batching(block_bytes, monkeypatch):
     want_spins = np.stack([spins for spins, _ in want])
     alone = cftp_batch(lat, params, seed=21, count=1)
     assert np.array_equal(alone, want_spins[:1])
-    # the default chunk holds all 6 draws; then chunks of 1, 2 and 3 draws
+    # the default chunk holds all 6 draws, as does a block of 36 words on 6
+    # sites; then chunks of 1, 2 and 3 draws
     for draws in (None, 1, 2, 3):
         if draws:
-            monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * lat.num_sites * draws)
+            patch_cftp_chunk(monkeypatch, lat, draws)
         got = cftp_batch(lat, params, seed=21, count=6)
         assert np.array_equal(got, want_spins), draws
 
@@ -572,20 +579,17 @@ def pooled_reference():
     return [reference_cftp(POOLED_LATTICE, POOLED_PARAMS, 1, i) for i in range(12)]
 
 
-def patch_cftp_chunk(monkeypatch, draws):
-    monkeypatch.setattr(sampler, "_CFTP_CHUNK_BYTES", 8 * POOLED_LATTICE.num_sites * draws)
-
-
 @pytest.mark.parametrize("block_bytes", SMALL_BLOCK)
 def test_cftp_pooled_rounds_match_reference(pooled_reference, block_bytes, monkeypatch):
-    if block_bytes:
-        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", block_bytes)
     horizons = [h for _, h in pooled_reference]
     start = sorted(horizons[:POOLED_CHUNK])[(POOLED_CHUNK - 1) // 2]  # half the pilot is in
     assert start == 8
     late_chunks = {i // POOLED_CHUNK for i, h in enumerate(horizons) if h > start}
     assert late_chunks == {0, 1, 2, 3}
-    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    if block_bytes:  # 36 words on 16 sites: chunks of 2 draws
+        monkeypatch.setattr(sampler, "_STREAM_BLOCK_BYTES", block_bytes)
+    else:
+        patch_cftp_chunk(monkeypatch, POOLED_LATTICE, POOLED_CHUNK)
     got = cftp_batch(POOLED_LATTICE, POOLED_PARAMS, seed=1, count=12)
     assert np.array_equal(got, np.stack([spins for spins, _ in pooled_reference]))
 
@@ -598,7 +602,7 @@ def test_cftp_sweep_count(pooled_reference, monkeypatch):
         _sweep_heat_bath(up, classes, thresholds, words, views)
 
     monkeypatch.setitem(_KERNELS, "heat_bath", (counting_sweep, _KERNELS["heat_bath"][1]))
-    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    patch_cftp_chunk(monkeypatch, POOLED_LATTICE, POOLED_CHUNK)
     cftp_batch(POOLED_LATTICE, POOLED_PARAMS, seed=1, count=12)
     # pilot 1 + 2 + 4 + 8, the other 9 draws at 8 in three chunks, then the
     # 7 draws left at 16 in three chunks, 3 at 32 and 1 at 64
@@ -624,7 +628,7 @@ def test_one_kernel_per_sampler_call(kind, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(sampler, "_Kernel", Counted)
-    patch_cftp_chunk(monkeypatch, POOLED_CHUNK)
+    patch_cftp_chunk(monkeypatch, POOLED_LATTICE, POOLED_CHUNK)
     spec = SamplerSpec(kind=kind, burn_in_sweeps=4, thinning_sweeps=2, seed=1)
     sample_with_params(POOLED_LATTICE, POOLED_PARAMS, spec, count=12, replicas=3)
     assert len(made) == 1
@@ -655,19 +659,27 @@ def test_flat_heat_bath_sweeps_only_at_record_times(monkeypatch):
     # at b = 0 a sweep sets every site from its own word, whatever state came
     # before, so only the recorded sweeps run: burn-in 5 and thinning 3 record
     # after sweeps 5, 8 and 11, and of 7 samples on 3 replicas only replica 0
-    # keeps the third
+    # keeps the third.  The stream computes those three times in one call after
+    # the t = 0 start
     lat = TorusLattice(2, 4, 1, 1)
     params = ModelParams(-0.4, 0.0)
     spec = SamplerSpec(kind="heat_bath", burn_in_sweeps=5, thinning_sweeps=3, seed=8)
-    times, words = [], sampler._words
+    times, words, calls, mix = [], sampler._words, [], sampler._mix
 
     def recorded(order, keys, swept, buffers):
         times.extend(swept)
         return words(order, keys, swept, buffers)
 
+    def mixed(z, tmp=None):
+        if z.ndim == 3:  # a stream call's (times, rows, chains) words, not chain keys
+            calls.append(z.shape)
+        return mix(z, tmp)
+
     monkeypatch.setattr(sampler, "_words", recorded)
+    monkeypatch.setattr(sampler, "_mix", mixed)
     got = sample_with_params(lat, params, spec, count=7, replicas=3).spins
     assert times == [0, 5, 8, 11]
+    assert calls == [(1, 16, 3), (3, 16, 3)]
     assert np.array_equal(got, reference_mcmc(lat, params, spec, 7, 3))
 
 
