@@ -34,9 +34,10 @@ import numpy as np
 
 from . import analysis, counting
 from .distributions import CountDistribution, PoissonTarget, tv_distance
-from .errors import ConfigError, MotifFileError, ParseError, ValidationError
+from .errors import ConfigError, MotifFileError, NonFiniteLimit, ParseError, ValidationError
 from .exact import (
     DEFAULT_SITE_CAP,
+    MASK_BITS,
     FieldSchedule,
     ModelParams,
     build_exact,
@@ -137,7 +138,7 @@ _KEYS = (
     _Key("engine", "burn_in_sweeps", "burn_in_sweeps", _INT, "100", engines=_CHAINS, lower=0),
     _Key("engine", "thinning_sweeps", "thinning_sweeps", _INT, "1", engines=_CHAINS, lower=0),
     _Key("engine", "replicas", "replicas", _INT, engines=_CHAINS, lower=1),
-    _Key("engine", "site_cap", "site_cap", _INT, engines=("exact",), lower=1),
+    _Key("engine", "site_cap", "site_cap", _INT, engines=("exact",), lower=1, upper=MASK_BITS),
     _Key("analysis", "targets", "targets", _WORDS, "expectation"),
     _Key("analysis", "epsilon", "epsilon", _REAL, "0.5", lower=0),
     _Key("analysis", "mode", "mode", _TEXT, counting.EXACT_MATCH),
@@ -211,7 +212,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     Raises:
         ParseError: unknown section or key, missing key, bad value, unreadable
             motif file.
-        ValidationError: a value below its key's bound, a violated invariant
+        ValidationError: a value outside its key's bounds, a violated invariant
             (ordering, ball overlap, signature or hint mismatch, unknown target),
             or a grid that could only give error rows.
     """
@@ -315,6 +316,19 @@ def _validate(config: RunConfig) -> None:
                 )
     if config.engine == "cftp" and min(config.b_list) < 0:
         raise ValidationError(f"[model] b_list: cftp needs b >= 0, got {min(config.b_list)!r}")
+    if config.a_override is None:
+        limits = []
+        for motif, b in product(config.motifs, config.b_list):
+            try:
+                limits.append(analysis.poisson_limit(config.c, b, motif))
+            except NonFiniteLimit:
+                pass
+        tv = "tv" in config.targets  # tv also needs the limit above 0.0
+        if not (any(limits) if tv else limits):
+            raise ValidationError(
+                f"[model] b_list: no cell has a finite{' positive' * tv} Poisson limit "
+                "c^k exp(-2 b gamma)"
+            )
     ks = [motif.k for motif in config.motifs]
     for name, target in _TARGETS.items():
         if name not in config.targets:

@@ -129,19 +129,14 @@ def count_samples(
 def _count_blocks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> exact.PatternBlocks:
     """The count of every configuration bitmask, one uint8 block at a time.
 
-    The blocks of ``exact.PatternBlocks`` whose patterns are the sites' match
-    words, each of weight 1: a mask matches at x iff mask & care[x] ==
-    plus[x], where care[x] has the bits of the sites ``_site_tables`` reads
-    at x, and plus[x] those of them that want +1.  The arguments are checked
-    at the call, before any block is made.
+    The blocks of ``exact.PatternBlocks`` whose patterns are the sites'
+    matches, each of weight 1: the match at x reads the sites of column x of
+    ``_site_tables``' index and wants +1 where its column wants +1.  The
+    arguments are checked at the call, before any block is made.
     """
     index, want = _site_tables(lattice, motif, mode)
     sites = lattice.num_sites
-    word = exact.mask_word(sites)
-    bits = np.left_shift(word(1), index.astype(word))
-    care = np.bitwise_or.reduce(bits, axis=0)
-    plus = np.bitwise_or.reduce(bits[want == 1], axis=0)
-    return exact.PatternBlocks(sites, exact.mask_block(sites), care, plus, 1, np.uint8)
+    return exact.PatternBlocks(sites, exact.mask_block(sites), index.T, want == 1, 1, np.uint8)
 
 
 def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.ndarray:
@@ -149,8 +144,8 @@ def count_all_masks(lattice: TorusLattice, motif: LocalConfig, mode: str) -> np.
 
     The concatenation of the blocks the exact count laws stream without
     storing (see ``count_laws_exact``), kept for the oracles.  uint8 holds
-    every count: a count never exceeds the number of sites, far below 256
-    wherever the 2**sites masks can be enumerated.
+    every count, which is at most the number of sites: ``TooLargeForExact``
+    is raised past ``exact.MASK_BITS`` of them.
     """
     return _count_blocks(lattice, motif, mode).concatenated()
 

@@ -88,11 +88,7 @@ class CountDistribution:
             raise ValueError("order must be >= 1")
         total = 0.0
         for k, p in self._pmf.items():
-            if k >= order:
-                fall = 1
-                for j in range(order):
-                    fall *= k - j
-                total += p * fall
+            total += p * math.perm(k, order)
         return total
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ All weights stay in log domain; the field a can be strongly negative, which
 would underflow raw weights.
 
 Configurations are identified with bitmasks: bit i set means site i (row-major
-lexicographic index) carries spin +1.
+lexicographic index) carries spin +1; only ``PatternBlocks`` builds mask words.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .motifs import LocalConfig, family_size
 
 #: Default cap on sites for full enumeration (2**cap configurations).
 DEFAULT_SITE_CAP = 24
+
+#: Bits of one configuration mask word (uint32): no cap passes this many sites.
+MASK_BITS = 32
 
 #: Bitmasks per block of every pass over the configurations: the level
 #: multiplicities, the count blocks of ``counting`` and the count-law pass.
@@ -230,8 +233,11 @@ def _logsumexp(x: np.ndarray, weights=None, axis: int | None = None) -> np.ndarr
 class PatternBlocks:
     """Weighted pattern counts of every configuration bitmask, block by block.
 
-    The value of mask m is the sum over patterns t of
+    Pattern t reads the sites ``reads[t]``, each ORed into the uint32 word
+    ``care[t]``, and those where ``wants[t]`` (broadcast) is true into
+    ``plus[t]``.  The value of mask m is the sum over patterns t of
     ``weight[t] * (m & care[t] == plus[t])``; ``dtype`` must hold the largest.
+    Past ``MASK_BITS`` sites, ``TooLargeForExact`` is raised before anything is made.
     Iterating yields the values in bitmask order, ``step`` = 2**L masks per
     block (``mask_block(num_sites)``), all in one buffer that the next block
     overwrites; each iteration makes its own buffer.  A block is the sum of
@@ -252,11 +258,15 @@ class PatternBlocks:
     offset, plus one table for each further group that it matches.
     """
 
-    def __init__(self, num_sites: int, step: int, care: np.ndarray, plus: np.ndarray,
-                 weight, dtype):
-        low_bits = care.dtype.type(step - 1)
-        masks = np.arange(step, dtype=care.dtype)
-        starts = np.arange(0, 1 << num_sites, step, dtype=care.dtype)
+    def __init__(self, num_sites: int, step: int, reads, wants, weight, dtype):
+        if num_sites > MASK_BITS:
+            raise TooLargeForExact(f"{num_sites} sites pass the {MASK_BITS}-bit mask word")
+        bits = np.left_shift(np.uint32(1), np.asarray(reads, dtype=np.uint32))
+        care = np.bitwise_or.reduce(bits, axis=-1)
+        plus = np.bitwise_or.reduce(bits * np.asarray(wants, dtype=bool), axis=-1)
+        low_bits = np.uint32(step - 1)
+        masks = np.arange(step, dtype=np.uint32)
+        starts = np.arange(0, 1 << num_sites, step, dtype=np.uint32)
         weight = np.broadcast_to(np.asarray(weight, dtype=dtype), care.shape)
         high = care & ~low_bits
         reads_low = (care & low_bits) != 0
@@ -292,8 +302,8 @@ class PatternBlocks:
 
         def group_tables(group: list[int], first: bool) -> list:
             """Per block, the group's table for the patterns that the block start matches."""
-            reads = care.dtype.type(np.bitwise_or.reduce(high[group]))
-            keys, inverse = np.unique(starts & reads, return_inverse=True)
+            group_high = np.bitwise_or.reduce(high[group])
+            keys, inverse = np.unique(starts & group_high, return_inverse=True)
             made = {(): base if first else None}
             per_key = []
             for key in keys:
@@ -326,11 +336,6 @@ class PatternBlocks:
         return out.reshape(-1)
 
 
-def mask_word(num_sites: int) -> type:
-    """The unsigned integer type of one bitmask of ``num_sites`` bits."""
-    return np.uint32 if num_sites <= 32 else np.uint64
-
-
 class _Levels(NamedTuple):
     """One lattice's enumeration, shared by every (a, b) on it."""
 
@@ -355,15 +360,11 @@ def _energy_levels(lattice: TorusLattice, step: int) -> _Levels:
     n_sites = lattice.num_sites
     edges = np.array(lattice.edges(), dtype=np.intp).reshape(-1, 2)
     width = 2 * len(edges) + 1
-    size = (2 * n_sites + 1) * width
-    word = mask_word(n_sites)
-    bit = np.left_shift(word(1), np.arange(n_sites, dtype=word))
-    pair = bit[edges[:, 0]] | bit[edges[:, 1]]
-    care = np.concatenate([bit, pair, pair])
-    plus = np.concatenate([bit, np.zeros_like(pair), pair])
+    size = (2 * n_sites + 1) * width  # N <= MASK_BITS: at most 65 * 993 = 64545 < 2**16
+    reads = np.concatenate([np.arange(n_sites).repeat(2).reshape(-1, 2), edges, edges])
+    wants = np.repeat([True, False, True], [n_sites, len(edges), len(edges)])[:, None]
     weight = np.repeat([2 * width, 2], [n_sites, 2 * len(edges)])
-    dtype = np.uint16 if size <= 1 << 16 else np.uint32
-    blocks = PatternBlocks(n_sites, step, care, plus, weight, dtype)
+    blocks = PatternBlocks(n_sites, step, reads, wants, weight, np.uint16)
     count = np.zeros(size, dtype=np.intp)
     for block in blocks:
         count += np.bincount(block, minlength=size)
@@ -452,37 +453,35 @@ class ExactMeasure:
 
     # -- partial assignments ------------------------------------------------
 
-    def _assignment_masks(self, assignment: Mapping[Vertex, int]) -> tuple[int, int]:
+    def _assignment_sites(self, assignment: Mapping[Vertex, int]) -> dict[int, bool]:
+        """``{site: is_plus}`` of an assignment of +/-1 spins to vertices."""
         as_spins(list(assignment.values()))
-        sites_mask = 0
-        plus_mask = 0
+        sites = {}
         for vertex, spin in assignment.items():
-            idx = self.lattice.site_index(self.lattice.canon(vertex))
-            bit = 1 << idx
-            if sites_mask & bit:
+            site = self.lattice.site_index(self.lattice.canon(vertex))
+            if site in sites:
                 raise ValueError(f"vertex {vertex} assigned twice")
-            sites_mask |= bit
-            if spin == 1:
-                plus_mask |= bit
-        return sites_mask, plus_mask
+            sites[site] = spin == 1
+        return sites
 
-    def _match(self, sites_mask: int, plus_mask: int) -> np.ndarray:
-        masks = np.arange(self.num_configs, dtype=np.uint64)
-        return (masks & np.uint64(sites_mask)) == np.uint64(plus_mask)
+    def _match(self, pattern: Mapping[int, bool]) -> np.ndarray:
+        """Which configurations carry the ``{site: is_plus}`` pattern, indexed by bitmask."""
+        sites = self.lattice.num_sites
+        return PatternBlocks(sites, mask_block(sites), [list(pattern)], [list(pattern.values())],
+                             1, np.uint8).concatenated().view(bool)
 
     def conditional_probability(
         self, target: Mapping[Vertex, int], given: Mapping[Vertex, int]
     ) -> float:
         """P(target assignment | given assignment), on disjoint vertex sets."""
-        sm_t, pm_t = self._assignment_masks(target)
-        sm_g, pm_g = self._assignment_masks(given)
-        if sm_t & sm_g:
+        target, given = self._assignment_sites(target), self._assignment_sites(given)
+        if target.keys() & given.keys():
             raise ValueError("target and given assignments overlap")
         p = self.probabilities()
-        denom = float(p[self._match(sm_g, pm_g)].sum())
+        denom = float(p[self._match(given)].sum())
         if denom <= 0.0:
             raise ValueError("conditioning event has zero probability")
-        num = float(p[self._match(sm_t | sm_g, pm_t | pm_g)].sum())
+        num = float(p[self._match(target | given)].sum())
         return num / denom
 
 
@@ -492,7 +491,7 @@ def build_exact(
     """Tabulate the Gibbs measure over all configurations of a small lattice.
 
     Raises:
-        TooLargeForExact: if n^d exceeds ``site_cap`` (None: DEFAULT_SITE_CAP).
+        TooLargeForExact: if n^d exceeds ``site_cap`` (None: DEFAULT_SITE_CAP) or MASK_BITS.
     """
     cap = DEFAULT_SITE_CAP if site_cap is None else site_cap
     if lattice.num_sites > cap:

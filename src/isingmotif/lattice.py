@@ -23,8 +23,13 @@ Vertex = tuple[int, ...]
 #: no floating-point norm arithmetic is ever performed).
 INFINITY = math.inf
 
-#: Cap on enumerated family sizes: offset candidates, ball sites and motif families.
+#: Cap on the 2**sites pattern families that ``motifs.family_size`` enumerates.
 DEFAULT_FAMILY_CAP = 1 << 20
+
+#: Cap on candidate neighbor offsets and on ball sites.  ``counting.count_samples``
+#: sums a match of more than 127 columns in int16, and Metropolis indexes its
+#: table in uint16 up to 2 * degree + 1: past 2**15 - 1 both would wrap.
+GEOMETRY_CAP = (1 << 15) - 1
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -71,12 +76,12 @@ def neighbor_offsets(d: int, rho: int, p) -> tuple[Vertex, ...]:
     sum(|v_i|^p) <= rho^p, for p = INFINITY it is max(|v_i|) <= rho.
 
     Raises:
-        FamilyTooLarge: the (2 rho + 1)^d candidates pass DEFAULT_FAMILY_CAP.
+        FamilyTooLarge: the (2 rho + 1)^d candidates pass GEOMETRY_CAP.
     """
     # 2 rho + 1 > 2, so at d = bit_length(cap) the candidates already pass the cap
-    if (2 * rho + 1) ** min(d, DEFAULT_FAMILY_CAP.bit_length()) > DEFAULT_FAMILY_CAP:
+    if (2 * rho + 1) ** min(d, GEOMETRY_CAP.bit_length()) > GEOMETRY_CAP:
         raise FamilyTooLarge(
-            f"neighbor offsets have (2*{rho}+1)^{d} candidates, cap is {DEFAULT_FAMILY_CAP}"
+            f"neighbor offsets have (2*{rho}+1)^{d} candidates, cap is {GEOMETRY_CAP}"
         )
     offsets = []
     for v in product(range(-rho, rho + 1), repeat=d):
@@ -96,7 +101,7 @@ def ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
 
     Raises:
         ValueError: radius is not an integer >= 0.
-        FamilyTooLarge: the neighbor offsets or the ball pass DEFAULT_FAMILY_CAP.
+        FamilyTooLarge: the neighbor offsets or the ball pass GEOMETRY_CAP.
     """
     return _ball_offsets(d, rho, p, as_int(radius, "radius", 0))
 
@@ -109,8 +114,8 @@ def _ball_offsets(d: int, rho: int, p, radius: int) -> tuple[Vertex, ...]:
     dist = {origin: 0}
     frontier = deque([origin])
     while frontier:
-        if len(dist) > DEFAULT_FAMILY_CAP:
-            raise FamilyTooLarge(f"ball of radius {radius} passes {DEFAULT_FAMILY_CAP} sites")
+        if len(dist) > GEOMETRY_CAP:
+            raise FamilyTooLarge(f"ball of radius {radius} passes {GEOMETRY_CAP} sites")
         v = frontier.popleft()
         dv = dist[v]
         if dv == radius:

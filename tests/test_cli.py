@@ -318,6 +318,11 @@ def test_too_large_for_exact_rejected(workdir):
     raised = parse_config(text.replace("kind = exact", "kind = exact\nsite_cap = 30"),
                           base_dir=workdir)
     assert raised.site_cap == 30
+    # no cap passes the 32 bits of a configuration mask: 40 sites asked for 38 GiB
+    cfg_path = workdir / "run.ini"
+    cfg_path.write_text(MINIMAL.replace("n_list = 6 8", "n_list = 40")
+                        .replace("kind = exact", "kind = exact\nsite_cap = 40"))
+    assert main(["validate", str(cfg_path)]) == 2
     # the samplers have no site cap
     parse_config(text.replace("kind = exact", "kind = heat_bath"), base_dir=workdir)
 
@@ -639,7 +644,7 @@ def test_motif_file_that_is_not_utf8_is_one_line_and_exit_2(workdir, capsys, com
 @pytest.mark.parametrize("command", ["run", "validate", "motif-info"])
 def test_motif_header_past_the_offset_cap_is_one_line_and_exit_2(workdir, capsys, command):
     # d = 13, rho = 1, p = inf has 3^13 candidate neighbor offsets, past the
-    # 2^20 cap: refused before they are enumerated, which took seconds
+    # 2^15 - 1 cap: refused before they are enumerated, which took seconds
     (workdir / "single.motif").write_text("13 0 1 inf 1\n")
     (workdir / "run.ini").write_text(MINIMAL)
     target = "single.motif" if command == "motif-info" else "run.ini"
@@ -648,7 +653,7 @@ def test_motif_header_past_the_offset_cap_is_one_line_and_exit_2(workdir, capsys
     assert captured.out == ""
     first = "MotifFileError: " if command == "motif-info" else "ParseError: bad motif file "
     assert captured.err.startswith(first)
-    assert "^13 candidates, cap is 1048576" in captured.err and captured.err.count("\n") == 1
+    assert "^13 candidates, cap is 32767" in captured.err and captured.err.count("\n") == 1
 
 
 DATA = Path(__file__).parent / "data"
@@ -701,6 +706,14 @@ def test_golden_file_pinned_run(workdir, golden, kind, targets):
     ("kind = exact", "kind = exact\n[analysis]\nepsilon = inf", "[analysis] epsilon"),
     ("kind = exact", "kind = exact\nsite_cap = 0", "[engine] site_cap"),
     ("kind = exact", "kind = exact\nsite_cap = 7", "[engine] site_cap"),
+    # a configuration mask is one 32-bit word: 33 sites ran out of memory instead
+    ("kind = exact", "kind = exact\nsite_cap = 33", "[engine] site_cap"),
+    # lambda = exp(800) overflows, and exp(-1600) underflows to 0.0, in every cell:
+    # only NonFiniteLimit rows, or only tv rows that have no Poisson target
+    ("b_list = 0.0", "b_list = -200.0", "[model] b_list"),
+    ("b_list = 0.0\n\n[engine]\nkind = exact",
+     "b_list = 400.0\n\n[engine]\nkind = exact\n[analysis]\ntargets = expectation tv",
+     "[model] b_list"),
     ("c = 1.0", "c = 1.0\na = -0.5\n[analysis]\ntargets = tv", "[analysis] targets"),
     ("files = single.motif", "files = single.motif null.motif", "[schedule] a"),
     ("files = single.motif\n\n[schedule]\nc = 1.0",

@@ -286,6 +286,18 @@ def test_count_blocks_match_indicator(lattice, motif, mode, chunk, oracle_counts
     assert np.array_equal(count_all_masks(lattice, motif, mode), counts)
 
 
+@pytest.mark.parametrize("mode", [EXACT_MATCH, SUPERSET_MATCH])
+def test_count_blocks_at_the_mask_word_limit(mode):
+    # 32 sites fill the uint32 mask word: the first block's counts against
+    # the same masks' spins
+    lattice, motif = TorusLattice(1, 32, 1, 1), bundled_motif("single_plus_d1.motif")
+    blocks = counting._count_blocks(lattice, motif, mode)
+    first = next(iter(blocks))
+    spins = _spin_matrix(np.arange(len(first), dtype=np.uint64), lattice.num_sites)
+    assert len(first) == exact.MASK_CHUNK
+    assert np.array_equal(first, count_samples(lattice, spins, motif, mode))
+
+
 def cell_laws(lattice, motif, b):
     """(measure, laws) of a cell's pass and of each threshold_sweep side."""
     d, k = lattice.d, motif.k

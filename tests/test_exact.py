@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from isingmotif import (
+    EXACT_MATCH,
     FieldSchedule,
     ModelParams,
     SpinConfig,
@@ -14,6 +15,7 @@ from isingmotif import (
     build_exact,
     check_conditional_sandwich,
     conditional_motif_probability,
+    count_all_masks,
     exact,
     hamiltonian,
     local_energy,
@@ -135,6 +137,24 @@ def test_build_exact_cap():
     build_exact(TorusLattice(1, 10, 1, 1), ModelParams(0.0, 0.0))  # its levels are now cached
     with pytest.raises(TooLargeForExact):
         build_exact(TorusLattice(1, 10, 1, 1), ModelParams(0.0, 0.0), site_cap=8)
+
+
+@pytest.mark.parametrize("sites", [33, 40])
+@pytest.mark.parametrize("enumerate_all", [
+    lambda lat: build_exact(lat, ModelParams(0.0, 0.0), site_cap=40),
+    lambda lat: count_all_masks(lat, single_positive(1, D1), EXACT_MATCH),
+], ids=["build_exact", "count_all_masks"])
+def test_past_the_mask_word_raises_before_allocating(enumerate_all, sites):
+    # a configuration mask is one uint32 word: past 32 sites the enumeration
+    # is refused at once, where 40 sites asked for 38 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeForExact, match=f"{sites} sites pass the 32-bit mask word"):
+            enumerate_all(TorusLattice(1, sites, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("lat", [
@@ -343,6 +363,27 @@ def test_conditional_matches_exact_measure():
             assert measure.conditional_probability(target, full_exterior) == pytest.approx(
                 local, rel=1e-10
             )
+
+
+@pytest.mark.parametrize("lat, target, given", [
+    (TorusLattice(1, 8, 1, 1), {(0,): 1}, {}),
+    (TorusLattice(1, 8, 1, 1), {(7,): -1, (0,): 1, (1,): -1}, {(6,): 1, (10,): -1}),
+    (TorusLattice(2, 3, 1, 1), {(1, 1): 1}, {(0, 1): -1, (1, 0): 1, (-1, 1): 1}),
+], ids=repr)
+def test_conditional_probability_is_a_ratio_of_mask_sums(lat, target, given):
+    # each event's mass is the probabilities summed over the masks that carry
+    # its spins, in bitmask order: the same float, bit for bit
+    measure = build_exact(lat, ModelParams(-0.7, 0.4))
+    p, masks = measure.probabilities(), np.arange(measure.num_configs)
+
+    def carries(assignment):
+        hit = np.ones(len(masks), dtype=bool)
+        for vertex, spin in assignment.items():
+            hit &= (masks >> lat.site_index(lat.canon(vertex)) & 1) == (spin == 1)
+        return hit
+
+    want = float(p[carries({**target, **given})].sum()) / float(p[carries(given)].sum())
+    assert measure.conditional_probability(target, given) == want
 
 
 def test_missing_boundary_spin():

@@ -49,7 +49,9 @@ def test_ball_sizes():
 
 
 def test_offset_enumerations_are_capped(monkeypatch):
-    # 3^13 candidate vectors pass the 2^20 cap: refused before any is made
+    # 3^12 and 3^13 candidate vectors pass the 2^15 - 1 cap: refused before any is made
+    with pytest.raises(FamilyTooLarge, match=r"\(2\*1\+1\)\^12 candidates, cap is 32767"):
+        neighbor_offsets(12, 1, INFINITY)
     with pytest.raises(FamilyTooLarge, match=r"\(2\*1\+1\)\^13 candidates"):
         neighbor_offsets(13, 1, INFINITY)
     # a dimension read from a motif header is refused without computing 3^d
@@ -57,8 +59,11 @@ def test_offset_enumerations_are_capped(monkeypatch):
         neighbor_offsets(10**9, 1, 1)
     # the most candidates of any lattice in use, 13^2
     assert len(neighbor_offsets(2, 6, INFINITY)) == 168
-    # a ball is refused once its search passes the cap
-    monkeypatch.setattr(lattice, "DEFAULT_FAMILY_CAP", 100)
+    # a ball is refused once its search passes the cap: a d=1 radius of 16384
+    # has 32769 sites, and one of 500000 no longer runs for seconds
+    with pytest.raises(FamilyTooLarge, match="ball of radius 16384 passes 32767 sites"):
+        _ball_offsets.__wrapped__(1, 1, 1, 16384)
+    monkeypatch.setattr(lattice, "GEOMETRY_CAP", 100)
     assert len(_ball_offsets.__wrapped__(1, 1, 1, 49)) == 99
     with pytest.raises(FamilyTooLarge, match="ball of radius 50 passes 100 sites"):
         _ball_offsets.__wrapped__(1, 1, 1, 50)
